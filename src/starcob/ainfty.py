@@ -30,11 +30,15 @@ from .staralg import (
     BWord,
     Grading,
     Word,
+    advance,
     grading,
     idempotent,
     mono_grading,
     mul_word,
+    split_a_word,
+    split_b_word,
     word_sort_key,
+    word_splits,
     words_from,
     zero_grading,
 )
@@ -79,30 +83,6 @@ def _chained(algebra: str, words: Sequence[Word]) -> bool:
     return all(words[k].init == words[k + 1].fin for k in range(len(words) - 1))
 
 
-def _split_a_word(w: AWord, head_len: int) -> Optional[tuple[AWord, AWord]]:
-    """Factor an A-word into (head, tail) with the given head length."""
-    if w.kind == "i" or not 1 <= head_len <= w.length - 1:
-        return None
-    if w.kind == "u":
-        return (AWord("u", w.start, head_len, w.n), AWord("u", w.start, w.length - head_len, w.n))
-    from .staralg import _advance  # local import to keep module tops clean
-
-    return (
-        AWord("s", w.start, head_len, w.n),
-        AWord("s", _advance(w.start, head_len, w.n), w.length - head_len, w.n),
-    )
-
-
-def _split_b_word(w: BWord, first_len: int) -> Optional[tuple[BWord, BWord]]:
-    """Factor a B-word into (later, first) parts; `first` gets first_len letters."""
-    if w.kind == "i" or not 1 <= first_len <= w.length - 1:
-        return None
-    letters = w.letters()
-    first = BWord.from_letters(letters[:first_len], w.n)
-    later = BWord.from_letters(letters[first_len:], w.n)
-    return (later, first)
-
-
 def _classify_a(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None) -> tuple[str, list[Entry]]:
     arity = len(entries)
     words = [w for _, w in entries]
@@ -139,7 +119,7 @@ def _classify_a(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
         return (TAG_ZERO, [])
 
     def _try_left() -> Optional[Entry]:
-        split = _split_a_word(words[0], excess)
+        split = split_a_word(words[0], excess)
         if split is None:
             return None
         head, tail = split
@@ -151,7 +131,7 @@ def _classify_a(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
         return (coeff, head)
 
     def _try_right() -> Optional[Entry]:
-        split = _split_a_word(words[-1], words[-1].length - excess)
+        split = split_a_word(words[-1], words[-1].length - excess)
         if split is None:
             return None
         head, tail = split
@@ -196,13 +176,13 @@ def _classify_b(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
     if all(_bare_sigma(k) for k in range(1, arity)):
         w0 = words[0]
         if w0.kind == "c" and w0.length >= 2 and w0.first == "s":
-            remainder = BWord.from_letters(w0.letters()[1:], n)
+            remainder = split_b_word(w0, 1)[0]
             return (TAG_LEFT, [(coeff, remainder)])
 
     if all(_bare_sigma(k) for k in range(arity - 1)):
         wn = words[-1]
         if wn.kind == "c" and wn.length >= 2 and wn.last == "s":
-            remainder = BWord.from_letters(wn.letters()[:-1], n)
+            remainder = split_b_word(wn, wn.length - 1)[1]
             return (TAG_RIGHT, [(coeff, remainder)])
 
     return (TAG_ZERO, [])
@@ -313,10 +293,8 @@ def _centered_tuples(algebra: str, arity: int, n: int) -> list[tuple[Word, ...]]
     if algebra == "B":
         if arity != n:
             return out
-        from .staralg import _advance
-
         for i in range(1, n + 1):
-            tup = tuple(BWord("c", _advance(i, n - k, n), "s", 1, n) for k in range(1, n + 1))
+            tup = tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, n + 1))
             out.append(tup)
         return out
     step = 2 * n - 2
@@ -366,9 +344,7 @@ def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> lis
                         prefix = AWord("u", first.init, extra, n)
                         suffix = AWord("u", last.fin, extra, n)
                     else:
-                        from .staralg import _advance
-
-                        prefix = AWord("s", _advance(first.init, -extra, n), extra, n)
+                        prefix = AWord("s", advance(first.init, -extra, n), extra, n)
                         suffix = AWord("s", last.fin, extra, n)
                     merged_first = mul_word(prefix, first)
                     if merged_first is not None:
@@ -427,22 +403,11 @@ def _filler_chains(
 
 def _entry_splits(algebra: str, w: Word, n: int) -> list[tuple[Word, Word]]:
     """All pairs (c, d) of basis words with mu_2(c, d) equal to w."""
-    out: list[tuple[Word, Word]] = []
     if algebra == "A":
-        out.append((idempotent("A", w.init, n), w))
-        out.append((w, idempotent("A", w.fin, n)))
-        for head_len in range(1, w.ell):
-            split = _split_a_word(w, head_len)
-            if split is not None:
-                out.append(split)
+        out = [(idempotent("A", w.init, n), w), (w, idempotent("A", w.fin, n))]
     else:
-        out.append((idempotent("B", w.fin, n), w))
-        out.append((w, idempotent("B", w.init, n)))
-        for first_len in range(1, w.ell):
-            split = _split_b_word(w, first_len)
-            if split is not None:
-                out.append(split)
-    return out
+        out = [(idempotent("B", w.fin, n), w), (w, idempotent("B", w.init, n))]
+    return out + list(word_splits(w))
 
 
 def _relation_arities(algebra: str, max_arity: int, n: int) -> list[int]:
@@ -500,14 +465,14 @@ def check_ainfty(
     max_total_len: int,
     n: int,
     fault: Optional[tuple] = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Violations of the A-infinity relations within the given bounds.
 
     Arity 3 is swept over every chained triple of basis words; higher arities
     are swept over the complete candidate set described in the module
     docstring.  The candidate set is generated from the unfaulted operation
-    tables, so injected faults cannot hide violations.
+    tables, so injected faults cannot hide violations.  The sweep is serial
+    and covers every tuple; violations are sorted by arity, then inputs.
     """
     if n <= 2:
         raise ValueError("the construction needs N > 2")
@@ -530,26 +495,11 @@ def check_ainfty(
         for arity in _relation_arities(algebra, max_arity, n):
             yield from _candidate_tuples(algebra, arity, max_total_len, n)
 
-    def _eval(words: tuple[Word, ...]) -> Optional[dict]:
-        total = relation_sum(algebra, words, n, fault)
-        if total.is_zero():
-            return None
-        return _violation(algebra, words, total)
-
     violations: list[dict] = []
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for found in pool.map(_eval, _tuples(), chunksize=256):
-                if found is not None:
-                    violations.append(found)
-    else:
-        for tup in _tuples():
-            found = _eval(tup)
-            if found is not None:
-                violations.append(found)
-
+    for words in _tuples():
+        total = relation_sum(algebra, words, n, fault)
+        if not total.is_zero():
+            violations.append(_violation(algebra, words, total))
     violations.sort(key=lambda v: (v["arity"], v["inputs"]))
     return violations
 
@@ -609,7 +559,11 @@ def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -
 
 
 def parse_fault(text: Optional[str]) -> Optional[tuple]:
-    """Parse a fault-injection spec like "drop-mu2N" or "drop-mu2N:3"."""
+    """Parse a fault-injection spec: "break-h", "drop-mu2N" or "drop-mu2N:k".
+
+    Only the syntax is checked here; the command line checks which verify
+    kind the fault applies to and the range of k.
+    """
     if text is None:
         return None
     if text == "break-h":
@@ -617,7 +571,10 @@ def parse_fault(text: Optional[str]) -> Optional[tuple]:
     if text == "drop-mu2N":
         return ("drop-a-centered", 0)
     if text.startswith("drop-mu2N:"):
-        return ("drop-a-centered", int(text.split(":", 1)[1]))
+        try:
+            return ("drop-a-centered", int(text.split(":", 1)[1]))
+        except ValueError:
+            pass
     raise ValueError(f"unknown fault spec {text!r}")
 
 

@@ -15,8 +15,9 @@ delta H + H delta = id + psi phi on every chained string.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .staralg import (
     AlgElem,
@@ -26,10 +27,11 @@ from .staralg import (
     grading,
     letter,
     mul_word,
+    word_letters,
     word_sort_key,
+    word_splits,
     words_from,
 )
-from .ainfty import _split_a_word, _split_b_word
 
 
 def _other(algebra: str) -> str:
@@ -43,6 +45,7 @@ def chain_ok(algebra: str, prev: Word, nxt: Word) -> bool:
     return prev.init == nxt.fin
 
 
+@functools.cache
 def dict_image(w: Word) -> Word:
     """The letterwise dictionary on single-letter words (loops to loops,
     edges to edges, same node), valued in the other algebra."""
@@ -61,11 +64,9 @@ def _dual_factor_str(w: Word) -> str:
     if isinstance(w, AWord):
         if w.kind == "u":
             return f"(U{w.start}^{w.length})*"
-        from .staralg import _advance
-
-        body = "".join(f"s{_advance(w.start, k, w.n)}" for k in range(w.length))
-        return f"({body})*"
-    body = "".join(f"{t}{i}" for t, i in w.letters())
+        body = "".join(f"s{l.start}" for l in word_letters(w))
+    else:
+        body = "".join(f"{t}{i}" for t, i in w.letters())
     return f"({body})*"
 
 
@@ -81,21 +82,21 @@ class TString:
     factors: tuple
 
     def __post_init__(self) -> None:
+        # One pass: same algebra and N, no idempotent, and each factor chained
+        # to the previous one (A: prev.fin == init, B: prev.init == fin).
         if not self.factors:
             raise ValueError("tensor strings have at least one factor")
-        alg = self.factors[0].algebra
-        n = self.factors[0].n
+        head = self.factors[0]
+        cls, n, on_a = type(head), head.n, isinstance(head, AWord)
+        prev = None
         for w in self.factors:
-            if w.algebra != alg or w.n != n:
+            if type(w) is not cls or w.n != n:
                 raise ValueError("mixed factors in a tensor string")
-            if w.is_idempotent():
+            if w.kind == "i":
                 raise ValueError("idempotent factors are excluded")
-        for k in range(len(self.factors) - 1):
-            if not chain_ok(alg, self.factors[k], self.factors[k + 1]):
-                raise ValueError(
-                    f"factors {self.factors[k].render()} and "
-                    f"{self.factors[k + 1].render()} are not chained"
-                )
+            if prev is not None and not (prev.fin == w.start if on_a else prev.start == w.fin):
+                raise ValueError(f"factors {prev.render()} and {w.render()} are not chained")
+            prev = w
 
     @property
     def algebra(self) -> str:
@@ -149,10 +150,6 @@ class CobElem:
     def from_string(cls, ts: TString) -> "CobElem":
         return cls(ts.algebra, ts.n, frozenset({ts}))
 
-    @classmethod
-    def from_factors(cls, factors: tuple) -> "CobElem":
-        return cls.from_string(TString(tuple(factors)))
-
     def is_zero(self) -> bool:
         return not self.strings
 
@@ -181,19 +178,8 @@ class CobElem:
         return f"CobElem({self.algebra!r}, {self.n}, {self.render()!r})"
 
 
-def _as_cob(x: Union[CobElem, TString]) -> CobElem:
-    if isinstance(x, TString):
-        return CobElem.from_string(x)
-    return x
-
-
-def _word_splits(w: Word) -> list[tuple[Word, Word]]:
-    out = []
-    for k in range(1, w.ell):
-        split = _split_a_word(w, k) if isinstance(w, AWord) else _split_b_word(w, k)
-        if split is not None:
-            out.append(split)
-    return out
+def _strings(x: Union[CobElem, TString]) -> Iterable[TString]:
+    return (x,) if isinstance(x, TString) else x.strings
 
 
 def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
@@ -205,25 +191,25 @@ def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
     >>> cobar_diff(TString((AWord("u", 1, 1, n),))).render()
     '0'
     """
-    x = _as_cob(x)
-    out = CobElem.zero(x.algebra, x.n)
-    for ts in x.strings:
-        for k, w in enumerate(ts.factors):
-            for c, d in _word_splits(w):
-                out = out + CobElem.from_factors(ts.factors[:k] + (c, d) + ts.factors[k + 1 :])
-    return out
+    out: set = set()
+    for ts in _strings(x):
+        f = ts.factors
+        for k, w in enumerate(f):
+            for c, d in word_splits(w):
+                out ^= {TString(f[:k] + (c, d) + f[k + 1 :])}
+    return CobElem(x.algebra, x.n, out)
 
 
 def bar_diff(x: Union[CobElem, TString]) -> CobElem:
     """Merge two adjacent factors under the word product."""
-    x = _as_cob(x)
-    out = CobElem.zero(x.algebra, x.n)
-    for ts in x.strings:
-        for k in range(len(ts.factors) - 1):
-            merged = mul_word(ts.factors[k], ts.factors[k + 1])
+    out: set = set()
+    for ts in _strings(x):
+        f = ts.factors
+        for k in range(len(f) - 1):
+            merged = mul_word(f[k], f[k + 1])
             if merged is not None:
-                out = out + CobElem.from_factors(ts.factors[:k] + (merged,) + ts.factors[k + 2 :])
-    return out
+                out ^= {TString(f[:k] + (merged,) + f[k + 2 :])}
+    return CobElem(x.algebra, x.n, out)
 
 
 def cobar_mul(f: Union[CobElem, TString], g: Union[CobElem, TString]) -> CobElem:
@@ -233,15 +219,14 @@ def cobar_mul(f: Union[CobElem, TString], g: Union[CobElem, TString]) -> CobElem
     >>> cobar_mul(TString((AWord("u", 1, 1, n),)), TString((AWord("s", 1, 1, n),))).render()
     'U1*.s1*'
     """
-    f, g = _as_cob(f), _as_cob(g)
     if (f.algebra, f.n) != (g.algebra, g.n):
         raise ValueError("cannot multiply strings over different algebras")
-    out = CobElem.zero(f.algebra, f.n)
-    for s in f.strings:
-        for t in g.strings:
+    out: set = set()
+    for s in _strings(f):
+        for t in _strings(g):
             if chain_ok(f.algebra, s.factors[-1], t.factors[0]):
-                out = out + CobElem.from_factors(s.factors + t.factors)
-    return out
+                out ^= {TString(s.factors + t.factors)}
+    return CobElem(f.algebra, f.n, out)
 
 
 def phi(x: Union[CobElem, TString]) -> AlgElem:
@@ -252,10 +237,8 @@ def phi(x: Union[CobElem, TString]) -> AlgElem:
     >>> phi(TString((AWord("u", 1, 1, n), AWord("s", 1, 1, n)))).render()
     'r1.s1'
     """
-    x = _as_cob(x)
-    target = _other(x.algebra)
-    out = AlgElem.zero(target, x.n)
-    for ts in x.strings:
+    out = AlgElem.zero(_other(x.algebra), x.n)
+    for ts in _strings(x):
         if any(w.ell != 1 for w in ts.factors):
             continue
         acc: Optional[Word] = dict_image(ts.factors[-1])
@@ -268,17 +251,6 @@ def phi(x: Union[CobElem, TString]) -> AlgElem:
     return out
 
 
-def _word_letters(w: Word) -> list[Word]:
-    """Single-letter factors of a word, in written (composition) order."""
-    if isinstance(w, AWord):
-        if w.kind == "u":
-            return [AWord("u", w.start, 1, w.n)] * w.length
-        from .staralg import _advance
-
-        return [AWord("s", _advance(w.start, k, w.n), 1, w.n) for k in range(w.length)]
-    return [BWord("c", i, t, 1, w.n) for t, i in reversed(w.letters())]
-
-
 def psi(b: Union[AlgElem, Word]) -> CobElem:
     """Dual string of a basis word: duals of its letters, factor order
     reversed against the written order, valued over the other algebra.
@@ -289,16 +261,15 @@ def psi(b: Union[AlgElem, Word]) -> CobElem:
     """
     if not isinstance(b, AlgElem):
         b = AlgElem.from_word(b)
-    out = CobElem.zero(_other(b.algebra), b.n)
+    out: set = set()
     for word, coeff in b.terms.items():
         if word.is_idempotent():
             raise ValueError("psi is undefined on idempotents")
         for mono in coeff:
             if mono != ():
                 raise ValueError("psi acts on GF(2) combinations of words")
-            factors = tuple(dict_image(l) for l in reversed(_word_letters(word)))
-            out = out + CobElem.from_factors(factors)
-    return out
+            out ^= {TString(tuple(dict_image(l) for l in reversed(word_letters(word))))}
+    return CobElem(_other(b.algebra), b.n, out)
 
 
 def _block_length(ts: TString) -> int:
@@ -328,21 +299,18 @@ def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> Cob
     >>> homotopy_h(TString((AWord("u", 1, 1, n), AWord("s", 1, 1, n)))).render()
     '0'
     """
-    x = _as_cob(x)
-    out = CobElem.zero(x.algebra, x.n)
     if fault is not None and fault[0] == "break-h":
-        return out
-    for ts in x.strings:
+        return CobElem.zero(x.algebra, x.n)
+    out: set = set()
+    for ts in _strings(x):
+        f = ts.factors
         n_block = _block_length(ts)
-        if n_block == 0 or n_block == len(ts.factors):
+        if n_block == 0 or n_block == len(f):
             continue
-        merged = mul_word(ts.factors[n_block - 1], ts.factors[n_block])
-        if merged is None:
-            continue
-        out = out + CobElem.from_factors(
-            ts.factors[: n_block - 1] + (merged,) + ts.factors[n_block + 1 :]
-        )
-    return out
+        merged = mul_word(f[n_block - 1], f[n_block])
+        if merged is not None:
+            out ^= {TString(f[: n_block - 1] + (merged,) + f[n_block + 1 :])}
+    return CobElem(x.algebra, x.n, out)
 
 
 def enumerate_strings(algebra: str, max_total_len: int, n: int) -> Iterator[TString]:
@@ -384,10 +352,13 @@ def verify_homotopy(
     n: int,
     base: str = "A",
     fault: Optional[tuple] = None,
-    threads: int = 1,
 ) -> bool:
     """Whether delta H + H delta = id + psi phi on every chained string over
-    `base` with total length within the bound."""
+    `base` with total length within the bound.
+
+    The sweep is serial, in enumeration order, and stops at the first string
+    on which the identity fails.
+    """
 
     def _holds(ts: TString) -> bool:
         lhs = cobar_diff(homotopy_h(ts, fault)) + homotopy_h(cobar_diff(ts), fault)
@@ -397,13 +368,7 @@ def verify_homotopy(
             rhs = rhs + psi(image)
         return lhs == rhs
 
-    strings = enumerate_strings(base, max_total_len, n)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return all(pool.map(_holds, strings, chunksize=64))
-    return all(_holds(ts) for ts in strings)
+    return all(_holds(ts) for ts in enumerate_strings(base, max_total_len, n))
 
 
 __all__ = [

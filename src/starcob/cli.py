@@ -2,17 +2,21 @@
 tables, and diagnostic dumps, with machine-readable deterministic reports.
 
 Exit codes: 0 for a clean run, 1 when a verification finds violations, 2 for
-configuration errors (including N <= 2).  JSON reports carry a versioned
-"schema" field and record the full configuration including the seed, so equal
-configurations produce byte-identical output.  The STARCOB_THREADS environment
-variable caps worker threads for the sweep commands.
+configuration errors (including N <= 2 and a fault spec that the verify kind
+cannot inject).  JSON reports carry a versioned "schema" field and record the
+full configuration including the seed, so equal configurations produce
+byte-identical output.  Every sweep runs serially.
+
+Fault specs for `verify --inject-fault` are negative controls, each valid for
+one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
+component of the centered A-operation) for ainfty-a, and "break-h" (zero the
+homotopy) for homotopy.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Optional
 
@@ -34,17 +38,24 @@ class ConfigError(Exception):
     pass
 
 
-def _threads() -> int:
-    raw = os.environ.get("STARCOB_THREADS")
-    if raw is None:
-        return 1
+# the verify kind each parsed fault can be injected into
+FAULT_KINDS = {"drop-a-centered": "ainfty-a", "break-h": "homotopy"}
+
+
+def _fault(args) -> Optional[tuple]:
+    """The parsed --inject-fault spec, checked against the verify kind and N."""
+    spec = args.inject_fault
     try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"STARCOB_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ConfigError("STARCOB_THREADS must be >= 1")
-    return value
+        fault = parse_fault(spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    if fault is None:
+        return None
+    if FAULT_KINDS[fault[0]] != args.kind:
+        raise ConfigError(f"fault spec {spec!r} applies only to verify {FAULT_KINDS[fault[0]]}")
+    if fault[0] == "drop-a-centered" and not 0 <= fault[1] < 2 * args.n:
+        raise ConfigError(f"fault spec {spec!r} needs 0 <= k < 2N = {2 * args.n}")
+    return fault
 
 
 def _check_n(n: int) -> None:
@@ -103,20 +114,18 @@ def cmd_build(args, out) -> int:
     return 0
 
 
-def _verify_ainfty(args, algebra: str, threads: int) -> tuple[list[dict], dict]:
+def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dict], dict]:
     n = args.n
     max_arity = args.max_arity if args.max_arity is not None else (2 * n + 2 if algebra == "A" else n + 2)
     max_len = args.max_len if args.max_len is not None else (4 * n if algebra == "A" else 3 * n)
-    fault = parse_fault(args.inject_fault)
-    violations = check_ainfty(algebra, max_arity, max_len, n, fault=fault, threads=threads)
+    violations = check_ainfty(algebra, max_arity, max_len, n, fault=fault)
     extra = {"max-arity": max_arity, "max-len": max_len, "fault": args.inject_fault}
     return violations, extra
 
 
-def _verify_homotopy(args, threads: int) -> tuple[list[dict], dict]:
+def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
     n = args.n
     max_len = args.max_len if args.max_len is not None else 8
-    fault = parse_fault(args.inject_fault)
     violations = []
     for base in ("A", "B"):
         identity_ok = True
@@ -126,7 +135,7 @@ def _verify_homotopy(args, threads: int) -> tuple[list[dict], dict]:
             if phi(psi(w)) != AlgElem.from_word(w):
                 identity_ok = False
                 violations.append({"base": base, "reason": f"phi(psi({w.render()})) != {w.render()}"})
-        cert = verify_homotopy(max_len, n, base, fault=fault, threads=threads)
+        cert = verify_homotopy(max_len, n, base, fault=fault)
         if not cert:
             violations.append({"base": base, "reason": "homotopy certificate fails"})
         if not identity_ok:
@@ -135,7 +144,7 @@ def _verify_homotopy(args, threads: int) -> tuple[list[dict], dict]:
     return violations, extra
 
 
-def _verify_grading(args, threads: int) -> tuple[list[dict], dict]:
+def _verify_grading(args) -> tuple[list[dict], dict]:
     n = args.n
     violations = []
     for algebra in ("A", "B"):
@@ -151,7 +160,7 @@ def _verify_grading(args, threads: int) -> tuple[list[dict], dict]:
     return violations, {}
 
 
-def _verify_arities(args, threads: int) -> tuple[list[dict], dict]:
+def _verify_arities(args) -> tuple[list[dict], dict]:
     n = args.n
     violations = []
     computed = {}
@@ -171,18 +180,18 @@ def _verify_arities(args, threads: int) -> tuple[list[dict], dict]:
 
 def cmd_verify(args, out) -> int:
     _check_n(args.n)
-    threads = _threads()
+    fault = _fault(args)
     kind = args.kind
     if kind == "ainfty-a":
-        violations, extra = _verify_ainfty(args, "A", threads)
+        violations, extra = _verify_ainfty(args, "A", fault)
     elif kind == "ainfty-b":
-        violations, extra = _verify_ainfty(args, "B", threads)
+        violations, extra = _verify_ainfty(args, "B", fault)
     elif kind == "homotopy":
-        violations, extra = _verify_homotopy(args, threads)
+        violations, extra = _verify_homotopy(args, fault)
     elif kind == "grading":
-        violations, extra = _verify_grading(args, threads)
+        violations, extra = _verify_grading(args)
     elif kind == "arities":
-        violations, extra = _verify_arities(args, threads)
+        violations, extra = _verify_arities(args)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown verify kind {kind!r}")
     doc = {
@@ -313,7 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--max-arity", type=int, default=None)
     p_verify.add_argument("--max-len", type=int, default=None)
-    p_verify.add_argument("--inject-fault", default=None, help="drop-mu2N[:k] or break-h")
+    p_verify.add_argument(
+        "--inject-fault", default=None, help="drop-mu2N[:k] (ainfty-a, 0 <= k < 2N) or break-h (homotopy)"
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_coh = sub.add_parser("cohomology", help="bigraded cohomology table")

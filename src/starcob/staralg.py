@@ -19,6 +19,7 @@ weight vector, V_{N+1} has m = -2 and the edge half of the weight vector.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
@@ -45,7 +46,8 @@ def _next_node(i: int, n: int) -> int:
     return i % n + 1
 
 
-def _advance(i: int, steps: int, n: int) -> int:
+def advance(i: int, steps: int, n: int) -> int:
+    """The node `steps` edges after node i on the N-cycle (negative steps go back)."""
     return (i - 1 + steps) % n + 1
 
 
@@ -93,7 +95,7 @@ class AWord:
     @property
     def fin(self) -> int:
         if self.kind == "s":
-            return _advance(self.start, self.length, self.n)
+            return advance(self.start, self.length, self.n)
         return self.start
 
     def is_idempotent(self) -> bool:
@@ -158,7 +160,7 @@ class BWord:
         if self.kind == "i":
             return self.start
         edge_count = self.length // 2 if self.first == "r" else (self.length + 1) // 2
-        return _advance(self.start, edge_count, self.n)
+        return advance(self.start, edge_count, self.n)
 
     @property
     def last(self) -> str:
@@ -265,6 +267,47 @@ def mul_word(x: Word, y: Word) -> Optional[Word]:
     raise ValueError("cannot multiply words of different algebras")
 
 
+def split_a_word(w: AWord, head_len: int) -> Optional[tuple[AWord, AWord]]:
+    """Factor an A-word into (head, tail) with the given head length."""
+    if w.kind == "i" or not 1 <= head_len <= w.length - 1:
+        return None
+    if w.kind == "u":
+        return (AWord("u", w.start, head_len, w.n), AWord("u", w.start, w.length - head_len, w.n))
+    return (
+        AWord("s", w.start, head_len, w.n),
+        AWord("s", advance(w.start, head_len, w.n), w.length - head_len, w.n),
+    )
+
+
+def split_b_word(w: BWord, first_len: int) -> Optional[tuple[BWord, BWord]]:
+    """Factor a B-word into (later, first) parts; `first` gets first_len letters."""
+    if w.kind == "i" or not 1 <= first_len <= w.length - 1:
+        return None
+    first = BWord("c", w.start, w.first, first_len, w.n)
+    later_type = "r" if first.last == "s" else "s"
+    return (BWord("c", first.fin, later_type, w.length - first_len, w.n), first)
+
+
+@functools.cache
+def word_splits(w: Word) -> tuple[tuple[Word, Word], ...]:
+    """All factorizations w = mul_word(c, d) into two non-idempotent words.
+
+    >>> [(c.render(), d.render()) for c, d in word_splits(AWord("s", 1, 3, 3))]
+    [('s[1,2]', 's[2,4]'), ('s[1,3]', 's[3,4]')]
+    """
+    split = split_a_word if isinstance(w, AWord) else split_b_word
+    return tuple(split(w, k) for k in range(1, w.ell))
+
+
+def word_letters(w: Word) -> list[Word]:
+    """Single-letter factors of a word, in written (composition) order."""
+    if isinstance(w, AWord):
+        if w.kind == "u":
+            return [AWord("u", w.start, 1, w.n)] * w.length
+        return [AWord("s", advance(w.start, k, w.n), 1, w.n) for k in range(w.length)]
+    return [BWord("c", i, t, 1, w.n) for t, i in reversed(w.letters())]
+
+
 @dataclass(frozen=True, slots=True)
 class Grading:
     """Maslov degree, weight vector of length 2N, and total length."""
@@ -327,7 +370,7 @@ def grading(w: Word) -> Grading:
             vec[2 * w.start - 2] = w.length
         elif w.kind == "s":
             for k in range(w.length):
-                vec[2 * _advance(w.start, k, w.n) - 1] += 1
+                vec[2 * advance(w.start, k, w.n) - 1] += 1
         return Grading(0, tuple(vec), w.length)
     for typ, i in w.letters():
         vec[2 * i - 2 if typ == "r" else 2 * i - 1] += 1
@@ -612,6 +655,11 @@ __all__ = [
     "mul_word_a",
     "mul_word_b",
     "mul_word",
+    "advance",
+    "split_a_word",
+    "split_b_word",
+    "word_splits",
+    "word_letters",
     "mul_a",
     "mul_b",
     "grading",

@@ -153,10 +153,6 @@ def test_check_ainfty_clean():
     assert check_ainfty("B", 5, 9, 3) == []
 
 
-def test_check_ainfty_threads_match():
-    assert check_ainfty("A", 8, 10, 3, threads=4) == check_ainfty("A", 8, 10, 3)
-
-
 def test_fault_injection_detected_for_every_component():
     # Dropping any single centered component must break the relations.
     for comp in range(6):

@@ -152,20 +152,52 @@ def test_dump_basis_and_special(capsys):
 
 
 def test_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("STARCOB_THREADS", "3")
-    code, out_threaded, _ = _run(["verify", "ainfty-b", "--n", "3"], capsys)
-    assert code == 0
-    monkeypatch.setenv("STARCOB_THREADS", "junk")
-    code, _, err = _run(["verify", "ainfty-b", "--n", "3"], capsys)
+    # STARCOB_THREADS is retired: every sweep is serial, whatever it holds.
+    outs = []
+    for value in ("2", "junk", None):
+        if value is None:
+            monkeypatch.delenv("STARCOB_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("STARCOB_THREADS", value)
+        code, out, _ = _run(["verify", "ainfty-b", "--n", "3"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [
+        ("ainfty-a", "drop-mu2N:6"),
+        ("ainfty-a", "drop-mu2N:99"),
+        ("ainfty-a", "drop-mu2N:-1"),
+        ("ainfty-a", "drop-mu2N:x"),
+        ("ainfty-a", "break-h"),
+        ("ainfty-b", "drop-mu2N"),
+        ("homotopy", "drop-mu2N"),
+        ("grading", "drop-mu2N"),
+        ("arities", "break-h"),
+    ],
+)
+def test_rejected_fault_spec_is_config_error(kind, spec, capsys):
+    code, out, err = _run(["verify", kind, "--n", "3", "--inject-fault", spec], capsys)
     assert code == 2
-    assert "STARCOB_THREADS" in err
-    monkeypatch.setenv("STARCOB_THREADS", "0")
-    code, _, _ = _run(["verify", "ainfty-b", "--n", "3"], capsys)
-    assert code == 2
-    monkeypatch.delenv("STARCOB_THREADS")
-    code, out_plain, _ = _run(["verify", "ainfty-b", "--n", "3"], capsys)
-    assert code == 0
-    assert out_threaded == out_plain
+    assert out == ""
+    assert repr(spec) in err
+
+
+def test_last_fault_component_is_accepted(capsys):
+    # k = 2N - 1 is the last component of the centered operation.
+    code, _, _ = _run(["verify", "ainfty-a", "--n", "3", "--inject-fault", "drop-mu2N:5"], capsys)
+    assert code == 1
+
+
+def test_break_h_control_is_deterministic(capsys):
+    args = ["verify", "homotopy", "--n", "3", "--max-len", "6", "--inject-fault", "break-h"]
+    code1, out1, _ = _run(args, capsys)
+    code2, out2, _ = _run(args, capsys)
+    assert code1 == code2 == 1
+    assert out1 == out2
 
 
 def test_verify_text_format_streams_violations(capsys):

@@ -23,8 +23,11 @@ from starcob.staralg import (
     mul_b,
     mul_word,
     special_element,
+    split_b_word,
     unit,
     var_grading,
+    word_letters,
+    word_splits,
     words_from,
 )
 
@@ -62,6 +65,30 @@ def test_b_word_endpoints_and_render():
     assert w.letters() == [("r", 1), ("s", 1)]
     rebuilt = BWord.from_letters([("r", 1), ("s", 1)], 3)
     assert rebuilt == w
+
+
+def test_word_splits_against_letter_slices():
+    # B-splits are built directly; slicing letters() and rebuilding each part
+    # with from_letters is the reference.
+    for w in enumerate_basis("B", 7, 3):
+        letters = w.letters()
+        for k in range(1, w.ell):
+            expect = (BWord.from_letters(letters[k:], 3), BWord.from_letters(letters[:k], 3))
+            assert split_b_word(w, k) == expect
+    for algebra in ("A", "B"):
+        for w in enumerate_basis(algebra, 7, 3):
+            splits = word_splits(w)
+            assert len(splits) == max(w.ell - 1, 0)
+            for c, d in splits:
+                assert not c.is_idempotent() and not d.is_idempotent()
+                assert mul_word(c, d) == w
+            letters = word_letters(w)
+            assert len(letters) == w.ell
+            if letters:
+                prod = letters[0]
+                for x in letters[1:]:
+                    prod = mul_word(prod, x)
+                assert prod == w
 
 
 def test_a_multiplication_oracles():
