@@ -19,11 +19,12 @@ tuple vanishes termwise.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .ring import MONO_ONE, Monomial, mono_mul, mono_var
+from .ring import Monomial, mono_mul
 from .staralg import (
     AlgElem,
     AWord,
@@ -43,7 +44,7 @@ from .staralg import (
     zero_grading,
 )
 
-Entry = tuple  # (Monomial, Word)
+Entry = tuple  # (coefficient exponent, Word)
 
 TAG_ZERO = "zero"
 TAG_BINARY = "binary"
@@ -69,12 +70,14 @@ def valid_higher_arities(algebra: str, n: int, max_arity: int) -> list[int]:
     return [n] if n <= max_arity else []
 
 
-def _entry_grading(mono: Monomial, word: Word, n: int) -> Grading:
-    return mono_grading(mono, n) + grading(word)
+def _entry_grading(algebra: str, exp: Monomial, word: Word, n: int) -> Grading:
+    """Grading of V^exp * word; most entries carry exponent 0."""
+    g = grading(word)
+    return mono_grading(exp, algebra, n) + g if exp else g
 
 
-def _is_unit(mono: Monomial, word: Word) -> bool:
-    return word.is_idempotent() and mono == MONO_ONE
+def _is_unit(exp: Monomial, word: Word) -> bool:
+    return word.is_idempotent() and exp == 0
 
 
 def _chained(algebra: str, words: Sequence[Word]) -> bool:
@@ -96,13 +99,12 @@ def _classify_a(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
     j = (arity - 2) // step
     if j < 1:
         return (TAG_ZERO, [])
-    gradings = [_entry_grading(m, w, n) for m, w in entries]
+    gradings = [_entry_grading("A", m, w, n) for m, w in entries]
     total_len = sum(g.ell for g in gradings)
     target_vec = tuple(j for _ in range(2 * n))
-    coeff = MONO_ONE
+    coeff = j  # V0^j times the entry coefficients
     for m, _ in entries:
         coeff = mono_mul(coeff, m)
-    coeff = mono_mul(coeff, mono_var(0, j))
     excess = total_len - 2 * n * j
 
     if excess == 0:
@@ -140,7 +142,7 @@ def _classify_a(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
             vec = [a + b for a, b in zip(vec, g.alexander)]
         if tuple(vec) != target_vec:
             return None
-        return (MONO_ONE, tail)
+        return (0, tail)
 
     left = _try_left()
     right = _try_right()
@@ -163,12 +165,11 @@ def _classify_b(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
 
     def _bare_sigma(k: int) -> bool:
         m, w = entries[k]
-        return m == MONO_ONE and w.kind == "c" and w.first == "s" and w.length == 1
+        return m == 0 and w.kind == "c" and w.first == "s" and w.length == 1
 
-    coeff = MONO_ONE
+    coeff = 1  # V_{N+1} times the entry coefficients
     for m, _ in entries:
         coeff = mono_mul(coeff, m)
-    coeff = mono_mul(coeff, mono_var(n + 1))
 
     if all(_bare_sigma(k) for k in range(arity)):
         return (TAG_CENTERED, [(coeff, idempotent("B", words[-1].init, n))])
@@ -189,7 +190,7 @@ def _classify_b(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
 
 
 def _mu_pairs(algebra: str, entries: Sequence[Entry], n: int, fault: Optional[tuple] = None) -> tuple[str, list[Entry]]:
-    """Operation value on a single tuple of (coefficient monomial, word) entries."""
+    """Operation value on a single tuple of (coefficient exponent, word) entries."""
     arity = len(entries)
     if arity == 0:
         raise ValueError("operations need at least one input")
@@ -209,7 +210,7 @@ def _mu_pairs(algebra: str, entries: Sequence[Entry], n: int, fault: Optional[tu
 def _as_pairs(x: Union[AlgElem, Word]) -> list[Entry]:
     if isinstance(x, AlgElem):
         return x.monomial_pairs()
-    return [(MONO_ONE, x)]
+    return [(0, x)]
 
 
 def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple] = None) -> OpResult:
@@ -218,13 +219,14 @@ def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple
     first = seq[0]
     n = first.n
     pair_lists = [_as_pairs(x) for x in seq]
-    value = AlgElem.zero(algebra, n)
+    terms: list[Entry] = []
     tags: set[str] = set()
     for combo in iter_product(*pair_lists):
         tag, pairs = _mu_pairs(algebra, combo, n, fault)
         if pairs:
             tags.add(tag)
-            value = value + AlgElem.from_pairs(algebra, n, pairs)
+            terms.extend(pairs)
+    value = AlgElem.from_pairs(algebra, n, terms)
     if value.is_zero():
         return OpResult(value, TAG_ZERO)
     if len(tags) == 1:
@@ -257,20 +259,31 @@ def mu_b(seq: Sequence[Union[AlgElem, BWord]], fault: Optional[tuple] = None) ->
     return _mu("B", seq, fault)
 
 
+@functools.cache
+def _valid_arities(algebra: str, n: int, max_arity: int) -> frozenset:
+    """Arities <= max_arity whose operation can be nonzero: 2 and the valid higher ones."""
+    return frozenset({2, *valid_higher_arities(algebra, n, max_arity)})
+
+
 def relation_sum(algebra: str, words: Sequence[Word], n: int, fault: Optional[tuple] = None) -> AlgElem:
-    """Sum of all composed operation terms on a tuple of basis words."""
-    total = AlgElem.zero(algebra, n)
+    """Sum of all composed operation terms on a tuple of basis words.
+
+    Only splits whose inner arity r and outer arity size - r + 1 are both
+    valid are visited; every other composed term vanishes.
+    """
     size = len(words)
-    base: list[Entry] = [(MONO_ONE, w) for w in words]
+    valid = _valid_arities(algebra, n, size - 1)
+    base: list[Entry] = [(0, w) for w in words]
+    terms: list[Entry] = []
     for r in range(2, size):
+        if r not in valid or size - r + 1 not in valid:
+            continue
         for k in range(size - r + 1):
             _, inner = _mu_pairs(algebra, base[k : k + r], n, fault)
             for pair in inner:
-                outer_entries = base[:k] + [pair] + base[k + r :]
-                _, outer = _mu_pairs(algebra, outer_entries, n, fault)
-                if outer:
-                    total = total + AlgElem.from_pairs(algebra, n, outer)
-    return total
+                _, outer = _mu_pairs(algebra, base[:k] + [pair] + base[k + r :], n, fault)
+                terms.extend(outer)
+    return AlgElem.from_pairs(algebra, n, terms)
 
 
 def _buckets(algebra: str, max_len: int, n: int) -> tuple[dict, dict]:
@@ -411,7 +424,7 @@ def _entry_splits(algebra: str, w: Word, n: int) -> list[tuple[Word, Word]]:
 
 
 def _relation_arities(algebra: str, max_arity: int, n: int) -> list[int]:
-    valid = {2, *valid_higher_arities(algebra, n, max_arity)}
+    valid = _valid_arities(algebra, n, max_arity)
     out = []
     for arity in range(4, max_arity + 1):
         if any(r in valid and (arity - r + 1) in valid for r in range(2, arity)):
@@ -421,7 +434,7 @@ def _relation_arities(algebra: str, max_arity: int, n: int) -> list[int]:
 
 def _candidate_tuples(algebra: str, arity: int, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
     by_init, by_fin = _buckets(algebra, max_total_len, n)
-    valid = {2, *valid_higher_arities(algebra, n, arity)}
+    valid = _valid_arities(algebra, n, arity)
     candidates: set[tuple[Word, ...]] = set()
     for r in valid_higher_arities(algebra, n, arity - 1):
         if (arity - r + 1) not in valid:
@@ -504,6 +517,30 @@ def check_ainfty(
     return violations
 
 
+def nonzero_operations(
+    algebra: str, max_arity: int, max_total_len: int, n: int
+) -> Iterator[tuple[tuple[Word, ...], list[Entry]]]:
+    """Every nonzero operation within bounds, as (inputs, output entries).
+
+    First the binary products of chained word pairs with total length within
+    bounds, then each higher operation on its passing windows, by arity.
+    """
+    by_init, by_fin = _buckets(algebra, max_total_len, n)
+    for a in (w for i in range(1, n + 1) for w in by_init[i]):
+        pool = by_init[a.fin] if algebra == "A" else by_fin[a.init]
+        for b in pool:
+            if a.ell + b.ell > max_total_len:
+                continue
+            word = mul_word(a, b)
+            if word is not None:
+                yield (a, b), [(0, word)]
+    for r in valid_higher_arities(algebra, n, max_arity):
+        for window in passing_windows(algebra, r, max_total_len, n):
+            value = _mu(algebra, list(window)).value
+            if not value.is_zero():
+                yield window, value.monomial_pairs()
+
+
 def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
     """Grading-law violations over all nonzero operations within bounds.
 
@@ -511,50 +548,23 @@ def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -
     the Maslov degree and preserve the weight vector (hence total length).
     """
     violations: list[dict] = []
-    by_init, by_fin = _buckets(algebra, max_total_len, n)
-
-    def _output_grading(value: AlgElem) -> list[Grading]:
-        return [mono_grading(m, n) + grading(w) for m, w in value.monomial_pairs()]
-
-    all_words = [w for i in range(1, n + 1) for w in by_init[i]]
-    for a in all_words:
-        pool = by_init[a.fin] if algebra == "A" else by_fin[a.init]
-        for b in pool:
-            if a.ell + b.ell > max_total_len:
-                continue
-            word = mul_word(a, b)
-            if word is None:
-                continue
-            expect = grading(a) + grading(b)
-            if grading(word) != expect:
+    for inputs, outputs in nonzero_operations(algebra, max_arity, max_total_len, n):
+        r = len(inputs)
+        total = zero_grading(n)
+        for w in inputs:
+            total = total + grading(w)
+        expect = Grading(total.m + r - 2, total.alexander, total.ell)
+        for exp, word in outputs:
+            got = _entry_grading(algebra, exp, word, n)
+            if got != expect:
                 violations.append(
                     {
                         "algebra": algebra,
-                        "arity": 2,
-                        "inputs": [a.render(), b.render()],
-                        "reason": f"binary grading {grading(word)} != {expect}",
+                        "arity": r,
+                        "inputs": [w.render() for w in inputs],
+                        "reason": f"{'binary' if r == 2 else 'operation'} grading {got} != {expect}",
                     }
                 )
-
-    for r in valid_higher_arities(algebra, n, max_arity):
-        for window in passing_windows(algebra, r, max_total_len, n):
-            res = _mu(algebra, list(window))
-            if res.value.is_zero():
-                continue
-            total = zero_grading(n)
-            for w in window:
-                total = total + grading(w)
-            expect = Grading(total.m + r - 2, total.alexander, total.ell)
-            for got in _output_grading(res.value):
-                if got != expect:
-                    violations.append(
-                        {
-                            "algebra": algebra,
-                            "arity": r,
-                            "inputs": [w.render() for w in window],
-                            "reason": f"operation grading {got} != {expect}",
-                        }
-                    )
     return violations
 
 
@@ -585,6 +595,7 @@ __all__ = [
     "relation_sum",
     "valid_higher_arities",
     "passing_windows",
+    "nonzero_operations",
     "check_ainfty",
     "op_grading_check",
     "parse_fault",

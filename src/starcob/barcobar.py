@@ -19,6 +19,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
+from .ring import POLY_ONE
 from .staralg import (
     AlgElem,
     AWord,
@@ -265,10 +266,9 @@ def psi(b: Union[AlgElem, Word]) -> CobElem:
     for word, coeff in b.terms.items():
         if word.is_idempotent():
             raise ValueError("psi is undefined on idempotents")
-        for mono in coeff:
-            if mono != ():
-                raise ValueError("psi acts on GF(2) combinations of words")
-            out ^= {TString(tuple(dict_image(l) for l in reversed(word_letters(word))))}
+        if coeff != POLY_ONE:
+            raise ValueError("psi acts on GF(2) combinations of words")
+        out ^= {TString(tuple(dict_image(l) for l in reversed(word_letters(word))))}
     return CobElem(_other(b.algebra), b.n, out)
 
 

@@ -2,10 +2,12 @@
 tables, and diagnostic dumps, with machine-readable deterministic reports.
 
 Exit codes: 0 for a clean run, 1 when a verification finds violations, 2 for
-configuration errors (including N <= 2 and a fault spec that the verify kind
-cannot inject).  JSON reports carry a versioned "schema" field and record the
-full configuration including the seed, so equal configurations produce
-byte-identical output.  Every sweep runs serially.
+configuration errors (N <= 2, a fault spec that the verify kind cannot
+inject, and --max-arity or --max-len given to a verify kind that does not
+read it).  Any other exception is an internal error and propagates.  JSON
+reports carry a versioned "schema" field and record the full configuration
+including the seed, so equal configurations produce byte-identical output.
+Every sweep runs serially.
 
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
@@ -23,7 +25,7 @@ from typing import Optional
 from .ainfty import check_ainfty, op_grading_check, parse_fault
 from .barcobar import enumerate_strings, phi, psi, verify_homotopy
 from .gradegroup import admissible_arities, check_multiplicativity
-from .hochschild import InsufficientTruncation, cohomology_dim, witness_cocycle
+from .hochschild import cohomology_table, witness_cocycle
 from .staralg import (
     AlgElem,
     enumerate_basis,
@@ -41,6 +43,9 @@ class ConfigError(Exception):
 # the verify kind each parsed fault can be injected into
 FAULT_KINDS = {"drop-a-centered": "ainfty-a", "break-h": "homotopy"}
 
+# sweep options a verify kind does not read
+UNREAD_OPTIONS = {"homotopy": ("--max-arity",), "arities": ("--max-arity", "--max-len")}
+
 
 def _fault(args) -> Optional[tuple]:
     """The parsed --inject-fault spec, checked against the verify kind and N."""
@@ -56,6 +61,12 @@ def _fault(args) -> Optional[tuple]:
     if fault[0] == "drop-a-centered" and not 0 <= fault[1] < 2 * args.n:
         raise ConfigError(f"fault spec {spec!r} needs 0 <= k < 2N = {2 * args.n}")
     return fault
+
+
+def _check_options(args) -> None:
+    for opt in UNREAD_OPTIONS.get(args.kind, ()):
+        if getattr(args, opt[2:].replace("-", "_")) is not None:
+            raise ConfigError(f"option {opt} does not apply to verify {args.kind}")
 
 
 def _check_n(n: int) -> None:
@@ -180,6 +191,7 @@ def _verify_arities(args) -> tuple[list[dict], dict]:
 
 def cmd_verify(args, out) -> int:
     _check_n(args.n)
+    _check_options(args)
     fault = _fault(args)
     kind = args.kind
     if kind == "ainfty-a":
@@ -217,17 +229,7 @@ def cmd_cohomology(args, out) -> int:
     model = args.algebra
     n_max = args.n_max if args.n_max is not None else 3 * n
     j_values = tuple(args.j) if args.j else (-1, -2)
-    rows = []
-    for n_deg in range(3, n_max + 1):
-        for j in j_values:
-            cell = {"model": model, "N": n, "n": n_deg, "j": j}
-            try:
-                dim, wits = cohomology_dim(model, n_deg, j, n, args.trunc)
-                cell["dim"] = dim
-                cell["witnesses"] = [w.render() for w in wits]
-            except InsufficientTruncation as exc:
-                cell["error"] = str(exc)
-            rows.append(cell)
+    rows = cohomology_table(model, n, n_max, j_values, args.trunc)
     doc = {
         "schema": SCHEMA,
         "command": "cohomology",
@@ -351,9 +353,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args, sys.stdout)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ainfty import nonzero_operations
 from .ring import Monomial
-from .staralg import AWord, BWord, Word, mul_word
+from .staralg import AWord, BWord, Word, coeff_var
 
 
 def free_reduce(runs) -> tuple:
@@ -124,60 +125,30 @@ def var_group_grading(var: int, n: int) -> GroupElem:
     raise ValueError(f"variable V{var} carries no grading")
 
 
-def mono_group_grading(mono: Monomial, n: int) -> GroupElem:
-    acc = GP_E
-    for var, exp in mono:
-        acc = gp_mul(acc, gp_pow(var_group_grading(var, n), exp))
-    return acc
+def mono_group_grading(exp: Monomial, algebra: str, n: int) -> GroupElem:
+    """Grading of the coefficient monomial V^exp in the algebra's own variable."""
+    return gp_pow(var_group_grading(coeff_var(algebra, n), n), exp)
 
 
 def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
     """Violations of gr(output) = lambda^(arity-2) * product of input gradings
     over all nonzero binary products and higher-operation windows in range."""
-    from .ainfty import _buckets, _mu, passing_windows, valid_higher_arities
-
     violations: list[dict] = []
-    by_init, by_fin = _buckets(algebra, max_total_len, n)
-
-    all_words = [w for i in range(1, n + 1) for w in by_init[i]]
-    for a in all_words:
-        pool = by_init[a.fin] if algebra == "A" else by_fin[a.init]
-        for b in pool:
-            if a.ell + b.ell > max_total_len:
-                continue
-            word = mul_word(a, b)
-            if word is None:
-                continue
-            expect = gp_mul(assign_grading(a), assign_grading(b))
-            if assign_grading(word) != expect:
+    for inputs, outputs in nonzero_operations(algebra, max_arity, max_total_len, n):
+        expect = gp_pow(GP_LAMBDA, len(inputs) - 2)
+        for w in inputs:
+            expect = gp_mul(expect, assign_grading(w))
+        for exp, word in outputs:
+            got = gp_mul(mono_group_grading(exp, algebra, n), assign_grading(word))
+            if got != expect:
                 violations.append(
                     {
                         "algebra": algebra,
-                        "arity": 2,
-                        "inputs": [a.render(), b.render()],
-                        "reason": f"grading {assign_grading(word).render()} != {expect.render()}",
+                        "arity": len(inputs),
+                        "inputs": [w.render() for w in inputs],
+                        "reason": f"grading {got.render()} != {expect.render()}",
                     }
                 )
-
-    for r in valid_higher_arities(algebra, n, max_arity):
-        for window in passing_windows(algebra, r, max_total_len, n):
-            res = _mu(algebra, list(window))
-            if res.value.is_zero():
-                continue
-            expect = gp_pow(GP_LAMBDA, r - 2)
-            for w in window:
-                expect = gp_mul(expect, assign_grading(w))
-            for mono, word in res.value.monomial_pairs():
-                got = gp_mul(mono_group_grading(mono, n), assign_grading(word))
-                if got != expect:
-                    violations.append(
-                        {
-                            "algebra": algebra,
-                            "arity": r,
-                            "inputs": [w.render() for w in window],
-                            "reason": f"grading {got.render()} != {expect.render()}",
-                        }
-                    )
     return violations
 
 

@@ -22,21 +22,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from .barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
 from .gf2la import SparseMatF2, reduce_against, row_space_basis
+from .gradegroup import assign_grading
+from .ring import mono_str
 from .staralg import (
     AWord,
     BWord,
     Word,
+    coeff_var,
+    full_cycle_chain,
     grading,
     idempotent,
     letter,
+    loop_word,
     mono_grading,
     mul_word,
     word_sort_key,
 )
-from .ring import mono_var
-from .barcobar import CobElem, TString, cobar_diff, cobar_mul, dict_image, phi, psi
-from .staralg import full_cycle_chain, loop_word
 
 
 class InsufficientTruncation(ValueError):
@@ -99,21 +102,14 @@ class TwistedMono:
 
     def bidegree(self) -> tuple[int, int]:
         """(n, j): homological degree and internal degree."""
-        n = self.n
-        var = 0 if self.model == "A" else n + 1
-        coeff_m = mono_grading(mono_var(var, self.p), n).m if self.p else 0
+        coeff_m = mono_grading(self.p, self.model, self.n).m
         j = coeff_m + grading(self.left).m + grading(self.right).m
         return (self.right.ell, j)
 
     def render(self) -> str:
-        n = self.n
-        var = 0 if self.model == "A" else n + 1
-        if self.p == 0:
-            head = self.left.render()
-        elif self.p == 1:
-            head = f"V{var}*{self.left.render()}"
-        else:
-            head = f"V{var}^{self.p}*{self.left.render()}"
+        head = self.left.render()
+        if self.p:
+            head = f"{mono_str(self.p, coeff_var(self.model, self.n))}*{head}"
         return f"{head} (x) {self.right.render()}"
 
 
@@ -201,21 +197,21 @@ def twisted_diff(x: Union[TwistedElem, TwistedMono]) -> TwistedElem:
     >>> twisted_diff(tm).render()
     's[1,2] (x) s1 + s[3,4] (x) s3'
     """
-    if isinstance(x, TwistedMono):
-        x = TwistedElem.from_mono(x)
-    out = TwistedElem.zero(x.model, x.n)
-    for tm in x.terms:
-        for xl in _left_letters(x.model, x.n):
+    model, n = x.model, x.n
+    letters = _left_letters(model, n)
+    out: set = set()
+    for tm in (x,) if isinstance(x, TwistedMono) else x.terms:
+        for xl in letters:
             xh = dict_image(xl)
             left = mul_word(xl, tm.left)
             right = mul_word(tm.right, xh)
             if left is not None and right is not None:
-                out = out + TwistedElem.from_mono(TwistedMono(tm.p, left, right))
+                out ^= {TwistedMono(tm.p, left, right)}
             left = mul_word(tm.left, xl)
             right = mul_word(xh, tm.right)
             if left is not None and right is not None:
-                out = out + TwistedElem.from_mono(TwistedMono(tm.p, left, right))
-    return out
+                out ^= {TwistedMono(tm.p, left, right)}
+    return TwistedElem(model, n, out)
 
 
 def slice_params(model: str, n_deg: int, j: int, big_n: int) -> Optional[tuple[int, int]]:
@@ -363,26 +359,19 @@ def witness_cocycle(model: str, big_n: int) -> TwistedElem:
     >>> witness_cocycle("B", 3).render()
     'V4*I1 (x) s[1,4] + V4*I2 (x) s[2,5] + V4*I3 (x) s[3,6]'
     """
-    out = TwistedElem.zero(model, big_n)
-    if model == "A":
-        for i in range(1, big_n + 1):
-            for first in ("r", "s"):
-                out = out + TwistedElem.from_mono(
-                    TwistedMono(1, idempotent("A", i, big_n), loop_word(i, first, 2 * big_n, big_n))
-                )
-        return out
+    out: set = set()
     for i in range(1, big_n + 1):
-        out = out + TwistedElem.from_mono(
-            TwistedMono(1, idempotent("B", i, big_n), full_cycle_chain(i, big_n))
-        )
-    return out
+        if model == "A":
+            for first in ("r", "s"):
+                out ^= {TwistedMono(1, idempotent("A", i, big_n), loop_word(i, first, 2 * big_n, big_n))}
+        else:
+            out ^= {TwistedMono(1, idempotent("B", i, big_n), full_cycle_chain(i, big_n))}
+    return TwistedElem(model, big_n, out)
 
 
 def witness_components(model: str, big_n: int) -> list[tuple[str, tuple]]:
     """(render, refined-grading key) per witness monomial; the keys separate
     the monomials into distinct graded components."""
-    from .gradegroup import assign_grading
-
     out = []
     for tm in witness_cocycle(model, big_n).sorted_terms():
         gr = assign_grading(tm.right)
@@ -432,17 +421,13 @@ def string_model_check(model: str, big_n: int, max_len: int) -> bool:
                         tm = TwistedMono(p, left, right)
                     except ValueError:
                         continue
-                    direct = twisted_diff(tm)
-                    transported = TwistedElem.zero(model, big_n)
+                    transported: set = set()
                     for q, lw, ts in string_diff(p, left, psi(right)):
-                        img = phi(ts)
-                        for mono, word in img.monomial_pairs():
-                            if mono != ():
+                        for exp, word in phi(ts).monomial_pairs():
+                            if exp != 0:
                                 raise AssertionError("string fold produced a coefficient")
-                            transported = transported + TwistedElem.from_mono(
-                                TwistedMono(q, lw, word)
-                            )
-                    if direct != transported:
+                            transported ^= {TwistedMono(q, lw, word)}
+                    if twisted_diff(tm) != TwistedElem(model, big_n, transported):
                         return False
     return True
 
@@ -454,21 +439,23 @@ def cohomology_table(
     j_values: tuple[int, ...] = (-1, -2),
     trunc: Optional[int] = None,
 ) -> list[dict]:
-    """Cohomology dimensions and witnesses over 2 < n <= n_max, j in j_values."""
+    """Cohomology dimensions and witnesses over 2 < n <= n_max, j in j_values.
+
+    A cell whose slices need a coefficient power above `trunc` carries an
+    "error" message in place of "dim" and "witnesses".
+    """
     rows = []
     for n_deg in range(3, n_max + 1):
         for j in j_values:
-            dim, wits = cohomology_dim(model, n_deg, j, big_n, trunc)
-            rows.append(
-                {
-                    "model": model,
-                    "N": big_n,
-                    "n": n_deg,
-                    "j": j,
-                    "dim": dim,
-                    "witnesses": [w.render() for w in wits],
-                }
-            )
+            cell = {"model": model, "N": big_n, "n": n_deg, "j": j}
+            try:
+                dim, wits = cohomology_dim(model, n_deg, j, big_n, trunc)
+            except InsufficientTruncation as exc:
+                cell["error"] = str(exc)
+            else:
+                cell["dim"] = dim
+                cell["witnesses"] = [w.render() for w in wits]
+            rows.append(cell)
     return rows
 
 

@@ -1,75 +1,54 @@
-"""Sparse polynomial arithmetic over GF(2) in the variables V0, V1, ..., V_{N+1}.
+"""Polynomials over GF(2) in the one deformation variable V of an algebra.
 
-A monomial is a sorted tuple of (variable index, exponent) pairs with no zero
-exponents; the empty tuple is the constant monomial 1.  A polynomial is a
-frozenset of monomials: over GF(2) every coefficient is 0 or 1, so addition is
-symmetric difference and no coefficient bookkeeping is needed.
+Each algebra is deformed over a single variable, V0 for A and V_{N+1} for B
+(staralg.coeff_var says which).  A monomial V^e is its exponent e >= 0, so the
+constant monomial 1 is 0 and the product of monomials adds exponents.  A
+polynomial is an int bitmask whose bit e stands for V^e: over GF(2) addition
+is XOR and multiplication is the carry-less product.  The variable index is
+needed only to render.
 
->>> poly_str(poly_add(poly_var(0), poly_var(0)))
+>>> poly_str(poly_add(0b10, 0b10), 0)
 '0'
->>> poly_str(poly_mul(poly_var(0, 2), poly_var(4)))
-'V0^2*V4'
+>>> poly_str(poly_mul(0b11, 0b11), 4)
+'1 + V4^2'
 """
 from __future__ import annotations
 
 from typing import Iterable
 
-Monomial = tuple  # tuple[tuple[int, int], ...]
-Poly = frozenset  # frozenset[Monomial]
+Monomial = int  # exponent of V
+Poly = int  # bit e set <=> V^e present
 
-MONO_ONE: Monomial = ()
-POLY_ZERO: Poly = frozenset()
-POLY_ONE: Poly = frozenset({MONO_ONE})
-
-
-def mono(pairs: Iterable[tuple[int, int]]) -> Monomial:
-    """Build a monomial from (variable, exponent) pairs, merging repeats.
-
-    >>> mono([(4, 1), (0, 2)])
-    ((0, 2), (4, 1))
-    """
-    acc: dict[int, int] = {}
-    for var, exp in pairs:
-        if var < 0 or exp < 0:
-            raise ValueError("variable indices and exponents must be nonnegative")
-        if exp:
-            acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items()))
-
-
-def mono_var(var: int, exp: int = 1) -> Monomial:
-    return mono([(var, exp)])
+POLY_ZERO: Poly = 0
+POLY_ONE: Poly = 1
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return mono(list(a) + list(b))
-
-
-def mono_exp(m: Monomial, var: int) -> int:
-    for v, e in m:
-        if v == var:
-            return e
-    return 0
-
-
-def mono_degree(m: Monomial) -> int:
-    return sum(e for _, e in m)
-
-
-def mono_vars(m: Monomial) -> frozenset:
-    return frozenset(v for v, _ in m)
-
-
-def poly_var(var: int, exp: int = 1) -> Poly:
-    return frozenset({mono_var(var, exp)})
+    """Product of monomials: V^a * V^b = V^(a+b)."""
+    return a + b
 
 
 def poly_from_monos(monos: Iterable[Monomial]) -> Poly:
-    """Sum of monomials over GF(2): repeated monomials cancel in pairs."""
-    out: set = set()
-    for m in monos:
-        out ^= {m}
-    return frozenset(out)
+    """Sum of monomials over GF(2): repeated monomials cancel in pairs.
+
+    >>> bin(poly_from_monos([0, 2, 5, 2]))
+    '0b100001'
+    """
+    out = 0
+    for e in monos:
+        if e < 0:
+            raise ValueError("exponents must be nonnegative")
+        out ^= 1 << e
+    return out
+
+
+def poly_monos(p: Poly) -> list[Monomial]:
+    """Exponents of the monomials of p, ascending.
+
+    >>> poly_monos(0b1101)
+    [0, 2, 3]
+    """
+    return [e for e in range(p.bit_length()) if (p >> e) & 1]
 
 
 def poly_add(p: Poly, q: Poly) -> Poly:
@@ -77,71 +56,50 @@ def poly_add(p: Poly, q: Poly) -> Poly:
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
-    out: set = set()
-    for a in p:
-        for b in q:
-            out ^= {mono_mul(a, b)}
-    return frozenset(out)
+    """Carry-less product: shifted copies of p combined by XOR."""
+    out = 0
+    while q:
+        if q & 1:
+            out ^= p
+        p <<= 1
+        q >>= 1
+    return out
 
 
-def poly_is_zero(p: Poly) -> bool:
-    return not p
+def mono_str(e: Monomial, var: int) -> str:
+    """Rendering of V^e in the variable V{var}.
 
-
-def poly_vars(p: Poly) -> frozenset:
-    out: set = set()
-    for m in p:
-        out |= mono_vars(m)
-    return frozenset(out)
-
-
-def mono_str(m: Monomial) -> str:
-    """Canonical rendering: ascending variables, '^' exponents, '*' factors.
-
-    >>> mono_str(mono([(0, 2), (4, 1)]))
-    'V0^2*V4'
-    >>> mono_str(MONO_ONE)
-    '1'
+    >>> mono_str(0, 4), mono_str(1, 4), mono_str(2, 0)
+    ('1', 'V4', 'V0^2')
     """
-    if not m:
+    if e == 0:
         return "1"
-    parts = []
-    for var, exp in m:
-        parts.append(f"V{var}" if exp == 1 else f"V{var}^{exp}")
-    return "*".join(parts)
+    return f"V{var}" if e == 1 else f"V{var}^{e}"
 
 
-def poly_str(p: Poly) -> str:
-    """Canonical rendering with terms sorted lexicographically.
+def poly_str(p: Poly, var: int) -> str:
+    """Canonical rendering with terms sorted by their rendered strings.
 
-    >>> poly_str(poly_add(poly_var(1), POLY_ONE))
-    '1 + V1'
-    >>> poly_str(POLY_ZERO)
+    >>> poly_str(0b10000000101, 0)
+    '1 + V0^10 + V0^2'
+    >>> poly_str(POLY_ZERO, 0)
     '0'
     """
     if not p:
         return "0"
-    return " + ".join(sorted(mono_str(m) for m in p))
+    return " + ".join(sorted(mono_str(e, var) for e in poly_monos(p)))
 
 
 __all__ = [
     "Monomial",
     "Poly",
-    "MONO_ONE",
     "POLY_ZERO",
     "POLY_ONE",
-    "mono",
-    "mono_var",
     "mono_mul",
-    "mono_exp",
-    "mono_degree",
-    "mono_vars",
-    "poly_var",
     "poly_from_monos",
+    "poly_monos",
     "poly_add",
     "poly_mul",
-    "poly_is_zero",
-    "poly_vars",
     "mono_str",
     "poly_str",
 ]

@@ -23,16 +23,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
-from .ring import (
-    MONO_ONE,
-    POLY_ONE,
-    Monomial,
-    Poly,
-    mono_mul,
-    mono_str,
-    poly_is_zero,
-    poly_str,
-)
+from .ring import POLY_ONE, Monomial, Poly, poly_monos, poly_mul, poly_str
 
 ALGEBRAS = ("A", "B")
 
@@ -347,13 +338,10 @@ def var_grading(var: int, n: int) -> Grading:
     raise ValueError(f"variable V{var} is not graded (it annihilates both algebras)")
 
 
-def mono_grading(mono: Monomial, n: int) -> Grading:
-    g = zero_grading(n)
-    for var, exp in mono:
-        vg = var_grading(var, n)
-        for _ in range(exp):
-            g = g + vg
-    return g
+def mono_grading(exp: Monomial, algebra: str, n: int) -> Grading:
+    """Grading of the coefficient monomial V^exp in the algebra's own variable."""
+    g = var_grading(coeff_var(algebra, n), n)
+    return Grading(exp * g.m, tuple(exp * a for a in g.alexander), exp * g.ell)
 
 
 def grading(w: Word) -> Grading:
@@ -388,9 +376,8 @@ def word_sort_key(w: Word) -> tuple:
 class AlgElem:
     """A finite GF(2)[V]-combination of basis words of one algebra.
 
-    Terms map basis words to nonzero polynomials in the algebra's own
-    coefficient variable (V0 for A, V_{N+1} for B); monomials involving any
-    other variable annihilate the algebra and are normalized away.
+    Terms map basis words to nonzero polynomials (int bitmasks, see ring) in
+    the algebra's own coefficient variable: V0 for A, V_{N+1} for B.
     """
 
     __slots__ = ("algebra", "n", "terms")
@@ -400,24 +387,21 @@ class AlgElem:
             raise ValueError(f"unknown algebra {algebra!r}")
         self.algebra = algebra
         self.n = n
-        self.terms: dict = {}
+        self.terms: dict[Word, Poly] = {}
         if terms:
             for word, coeff in terms.items():
+                if coeff < 0:
+                    raise ValueError("coefficients are nonnegative bitmasks")
                 self._accumulate(word, coeff)
 
     def _accumulate(self, word: Word, coeff: Poly) -> None:
         if word.algebra != self.algebra or word.n != self.n:
             raise ValueError("word does not belong to this algebra")
-        allowed = coeff_var(self.algebra, self.n)
-        kept = frozenset(m for m in coeff if all(v == allowed for v, _ in m))
-        if not kept:
-            return
-        cur = self.terms.get(word)
-        new = cur ^ kept if cur is not None else kept
+        new = self.terms.get(word, 0) ^ coeff
         if new:
             self.terms[word] = new
-        elif cur is not None:
-            del self.terms[word]
+        else:
+            self.terms.pop(word, None)
 
     @classmethod
     def zero(cls, algebra: str, n: int) -> "AlgElem":
@@ -430,8 +414,8 @@ class AlgElem:
     @classmethod
     def from_pairs(cls, algebra: str, n: int, pairs: Iterable[tuple[Monomial, Word]]) -> "AlgElem":
         out = cls(algebra, n)
-        for mono, word in pairs:
-            out._accumulate(word, frozenset({mono}))
+        for exp, word in pairs:
+            out._accumulate(word, 1 << exp)
         return out
 
     def is_zero(self) -> bool:
@@ -453,16 +437,6 @@ class AlgElem:
             out._accumulate(word, coeff)
         return out
 
-    def scale(self, poly: Poly) -> "AlgElem":
-        out = AlgElem(self.algebra, self.n)
-        for word, coeff in self.terms.items():
-            prod: set = set()
-            for a in coeff:
-                for b in poly:
-                    prod ^= {mono_mul(a, b)}
-            out._accumulate(word, frozenset(prod))
-        return out
-
     def mul(self, other: "AlgElem") -> "AlgElem":
         if (self.algebra, self.n) != (other.algebra, other.n):
             raise ValueError("cannot multiply elements of different algebras")
@@ -470,44 +444,38 @@ class AlgElem:
         for wx, cx in self.terms.items():
             for wy, cy in other.terms.items():
                 word = mul_word(wx, wy)
-                if word is None:
-                    continue
-                prod: set = set()
-                for a in cx:
-                    for b in cy:
-                        prod ^= {mono_mul(a, b)}
-                out._accumulate(word, frozenset(prod))
+                if word is not None:
+                    out._accumulate(word, poly_mul(cx, cy))
         return out
 
     def monomial_pairs(self) -> list[tuple[Monomial, Word]]:
-        """All (coefficient monomial, word) pairs, canonically ordered."""
-        out = []
-        for word, coeff in self.terms.items():
-            for m in coeff:
-                out.append((m, word))
+        """All (coefficient exponent, word) pairs, canonically ordered."""
+        out = [(e, word) for word, coeff in self.terms.items() for e in poly_monos(coeff)]
         out.sort(key=lambda p: (word_sort_key(p[1]), p[0]))
         return out
 
     def render(self) -> str:
         if not self.terms:
             return "0"
+        var = coeff_var(self.algebra, self.n)
         parts = []
         for word in sorted(self.terms, key=word_sort_key):
             coeff = self.terms[word]
-            cs = poly_str(coeff)
+            cs = poly_str(coeff, var)
             if cs == "1":
                 parts.append(word.render())
-            elif len(coeff) == 1:
+            elif coeff.bit_count() == 1:
                 parts.append(f"{cs}*{word.render()}")
             else:
                 parts.append(f"({cs})*{word.render()}")
         return " + ".join(parts)
 
     def to_json(self) -> dict:
+        var = coeff_var(self.algebra, self.n)
         return {
             "algebra": self.algebra,
             "terms": [
-                {"word": w.render(), "coeff": poly_str(c)}
+                {"word": w.render(), "coeff": poly_str(c, var)}
                 for w, c in sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
             ],
         }
@@ -630,18 +598,6 @@ def unit(algebra: str, n: int) -> AlgElem:
     return out
 
 
-def elem_grading_violations(x: AlgElem) -> list[str]:
-    """Empty if every term of x is homogeneous with a consistent grading law."""
-    probs = []
-    for word, coeff in x.terms.items():
-        for m in coeff:
-            try:
-                mono_grading(m, x.n)
-            except ValueError:
-                probs.append(f"ungradable coefficient {mono_str(m)} on {word.render()}")
-    return probs
-
-
 __all__ = [
     "ALGEBRAS",
     "AWord",
@@ -674,5 +630,4 @@ __all__ = [
     "loop_word",
     "special_element",
     "unit",
-    "elem_grading_violations",
 ]

@@ -217,7 +217,7 @@ def test_criterion_10_global_sanity(capsys):
                 continue
             expected = grading(x) + grading(y)
             for mono, w in prod.monomial_pairs():
-                assert mono_grading(mono, 3) + grading(w) == expected
+                assert mono_grading(mono, algebra, 3) + grading(w) == expected
     # Reports are byte-identical under a fixed configuration and seed.
     code1 = main(["verify", "ainfty-b", "--n", "3", "--seed", "5"])
     out1 = capsys.readouterr().out

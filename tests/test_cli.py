@@ -212,3 +212,24 @@ def test_verify_text_format_streams_violations(capsys):
     for line in lines[1:]:
         rec = json.loads(line)
         assert rec["algebra"] == "A"
+
+
+@pytest.mark.parametrize(
+    "kind, option",
+    [("homotopy", "--max-arity"), ("arities", "--max-arity"), ("arities", "--max-len")],
+)
+def test_unread_option_is_config_error(kind, option, capsys):
+    code, out, err = _run(["verify", kind, "--n", "3", option, "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert option in err and f"verify {kind}" in err
+
+
+def test_internal_value_error_propagates(monkeypatch):
+    # Only configuration errors exit 2; an internal ValueError is a bug.
+    def broken(*args, **kwargs):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("starcob.cli.check_ainfty", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        main(["verify", "ainfty-b", "--n", "3"])

@@ -20,7 +20,6 @@ from starcob.gradegroup import (
     render_word,
     var_group_grading,
 )
-from starcob.ring import mono_var
 from starcob.staralg import BWord, letter, mul_b, AlgElem
 
 
@@ -101,7 +100,7 @@ def test_word_grading_is_homomorphism():
                 continue
             for mono, w in prod.monomial_pairs():
                 expected = gp_mul(assign_grading(x), assign_grading(y))
-                got = gp_mul(mono_group_grading(mono, n), assign_grading(w))
+                got = gp_mul(mono_group_grading(mono, "B", n), assign_grading(w))
                 assert got == expected
 
 
@@ -112,7 +111,7 @@ def test_variable_gradings():
     assert var_group_grading(6, 5) == GroupElem(-2, ())
     with pytest.raises(ValueError):
         var_group_grading(2, 3)
-    assert mono_group_grading(mono_var(0, 2), 3) == GroupElem(8, ())
+    assert mono_group_grading(2, "A", 3) == GroupElem(8, ())
     assert GP_LAMBDA == GroupElem(1, ())
 
 

@@ -177,6 +177,14 @@ def test_insufficient_truncation():
         cohomology_dim("A", 12, -4, 3, trunc=1)
     # A generous cap changes nothing.
     assert cohomology_dim("A", 6, -2, 3, trunc=5)[0] == 1
+    # The table reports a too-small cap in the affected cell only.
+    rows = cohomology_table("A", 3, 12, (-4,), trunc=1)
+    assert len(rows) == 10
+    errored = [r for r in rows if "error" in r]
+    assert [(r["n"], r["j"]) for r in errored] == [(12, -4)]
+    assert "coefficient power 2 > truncation 1" in errored[0]["error"]
+    assert "dim" not in errored[0] and "witnesses" not in errored[0]
+    assert all(r["dim"] == 0 for r in rows if "error" not in r)
 
 
 def test_string_model_cross_check():

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from starcob.ring import POLY_ONE, mono_var, poly_var
+from starcob.ring import POLY_ONE, poly_from_monos
 from starcob.staralg import (
     AlgElem,
     AWord,
@@ -224,7 +224,7 @@ def test_gradings_of_words_and_variables():
     assert grading(w) == Grading(-2, (1, 1, 0, 0, 0, 0), 2)
     assert var_grading(0, n) == Grading(4, (1, 1, 1, 1, 1, 1), 6)
     assert var_grading(4, n) == Grading(-2, (0, 1, 0, 1, 0, 1), 3)
-    assert mono_grading(mono_var(0, 2), n).m == 8
+    assert mono_grading(2, "A", n).m == 8
 
 
 def test_length_equals_total_weight():
@@ -243,12 +243,12 @@ def test_grading_additive_on_products():
                 continue
             expected = grading(x) + grading(y)
             for mono, w in prod.monomial_pairs():
-                assert mono_grading(mono, 3) + grading(w) == expected
+                assert mono_grading(mono, algebra, 3) + grading(w) == expected
 
 
 def test_coefficients_accumulate_in_native_variable():
     u1 = letter("A", "u", 1, 3)
-    e = AlgElem.from_word(u1, poly_var(0))
+    e = AlgElem.from_word(u1, poly_from_monos([1]))
     doubled = e + AlgElem.from_word(u1, POLY_ONE)
     assert doubled.render() == "(1 + V0)*U1"
     assert (e + e).is_zero()
