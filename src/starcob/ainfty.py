@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import product as iter_product
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .ring import Monomial, mono_mul
 from .staralg import (
@@ -31,7 +31,9 @@ from .staralg import (
     BWord,
     Grading,
     Word,
+    WordIndex,
     advance,
+    chain_ok,
     grading,
     idempotent,
     mono_grading,
@@ -40,7 +42,6 @@ from .staralg import (
     split_b_word,
     word_sort_key,
     word_splits,
-    words_from,
     zero_grading,
 )
 
@@ -80,18 +81,12 @@ def _is_unit(exp: Monomial, word: Word) -> bool:
     return word.is_idempotent() and exp == 0
 
 
-def _chained(algebra: str, words: Sequence[Word]) -> bool:
-    if algebra == "A":
-        return all(words[k].fin == words[k + 1].init for k in range(len(words) - 1))
-    return all(words[k].init == words[k + 1].fin for k in range(len(words) - 1))
-
-
 def _classify_a(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None) -> tuple[str, list[Entry]]:
     arity = len(entries)
     words = [w for _, w in entries]
     if any(_is_unit(m, w) for m, w in entries):
         return (TAG_ZERO, [])
-    if not _chained("A", words):
+    if not all(map(chain_ok, words, words[1:])):
         return (TAG_ZERO, [])
     step = 2 * n - 2
     if (arity - 2) % step:
@@ -160,7 +155,7 @@ def _classify_b(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
     words = [w for _, w in entries]
     if any(_is_unit(m, w) for m, w in entries):
         return (TAG_ZERO, [])
-    if arity != n or not _chained("B", words):
+    if arity != n or not all(map(chain_ok, words, words[1:])):
         return (TAG_ZERO, [])
 
     def _bare_sigma(k: int) -> bool:
@@ -286,20 +281,6 @@ def relation_sum(algebra: str, words: Sequence[Word], n: int, fault: Optional[tu
     return AlgElem.from_pairs(algebra, n, terms)
 
 
-def _buckets(algebra: str, max_len: int, n: int) -> tuple[dict, dict]:
-    """Basis words (with idempotents) bucketed by initial and by final node."""
-    by_init: dict[int, list[Word]] = {i: [] for i in range(1, n + 1)}
-    by_fin: dict[int, list[Word]] = {i: [] for i in range(1, n + 1)}
-    for i in range(1, n + 1):
-        for w in words_from(algebra, i, max_len, n):
-            by_init[w.init].append(w)
-            by_fin[w.fin].append(w)
-    for i in range(1, n + 1):
-        by_init[i].sort(key=word_sort_key)
-        by_fin[i].sort(key=word_sort_key)
-    return by_init, by_fin
-
-
 def _centered_tuples(algebra: str, arity: int, n: int) -> list[tuple[Word, ...]]:
     """All centered tuples of the given arity (non-idempotent chained words)."""
     out: list[tuple[Word, ...]] = []
@@ -380,47 +361,9 @@ def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> lis
     return out
 
 
-def _filler_chains(
-    algebra: str,
-    slots: int,
-    budget: int,
-    n: int,
-    anchor: Optional[int],
-    side: str,
-    by_init: dict,
-    by_fin: dict,
-) -> Iterator[tuple[Word, ...]]:
-    """Chained filler tuples attachable to a window on the given side.
-
-    For side "right" the chain starts at the window's final node; for side
-    "left" it is built backwards so that it ends at the window's initial node.
-    Idempotents are allowed as fillers.
-    """
-    if slots == 0:
-        yield ()
-        return
-    pool: Iterable[Word]
-    if anchor is None:
-        pool = [w for i in range(1, n + 1) for w in by_init[i]]
-    elif (side == "right") == (algebra == "A"):
-        pool = by_init[anchor]
-    else:
-        pool = by_fin[anchor]
-    for w in pool:
-        if w.ell > budget:
-            continue
-        next_anchor = (w.fin if algebra == "A" else w.init) if side == "right" else (w.init if algebra == "A" else w.fin)
-        for rest in _filler_chains(algebra, slots - 1, budget - w.ell, n, next_anchor, side, by_init, by_fin):
-            yield ((w,) + rest) if side == "right" else (rest + (w,))
-
-
 def _entry_splits(algebra: str, w: Word, n: int) -> list[tuple[Word, Word]]:
     """All pairs (c, d) of basis words with mu_2(c, d) equal to w."""
-    if algebra == "A":
-        out = [(idempotent("A", w.init, n), w), (w, idempotent("A", w.fin, n))]
-    else:
-        out = [(idempotent("B", w.fin, n), w), (w, idempotent("B", w.init, n))]
-    return out + list(word_splits(w))
+    return [(idempotent(algebra, w.entry, n), w), (w, idempotent(algebra, w.exit, n)), *word_splits(w)]
 
 
 def _relation_arities(algebra: str, max_arity: int, n: int) -> list[int]:
@@ -433,7 +376,7 @@ def _relation_arities(algebra: str, max_arity: int, n: int) -> list[int]:
 
 
 def _candidate_tuples(algebra: str, arity: int, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
-    by_init, by_fin = _buckets(algebra, max_total_len, n)
+    index = WordIndex(algebra, max_total_len, n)
     valid = _valid_arities(algebra, n, arity)
     candidates: set[tuple[Word, ...]] = set()
     for r in valid_higher_arities(algebra, n, arity - 1):
@@ -441,17 +384,10 @@ def _candidate_tuples(algebra: str, arity: int, max_total_len: int, n: int) -> l
             continue
         for window in passing_windows(algebra, r, max_total_len, n):
             w_len = sum(w.ell for w in window)
-            head_node = window[0].init if algebra == "A" else window[0].fin
-            tail_node = window[-1].fin if algebra == "A" else window[-1].init
             for pos in range(arity - r + 1):
-                left_slots, right_slots = pos, arity - r - pos
-                for left in _filler_chains(
-                    algebra, left_slots, max_total_len - w_len, n, head_node, "left", by_init, by_fin
-                ):
+                for left in index.backward(pos, max_total_len - w_len, window[0].entry):
                     used = w_len + sum(w.ell for w in left)
-                    for right in _filler_chains(
-                        algebra, right_slots, max_total_len - used, n, tail_node, "right", by_init, by_fin
-                    ):
+                    for right in index.forward(arity - r - pos, max_total_len - used, window[-1].exit):
                         candidates.add(left + window + right)
     if (arity - 1) in valid and arity - 1 > 2:
         for window in passing_windows(algebra, arity - 1, max_total_len, n):
@@ -489,22 +425,10 @@ def check_ainfty(
     """
     if n <= 2:
         raise ValueError("the construction needs N > 2")
-    by_init, by_fin = _buckets(algebra, max_total_len, n)
 
     def _tuples() -> Iterator[tuple[Word, ...]]:
         if max_arity >= 3:
-            all_words = [w for i in range(1, n + 1) for w in by_init[i]]
-            for a in all_words:
-                budget_bc = max_total_len - a.ell
-                next_pool = by_init[a.fin] if algebra == "A" else by_fin[a.init]
-                for b in next_pool:
-                    if b.ell > budget_bc:
-                        continue
-                    last_pool = by_init[b.fin] if algebra == "A" else by_fin[b.init]
-                    for c in last_pool:
-                        if a.ell + b.ell + c.ell > max_total_len:
-                            continue
-                        yield (a, b, c)
+            yield from WordIndex(algebra, max_total_len, n).forward(3, max_total_len)
         for arity in _relation_arities(algebra, max_arity, n):
             yield from _candidate_tuples(algebra, arity, max_total_len, n)
 
@@ -525,15 +449,10 @@ def nonzero_operations(
     First the binary products of chained word pairs with total length within
     bounds, then each higher operation on its passing windows, by arity.
     """
-    by_init, by_fin = _buckets(algebra, max_total_len, n)
-    for a in (w for i in range(1, n + 1) for w in by_init[i]):
-        pool = by_init[a.fin] if algebra == "A" else by_fin[a.init]
-        for b in pool:
-            if a.ell + b.ell > max_total_len:
-                continue
-            word = mul_word(a, b)
-            if word is not None:
-                yield (a, b), [(0, word)]
+    for a, b in WordIndex(algebra, max_total_len, n).forward(2, max_total_len):
+        word = mul_word(a, b)
+        if word is not None:
+            yield (a, b), [(0, word)]
     for r in valid_higher_arities(algebra, n, max_arity):
         for window in passing_windows(algebra, r, max_total_len, n):
             value = _mu(algebra, list(window)).value

@@ -25,25 +25,19 @@ from .staralg import (
     AWord,
     BWord,
     Word,
+    WordIndex,
+    chain_ok,
     grading,
     letter,
     mul_word,
     word_letters,
     word_sort_key,
     word_splits,
-    words_from,
 )
 
 
 def _other(algebra: str) -> str:
     return "B" if algebra == "A" else "A"
-
-
-def chain_ok(algebra: str, prev: Word, nxt: Word) -> bool:
-    """Whether `nxt` may follow `prev` in a tensor string over the algebra."""
-    if algebra == "A":
-        return prev.fin == nxt.init
-    return prev.init == nxt.fin
 
 
 @functools.cache
@@ -84,18 +78,18 @@ class TString:
 
     def __post_init__(self) -> None:
         # One pass: same algebra and N, no idempotent, and each factor chained
-        # to the previous one (A: prev.fin == init, B: prev.init == fin).
+        # to the previous one (staralg.chain_ok, inlined: this runs per string).
         if not self.factors:
             raise ValueError("tensor strings have at least one factor")
         head = self.factors[0]
-        cls, n, on_a = type(head), head.n, isinstance(head, AWord)
+        cls, n = type(head), head.n
         prev = None
         for w in self.factors:
             if type(w) is not cls or w.n != n:
                 raise ValueError("mixed factors in a tensor string")
             if w.kind == "i":
                 raise ValueError("idempotent factors are excluded")
-            if prev is not None and not (prev.fin == w.start if on_a else prev.start == w.fin):
+            if prev is not None and prev.exit != w.entry:
                 raise ValueError(f"factors {prev.render()} and {w.render()} are not chained")
             prev = w
 
@@ -225,7 +219,7 @@ def cobar_mul(f: Union[CobElem, TString], g: Union[CobElem, TString]) -> CobElem
     out: set = set()
     for s in _strings(f):
         for t in _strings(g):
-            if chain_ok(f.algebra, s.factors[-1], t.factors[0]):
+            if chain_ok(s.factors[-1], t.factors[0]):
                 out ^= {TString(s.factors + t.factors)}
     return CobElem(f.algebra, f.n, out)
 
@@ -315,36 +309,8 @@ def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> Cob
 
 def enumerate_strings(algebra: str, max_total_len: int, n: int) -> Iterator[TString]:
     """All chained tensor strings with total length <= max_total_len."""
-    pool_cache: dict[int, list[Word]] = {}
-
-    def pool(node: int) -> list[Word]:
-        if node not in pool_cache:
-            pool_cache[node] = [
-                w
-                for w in words_from(algebra, node, max_total_len, n, include_idempotent=False)
-            ]
-        return pool_cache[node]
-
-    def anchored(prev: Word, budget: int) -> Iterator[Word]:
-        if algebra == "A":
-            for w in pool(prev.fin):
-                if w.ell <= budget:
-                    yield w
-        else:
-            for node in range(1, n + 1):
-                for w in pool(node):
-                    if w.ell <= budget and w.fin == prev.init:
-                        yield w
-
-    def rec(factors: list[Word], budget: int) -> Iterator[TString]:
-        yield TString(tuple(factors))
-        for w in anchored(factors[-1], budget):
-            yield from rec(factors + [w], budget - w.ell)
-
-    for node in range(1, n + 1):
-        for first in pool(node):
-            if first.ell <= max_total_len:
-                yield from rec([first], max_total_len - first.ell)
+    for factors in WordIndex(algebra, max_total_len, n, idempotents=False).chains(max_total_len):
+        yield TString(factors)
 
 
 def verify_homotopy(
@@ -375,7 +341,6 @@ __all__ = [
     "TString",
     "CobElem",
     "tstring_sort_key",
-    "chain_ok",
     "dict_image",
     "cobar_diff",
     "bar_diff",

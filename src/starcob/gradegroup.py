@@ -48,8 +48,12 @@ class GroupElem:
     word: tuple
 
     def __post_init__(self) -> None:
-        if self.word != free_reduce(self.word):
-            raise ValueError("word is not freely reduced")
+        # Reduced means no zero exponent and no two adjacent runs of one generator.
+        prev = None
+        for gen, exp in self.word:
+            if exp == 0 or gen == prev:
+                raise ValueError("word is not freely reduced")
+            prev = gen
 
     def render(self) -> str:
         return f"({self.z}; {render_word(self.word)})"

@@ -20,7 +20,7 @@ finite slice and cohomology is exact linear algebra over GF(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
 from .gf2la import SparseMatF2, reduce_against, row_space_basis
@@ -39,6 +39,7 @@ from .staralg import (
     mono_grading,
     mul_word,
     word_sort_key,
+    words_of_length,
 )
 
 
@@ -232,19 +233,6 @@ def slice_params(model: str, n_deg: int, j: int, big_n: int) -> Optional[tuple[i
     return (p, ell_left)
 
 
-def _words_of_length(algebra: str, ell: int, n: int) -> list[Word]:
-    if ell == 0:
-        return [idempotent(algebra, i, n) for i in range(1, n + 1)]
-    if algebra == "A":
-        out: list[Word] = [AWord("u", i, ell, n) for i in range(1, n + 1)]
-        out.extend(AWord("s", i, ell, n) for i in range(1, n + 1))
-    else:
-        out = [BWord("c", i, "r", ell, n) for i in range(1, n + 1)]
-        out.extend(BWord("c", i, "s", ell, n) for i in range(1, n + 1))
-    out.sort(key=word_sort_key)
-    return out
-
-
 def slice_basis(
     model: str, n_deg: int, j: int, big_n: int, trunc: Optional[int] = None
 ) -> list[TwistedMono]:
@@ -264,9 +252,10 @@ def slice_basis(
         )
     left_alg = "A" if model == "A" else "B"
     right_alg = "B" if model == "A" else "A"
+    lefts = words_of_length(left_alg, ell_left, big_n)
     out = []
-    for right in _words_of_length(right_alg, n_deg, big_n):
-        for left in _words_of_length(left_alg, ell_left, big_n):
+    for right in words_of_length(right_alg, n_deg, big_n):
+        for left in lefts:
             if left.init != right.init or left.fin != right.fin:
                 continue
             try:
@@ -410,13 +399,13 @@ def string_model_check(model: str, big_n: int, max_len: int) -> bool:
     right_alg = "B" if model == "A" else "A"
     left_alg = "A" if model == "A" else "B"
     for ell_r in range(1, max_len + 1):
-        for right in _words_of_length(right_alg, ell_r, big_n):
+        for right in words_of_length(right_alg, ell_r, big_n):
             weight_total = sum(grading(right).alexander)
             for p in range(0, ell_r + 1):
                 ell_left = weight_total - p * sum(_weight_var_vec(model, big_n))
                 if ell_left < 0:
                     continue
-                for left in _words_of_length(left_alg, ell_left, big_n):
+                for left in words_of_length(left_alg, ell_left, big_n):
                     try:
                         tm = TwistedMono(p, left, right)
                     except ValueError:

@@ -11,6 +11,15 @@ edge letter s_i from i to i+1; words are alternating strings of r/s letters
 applied right-to-left (the written word x*y applies y first), and two adjacent
 letters of the same type multiply to zero.  Coefficients live in GF(2)[V_{N+1}].
 
+Chaining: every tuple the package checks (the inputs of an operation, the
+factors of a dual tensor string) is a tensor product over the idempotents, so
+its neighbouring words must meet at a node.  A-words chain left to right
+(prev.fin == next.init) and B-words right to left (prev.init == next.fin).
+Each word stores the node where a chain enters it (`entry`) and leaves it
+(`exit`): init/fin for A, fin/init for B.  So one rule, prev.exit ==
+next.entry, decides chaining in both algebras (`chain_ok`), and `WordIndex`
+enumerates every chained tuple of words.
+
 Gradings: an integer Maslov degree m (0 on A-words, minus the length on
 B-words), a weight vector of length 2N counting each loop/edge letter (loop
 letters at even slots 2i-2, edge letters at odd slots 2i-1), and the total
@@ -20,7 +29,7 @@ weight vector, V_{N+1} has m = -2 and the edge half of the weight vector.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
 
 from .ring import POLY_ONE, Monomial, Poly, poly_monos, poly_mul, poly_str
@@ -59,6 +68,8 @@ class AWord:
     start: int
     length: int
     n: int
+    entry: int = field(init=False, repr=False, compare=False)
+    exit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_node(self.start, self.n)
@@ -70,6 +81,9 @@ class AWord:
                 raise ValueError("U-powers and s-chains need length >= 1")
         else:
             raise ValueError(f"unknown A-word kind {self.kind!r}")
+        fin = advance(self.start, self.length, self.n) if self.kind == "s" else self.start
+        object.__setattr__(self, "entry", self.start)
+        object.__setattr__(self, "exit", fin)
 
     @property
     def algebra(self) -> str:
@@ -85,9 +99,7 @@ class AWord:
 
     @property
     def fin(self) -> int:
-        if self.kind == "s":
-            return advance(self.start, self.length, self.n)
-        return self.start
+        return self.exit
 
     def is_idempotent(self) -> bool:
         return self.kind == "i"
@@ -120,6 +132,8 @@ class BWord:
     first: str
     length: int
     n: int
+    entry: int = field(init=False, repr=False, compare=False)
+    exit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_node(self.start, self.n)
@@ -133,6 +147,9 @@ class BWord:
                 raise ValueError("first letter type must be 'r' or 's'")
         else:
             raise ValueError(f"unknown B-word kind {self.kind!r}")
+        edge_count = self.length // 2 if self.first == "r" else (self.length + 1) // 2
+        object.__setattr__(self, "entry", advance(self.start, edge_count, self.n))
+        object.__setattr__(self, "exit", self.start)
 
     @property
     def algebra(self) -> str:
@@ -148,10 +165,7 @@ class BWord:
 
     @property
     def fin(self) -> int:
-        if self.kind == "i":
-            return self.start
-        edge_count = self.length // 2 if self.first == "r" else (self.length + 1) // 2
-        return advance(self.start, edge_count, self.n)
+        return self.entry
 
     @property
     def last(self) -> str:
@@ -344,8 +358,13 @@ def mono_grading(exp: Monomial, algebra: str, n: int) -> Grading:
     return Grading(exp * g.m, tuple(exp * a for a in g.alexander), exp * g.ell)
 
 
+@functools.lru_cache(maxsize=256)
 def grading(w: Word) -> Grading:
     """Grading of a basis word.
+
+    Memoized, with a bound: the relation sweeps grade the same hundred or so
+    words on every tuple, while a large-N cohomology table grades each of
+    thousands of words (each with a 2N-slot weight vector) only a few times.
 
     >>> grading(AWord("u", 1, 2, 3))
     Grading(m=0, alexander=(2, 0, 0, 0, 0, 0), ell=2)
@@ -520,38 +539,82 @@ def mul_b(x: Union[AlgElem, BWord], y: Union[AlgElem, BWord]) -> AlgElem:
     return ex.mul(ey)
 
 
+def words_of_length(algebra: str, ell: int, n: int) -> list[Word]:
+    """All basis words of length ell (the N idempotents for ell = 0), canonically ordered."""
+    if algebra not in ALGEBRAS:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if ell == 0:
+        return [idempotent(algebra, i, n) for i in range(1, n + 1)]
+    if algebra == "A":
+        return [AWord(kind, i, ell, n) for kind in ("u", "s") for i in range(1, n + 1)]
+    return [BWord("c", i, first, ell, n) for i in range(1, n + 1) for first in ("r", "s")]
+
+
 def enumerate_basis(algebra: str, max_len: int, n: int) -> list[Word]:
     """All basis words with length <= max_len, canonically ordered.
 
     >>> [w.render() for w in enumerate_basis("A", 1, 3)]
     ['I1', 'I2', 'I3', 'U1', 'U2', 'U3', 's[1,2]', 's[2,3]', 's[3,4]']
     """
-    if algebra not in ALGEBRAS:
-        raise ValueError(f"unknown algebra {algebra!r}")
-    words: list[Word] = [idempotent(algebra, i, n) for i in range(1, n + 1)]
-    for ell in range(1, max_len + 1):
-        if algebra == "A":
-            words.extend(AWord("u", i, ell, n) for i in range(1, n + 1))
-            words.extend(AWord("s", i, ell, n) for i in range(1, n + 1))
-        else:
-            for i in range(1, n + 1):
-                words.append(BWord("c", i, "r", ell, n))
-                words.append(BWord("c", i, "s", ell, n))
-    words.sort(key=word_sort_key)
-    return words
+    return [w for ell in range(max_len + 1) for w in words_of_length(algebra, ell, n)]
 
 
-def words_from(algebra: str, start: int, max_len: int, n: int, include_idempotent: bool = True) -> Iterator[Word]:
-    """Basis words with initial node `start` and length <= max_len."""
-    if include_idempotent:
-        yield idempotent(algebra, start, n)
-    for ell in range(1, max_len + 1):
-        if algebra == "A":
-            yield AWord("u", start, ell, n)
-            yield AWord("s", start, ell, n)
-        else:
-            yield BWord("c", start, "r", ell, n)
-            yield BWord("c", start, "s", ell, n)
+def chain_ok(prev: Word, nxt: Word) -> bool:
+    """Whether `nxt` may follow `prev` in a chained tuple (of either algebra)."""
+    return prev.exit == nxt.entry
+
+
+class WordIndex:
+    """Basis words of length <= max_len, bucketed by entry and by exit node.
+
+    Every enumerator yields chained tuples (prev.exit == nxt.entry at each
+    seam) of total length <= budget, each bucket in canonical order.
+
+    >>> idx = WordIndex("B", 1, 3, idempotents=False)
+    >>> [[w.render() for w in t] for t in idx.forward(2, 2, entry=2)]
+    [['s1', 'r1'], ['s1', 's3'], ['r2', 's1'], ['r2', 'r2']]
+    """
+
+    def __init__(self, algebra: str, max_len: int, n: int, idempotents: bool = True):
+        self.n = n
+        self.by_entry: dict[int, list[Word]] = {i: [] for i in range(1, n + 1)}
+        self.by_exit: dict[int, list[Word]] = {i: [] for i in range(1, n + 1)}
+        for ell in range(0 if idempotents else 1, max_len + 1):
+            for w in words_of_length(algebra, ell, n):
+                self.by_entry[w.entry].append(w)
+                self.by_exit[w.exit].append(w)
+
+    def _starts(self, entry: Optional[int]) -> Iterator[Word]:
+        nodes = range(1, self.n + 1) if entry is None else (entry,)
+        return (w for i in nodes for w in self.by_entry[i])
+
+    def forward(self, k: int, budget: int, entry: Optional[int] = None) -> Iterator[tuple[Word, ...]]:
+        """Chained k-tuples whose first word is entered at `entry` (any node if None)."""
+        if k == 0:
+            yield ()
+            return
+        for w in self._starts(entry):
+            if w.ell <= budget:
+                for rest in self.forward(k - 1, budget - w.ell, w.exit):
+                    yield (w,) + rest
+
+    def backward(self, k: int, budget: int, exit: int) -> Iterator[tuple[Word, ...]]:
+        """Chained k-tuples whose last word is left at `exit`."""
+        if k == 0:
+            yield ()
+            return
+        for w in self.by_exit[exit]:
+            if w.ell <= budget:
+                for rest in self.backward(k - 1, budget - w.ell, w.entry):
+                    yield rest + (w,)
+
+    def chains(self, budget: int, entry: Optional[int] = None) -> Iterator[tuple[Word, ...]]:
+        """Chained tuples of every arity >= 1, each right before its extensions."""
+        for w in self._starts(entry):
+            if w.ell <= budget:
+                yield (w,)
+                for rest in self.chains(budget - w.ell, w.exit):
+                    yield (w,) + rest
 
 
 def full_cycle_chain(start: int, n: int) -> AWord:
@@ -624,8 +687,10 @@ __all__ = [
     "var_grading",
     "mono_grading",
     "word_sort_key",
+    "words_of_length",
     "enumerate_basis",
-    "words_from",
+    "chain_ok",
+    "WordIndex",
     "full_cycle_chain",
     "loop_word",
     "special_element",

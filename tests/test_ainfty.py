@@ -6,6 +6,8 @@ import itertools
 import pytest
 
 from starcob.ainfty import (
+    _candidate_tuples,
+    _mu_pairs,
     check_ainfty,
     mu_a,
     mu_b,
@@ -15,7 +17,7 @@ from starcob.ainfty import (
     relation_sum,
     valid_higher_arities,
 )
-from starcob.staralg import AWord, BWord, enumerate_basis, letter
+from starcob.staralg import AWord, BWord, WordIndex, enumerate_basis, letter
 
 
 def _u(i, n=3, p=1):
@@ -171,6 +173,48 @@ def test_fault_changes_single_operation():
     assert dropped.value.is_zero()
     kept = mu_a([_u(1), _s(1), _u(2), _s(2), _u(3), _s(3)], fault=("drop-a-centered", 1))
     assert kept.value == clean.value
+
+
+def _has_nonzero_term(algebra, words, n):
+    """Whether some composed term mu(.., mu(..), ..) of the relation on the
+    tuple is nonzero, over every split and unfaulted operation."""
+    base = [(0, w) for w in words]
+    size = len(words)
+    for r in range(2, size):
+        for k in range(size - r + 1):
+            for pair in _mu_pairs(algebra, base[k : k + r], n)[1]:
+                if _mu_pairs(algebra, base[:k] + [pair] + base[k + r :], n)[1]:
+                    return True
+    return False
+
+
+def test_candidate_set_complete_against_brute_force():
+    # Every chained tuple (idempotents included) whose relation sum is nonzero
+    # must lie in the candidate set that check_ainfty sweeps in higher arity,
+    # and every candidate must be such a chained tuple.
+    # A: N=3, arity 7, length <= 7, with a dropped centered component so
+    # that the sweep has violations to find.
+    fault = ("drop-a-centered", 0)
+    tuples = list(WordIndex("A", 7, 3).forward(7, 7))
+    assert len(tuples) == 145917
+    candidates = set(_candidate_tuples("A", 7, 7, 3))
+    assert candidates <= set(tuples)  # chained and within the length bound
+    violating = [t for t in tuples if not relation_sum("A", t, 3, fault).is_zero()]
+    assert violating
+    assert set(violating) <= candidates
+    # B: N=3, arity 4 (length <= 6) and arity 5 (length <= 7).  The relations
+    # hold there, so check the stronger claim that every tuple with a nonzero
+    # term is a candidate.  Arity-5 candidates come from chained fillers on
+    # both sides of a window alone, with no entry splits.
+    for arity, max_len, count in ((4, 6, 3867), (5, 7, 21549)):
+        tuples = list(WordIndex("B", max_len, 3).forward(arity, max_len))
+        assert len(tuples) == count
+        candidates = set(_candidate_tuples("B", arity, max_len, 3))
+        assert candidates <= set(tuples)
+        assert all(relation_sum("B", t, 3).is_zero() for t in tuples)
+        with_terms = {t for t in tuples if _has_nonzero_term("B", t, 3)}
+        assert with_terms
+        assert with_terms <= candidates
 
 
 def test_parse_fault():

@@ -10,7 +10,6 @@ from starcob.barcobar import (
     CobElem,
     TString,
     bar_diff,
-    chain_ok,
     cobar_diff,
     cobar_mul,
     dict_image,
@@ -24,6 +23,7 @@ from starcob.staralg import (
     AlgElem,
     AWord,
     BWord,
+    chain_ok,
     enumerate_basis,
     grading,
     idempotent,
@@ -61,10 +61,10 @@ def test_tstring_validation():
 def test_tstring_chaining_direction_b():
     # Dual strings over the loop algebra chain left-to-right; over the dual
     # algebra the seams run the other way.
-    assert chain_ok("A", U1, S1)
-    assert not chain_ok("A", S1, AWord("u", 3, 1, 3))
-    assert chain_ok("B", SIG1, R1)
-    assert not chain_ok("B", R1, SIG1)
+    assert chain_ok(U1, S1)
+    assert not chain_ok(S1, AWord("u", 3, 1, 3))
+    assert chain_ok(SIG1, R1)
+    assert not chain_ok(R1, SIG1)
     ts = _ts(SIG1, R1)
     assert ts.algebra == "B"
 
@@ -221,11 +221,40 @@ def test_m_degree():
     assert _ts(w2).m_degree == 1
 
 
+def _seam(algebra, a, b):
+    # The tensor-product seam spelled out per algebra, independent of the
+    # words' stored entry/exit nodes.
+    return a.fin == b.init if algebra == "A" else a.init == b.fin
+
+
+def _brute_strings(algebra, max_len, n):
+    """Every chained tuple of non-idempotent words with total length <= max_len,
+    by filtering products of basis words grouped by length."""
+    by_len = {}
+    for w in enumerate_basis(algebra, max_len, n):
+        if not w.is_idempotent():
+            by_len.setdefault(w.ell, []).append(w)
+    out = set()
+    for k in range(1, max_len + 1):
+        for lens in itertools.product(range(1, max_len + 1), repeat=k):
+            if sum(lens) > max_len:
+                continue
+            for tup in itertools.product(*(by_len[ell] for ell in lens)):
+                if all(_seam(algebra, a, b) for a, b in zip(tup, tup[1:])):
+                    out.add(tup)
+    return out
+
+
 def test_enumerate_strings_counts():
-    # Chained strings over three nodes, total length at most 3.
-    strings = list(enumerate_strings("A", 3, 3))
-    assert len(strings) == len(set(strings))
-    for ts in strings:
-        assert ts.total_ell <= 3
+    # Against brute force, for both algebras at N = 3, 4 and every window up
+    # to total length 5: the same set of strings, each exactly once.
+    for algebra in ("A", "B"):
+        for n in (3, 4):
+            brute = _brute_strings(algebra, 5, n)
+            for max_len in range(1, 6):
+                strings = [ts.factors for ts in enumerate_strings(algebra, max_len, n)]
+                assert len(strings) == len(set(strings))
+                assert set(strings) == {t for t in brute if sum(w.ell for w in t) <= max_len}
+    for ts in enumerate_strings("A", 3, 3):
         for a, b in zip(ts.factors, ts.factors[1:]):
-            assert chain_ok("A", a, b)
+            assert chain_ok(a, b)

@@ -1,0 +1,57 @@
+"""Golden reports: the sha256 of stdout and the exit code of cheap CLI runs.
+
+The digests pin the byte-identical report contract across commits: a change
+that alters any of these reports, even in whitespace or ordering, fails here.
+When a report changes on purpose, record the new digest together with the
+reason in CHANGES.md.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from starcob.cli import main
+
+GOLDEN = [
+    ("build --n 4", 0, "d3496217d235a0043e168ff0088996485b77de73150cf4c5664a68e237034700"),
+    (
+        "dump strings --algebra A --n 3 --max-len 5",
+        0,
+        "54cf9e3a2a36506ddb54334404ee86848dedcaa4da1b4697c3160ac8ccc1a523",
+    ),
+    (
+        "dump strings --algebra B --n 3 --max-len 5",
+        0,
+        "e36350be8e63b41af742460a3e57dd6b2ab8aac34b6df8f01fc8bfd555d195ed",
+    ),
+    ("verify ainfty-a --n 3", 0, "2848f16f7ce4811002b8ca7538c32824879b3e647a842830bfbdc36122b28834"),
+    (
+        "verify ainfty-a --n 3 --inject-fault drop-mu2N:1",
+        1,
+        "73fef7e783a33ac19dfbacd2b3153c7441d9b2bab6f03cd15acb36ec0eb10363",
+    ),
+    ("verify ainfty-b --n 4", 0, "c45f41d54227e6c12d168b1fbddf79a7033fff1de7ef3f86111fb281dc94fe85"),
+    (
+        "verify homotopy --n 3 --max-len 6",
+        0,
+        "13a6122b1d66d1d87957ea0be64259d1b111b578164e02a272645527193f4bed",
+    ),
+    (
+        "verify homotopy --n 3 --max-len 6 --inject-fault break-h",
+        1,
+        "e012e911501913052971528b9e037ec177813af059a9ceae4996536313a7e56f",
+    ),
+    (
+        "cohomology --algebra A --n 5 --format csv",
+        0,
+        "6f3b36fc22bcf95a1a992b146181aac7b974cbc0c704462785ae2eac2af685d2",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_golden_report(argv, code, digest, capsys):
+    got = main(argv.split())
+    out = capsys.readouterr().out
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

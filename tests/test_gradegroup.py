@@ -47,6 +47,21 @@ def test_free_reduction_random_confluence():
         assert free_reduce(base) == base
 
 
+def test_group_elem_rejects_unreduced_words():
+    for word in (((1, 1), (1, -1)), ((1, 0),), ((2, 1), (2, 1))):
+        with pytest.raises(ValueError):
+            GroupElem(0, word)
+    # The validator accepts exactly the words that free reduction leaves alone.
+    rng = random.Random(11)
+    for _ in range(500):
+        word = tuple((rng.randint(1, 3), rng.randint(-2, 2)) for _ in range(rng.randint(0, 5)))
+        if word == free_reduce(word):
+            assert GroupElem(0, word).word == word
+        else:
+            with pytest.raises(ValueError):
+                GroupElem(0, word)
+
+
 def test_group_laws_random():
     rng = random.Random(13)
 

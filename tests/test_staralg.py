@@ -1,6 +1,7 @@
 """Tests for the two path algebras: words, products, gradings, bases."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
@@ -11,6 +12,8 @@ from starcob.staralg import (
     AWord,
     BWord,
     Grading,
+    WordIndex,
+    chain_ok,
     enumerate_basis,
     full_cycle_chain,
     grading,
@@ -27,8 +30,9 @@ from starcob.staralg import (
     unit,
     var_grading,
     word_letters,
+    word_sort_key,
     word_splits,
-    words_from,
+    words_of_length,
 )
 
 
@@ -165,13 +169,71 @@ def test_basis_counts():
             assert len(set(basis)) == len(basis)
 
 
-def test_words_from_enumeration():
-    ws = words_from("A", 1, 2, 3)
+def test_words_of_length_enumeration():
+    ws = words_of_length("A", 2, 3)
     renders = [w.render() for w in ws]
-    assert "I1" in renders
     assert "U1^2" in renders
     assert "s[1,3]" in renders
-    assert all(w.init == 1 for w in ws)
+    assert all(w.ell == 2 for w in ws)
+    assert [w.render() for w in words_of_length("B", 0, 3)] == ["I1", "I2", "I3"]
+    for algebra in ("A", "B"):
+        basis = enumerate_basis(algebra, 3, 3)
+        assert basis == sorted(basis, key=word_sort_key)
+        for ell in range(4):
+            ws = words_of_length(algebra, ell, 3)
+            assert ws == sorted(ws, key=word_sort_key)
+            assert set(ws) == {w for w in basis if w.ell == ell}
+
+
+def test_entry_exit_nodes():
+    # An A-word is entered at its start and left where its edges lead; a
+    # B-word is entered where its letters lead and left at its start.
+    for w in enumerate_basis("A", 4, 3):
+        end = (w.start - 1 + (w.length if w.kind == "s" else 0)) % 3 + 1
+        assert (w.entry, w.exit) == (w.start, end)
+    for w in enumerate_basis("B", 4, 3):
+        end = w.start
+        for typ, i in w.letters():
+            end = i % 3 + 1 if typ == "s" else i
+        assert (w.entry, w.exit) == (end, w.start)
+    # The stored nodes take no part in equality, hashing or repr.
+    for cls in (AWord, BWord):
+        assert all(not f.compare and not f.repr for f in dataclasses.fields(cls) if f.name in ("entry", "exit"))
+    assert repr(AWord("s", 2, 3, 3)) == "AWord(kind='s', start=2, length=3, n=3)"
+    assert chain_ok(AWord("s", 1, 1, 3), AWord("u", 2, 1, 3))
+    assert chain_ok(BWord("c", 3, "s", 1, 3), BWord("c", 2, "s", 1, 3))
+    assert not chain_ok(BWord("c", 2, "s", 1, 3), BWord("c", 3, "s", 1, 3))
+
+
+def test_word_index_chains_against_brute_force():
+    # Forward and backward chains of k = 2, 3 words, idempotents included,
+    # against a filter over all k-fold products of basis words.
+    def seam(algebra, a, b):
+        return a.fin == b.init if algebra == "A" else a.init == b.fin
+
+    for algebra in ("A", "B"):
+        first_node = (lambda w: w.init) if algebra == "A" else (lambda w: w.fin)
+        last_node = (lambda w: w.fin) if algebra == "A" else (lambda w: w.init)
+        for n in (3, 4):
+            basis = enumerate_basis(algebra, 4, n)
+            index = WordIndex(algebra, 4, n)
+            for k in (2, 3):
+                brute = [
+                    t
+                    for t in itertools.product(basis, repeat=k)
+                    if all(seam(algebra, a, b) for a, b in zip(t, t[1:]))
+                ]
+                for budget in range(5):
+                    within = [t for t in brute if sum(w.ell for w in t) <= budget]
+                    fwd = list(index.forward(k, budget))
+                    assert len(fwd) == len(set(fwd))
+                    assert set(fwd) == set(within)
+                    for node in range(1, n + 1):
+                        fwd = list(index.forward(k, budget, entry=node))
+                        bwd = list(index.backward(k, budget, exit=node))
+                        assert len(fwd) == len(set(fwd)) and len(bwd) == len(set(bwd))
+                        assert set(fwd) == {t for t in within if first_node(t[0]) == node}
+                        assert set(bwd) == {t for t in within if last_node(t[-1]) == node}
 
 
 def test_full_cycle_and_loop_words():
