@@ -42,6 +42,7 @@ from .staralg import (
     split_b_word,
     word_sort_key,
     word_splits,
+    words_of_length,
     zero_grading,
 )
 
@@ -324,41 +325,24 @@ def _centered_tuples(algebra: str, arity: int, n: int) -> list[tuple[Word, ...]]
 
 def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
     """All tuples of the given arity on which the higher operation is nonzero."""
-    centered = _centered_tuples(algebra, arity, n)
+    # Every centered tuple has length 2Nj (A, arity (2N-2)j + 2) or N (B), and
+    # every other passing window extends one by `extra` letters at one end.
+    centered_len = n if algebra == "B" else 2 * n * ((arity - 2) // (2 * n - 2))
+    if centered_len > max_total_len:
+        return []
     windows: set[tuple[Word, ...]] = set()
-    for tup in centered:
-        if sum(w.ell for w in tup) <= max_total_len:
-            windows.add(tup)
-        room = max_total_len - sum(w.ell for w in tup)
+    for tup in _centered_tuples(algebra, arity, n):
+        windows.add(tup)
         first, last = tup[0], tup[-1]
-        for extra in range(1, room + 1):
-            if algebra == "A":
-                for kind in ("u", "s"):
-                    if kind == "u":
-                        prefix = AWord("u", first.init, extra, n)
-                        suffix = AWord("u", last.fin, extra, n)
-                    else:
-                        prefix = AWord("s", advance(first.init, -extra, n), extra, n)
-                        suffix = AWord("s", last.fin, extra, n)
-                    merged_first = mul_word(prefix, first)
-                    if merged_first is not None:
-                        windows.add((merged_first,) + tup[1:])
-                    merged_last = mul_word(last, suffix)
-                    if merged_last is not None:
-                        windows.add(tup[:-1] + (merged_last,))
-            else:
-                for typ in ("r", "s"):
-                    for node in range(1, n + 1):
-                        ext = BWord("c", node, typ, extra, n)
-                        merged_first = mul_word(ext, first)
-                        if merged_first is not None:
-                            windows.add((merged_first,) + tup[1:])
-                        merged_last = mul_word(last, ext)
-                        if merged_last is not None:
-                            windows.add(tup[:-1] + (merged_last,))
-    out = [w for w in windows if sum(x.ell for x in w) <= max_total_len]
-    out.sort(key=lambda t: tuple(word_sort_key(w) for w in t))
-    return out
+        for extra in range(1, max_total_len - centered_len + 1):
+            for ext in words_of_length(algebra, extra, n):
+                merged_first = mul_word(ext, first)
+                if merged_first is not None:
+                    windows.add((merged_first,) + tup[1:])
+                merged_last = mul_word(last, ext)
+                if merged_last is not None:
+                    windows.add(tup[:-1] + (merged_last,))
+    return sorted(windows, key=lambda t: tuple(word_sort_key(w) for w in t))
 
 
 def _entry_splits(algebra: str, w: Word, n: int) -> list[tuple[Word, Word]]:

@@ -3,7 +3,9 @@
 A tensor string over one algebra is a chained tuple of duals of non-idempotent
 basis words.  The cobar differential splits one factor into a product of two;
 the bar differential merges two adjacent factors; cobar_mul concatenates
-strings when the chaining invariant holds across the seam.
+strings when the chaining invariant holds across the seam.  A sum of strings
+is a CobElem, a gf2la.F2Sum of TString terms, and each of these maps takes a
+single string or a sum.
 
 The letterwise dictionary (loop letters to loop letters, edge letters to edge
 letters) induces a map phi from strings over one algebra to the other algebra
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
+from .gf2la import F2Sum, terms_of
 from .ring import POLY_ONE
 from .staralg import (
     AlgElem,
@@ -27,6 +30,7 @@ from .staralg import (
     Word,
     WordIndex,
     chain_ok,
+    dual_algebra,
     grading,
     letter,
     mul_word,
@@ -34,10 +38,6 @@ from .staralg import (
     word_sort_key,
     word_splits,
 )
-
-
-def _other(algebra: str) -> str:
-    return "B" if algebra == "A" else "A"
 
 
 @functools.cache
@@ -124,57 +124,11 @@ def tstring_sort_key(ts: TString) -> tuple:
     return (ts.total_ell, len(ts.factors), tuple(word_sort_key(w) for w in ts.factors))
 
 
-class CobElem:
+class CobElem(F2Sum):
     """A GF(2) combination of tensor strings over one algebra."""
 
-    __slots__ = ("algebra", "n", "strings")
-
-    def __init__(self, algebra: str, n: int, strings: Optional[frozenset] = None):
-        self.algebra = algebra
-        self.n = n
-        self.strings: frozenset = frozenset() if strings is None else frozenset(strings)
-        for ts in self.strings:
-            if ts.algebra != algebra or ts.n != n:
-                raise ValueError("string does not belong to this complex")
-
-    @classmethod
-    def zero(cls, algebra: str, n: int) -> "CobElem":
-        return cls(algebra, n)
-
-    @classmethod
-    def from_string(cls, ts: TString) -> "CobElem":
-        return cls(ts.algebra, ts.n, frozenset({ts}))
-
-    def is_zero(self) -> bool:
-        return not self.strings
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CobElem):
-            return NotImplemented
-        return (self.algebra, self.n, self.strings) == (other.algebra, other.n, other.strings)
-
-    def __hash__(self) -> int:
-        return hash((self.algebra, self.n, self.strings))
-
-    def __add__(self, other: "CobElem") -> "CobElem":
-        if (self.algebra, self.n) != (other.algebra, other.n):
-            raise ValueError("cannot add strings over different algebras")
-        return CobElem(self.algebra, self.n, self.strings ^ other.strings)
-
-    def sorted_strings(self) -> list[TString]:
-        return sorted(self.strings, key=tstring_sort_key)
-
-    def render(self) -> str:
-        if not self.strings:
-            return "0"
-        return " + ".join(ts.render() for ts in self.sorted_strings())
-
-    def __repr__(self) -> str:
-        return f"CobElem({self.algebra!r}, {self.n}, {self.render()!r})"
-
-
-def _strings(x: Union[CobElem, TString]) -> Iterable[TString]:
-    return (x,) if isinstance(x, TString) else x.strings
+    __slots__ = ()
+    sort_key = staticmethod(tstring_sort_key)
 
 
 def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
@@ -187,7 +141,7 @@ def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
     '0'
     """
     out: set = set()
-    for ts in _strings(x):
+    for ts in terms_of(x):
         f = ts.factors
         for k, w in enumerate(f):
             for c, d in word_splits(w):
@@ -198,7 +152,7 @@ def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
 def bar_diff(x: Union[CobElem, TString]) -> CobElem:
     """Merge two adjacent factors under the word product."""
     out: set = set()
-    for ts in _strings(x):
+    for ts in terms_of(x):
         f = ts.factors
         for k in range(len(f) - 1):
             merged = mul_word(f[k], f[k + 1])
@@ -217,8 +171,8 @@ def cobar_mul(f: Union[CobElem, TString], g: Union[CobElem, TString]) -> CobElem
     if (f.algebra, f.n) != (g.algebra, g.n):
         raise ValueError("cannot multiply strings over different algebras")
     out: set = set()
-    for s in _strings(f):
-        for t in _strings(g):
+    for s in terms_of(f):
+        for t in terms_of(g):
             if chain_ok(s.factors[-1], t.factors[0]):
                 out ^= {TString(s.factors + t.factors)}
     return CobElem(f.algebra, f.n, out)
@@ -232,8 +186,8 @@ def phi(x: Union[CobElem, TString]) -> AlgElem:
     >>> phi(TString((AWord("u", 1, 1, n), AWord("s", 1, 1, n)))).render()
     'r1.s1'
     """
-    out = AlgElem.zero(_other(x.algebra), x.n)
-    for ts in _strings(x):
+    out = AlgElem.zero(dual_algebra(x.algebra), x.n)
+    for ts in terms_of(x):
         if any(w.ell != 1 for w in ts.factors):
             continue
         acc: Optional[Word] = dict_image(ts.factors[-1])
@@ -263,7 +217,7 @@ def psi(b: Union[AlgElem, Word]) -> CobElem:
         if coeff != POLY_ONE:
             raise ValueError("psi acts on GF(2) combinations of words")
         out ^= {TString(tuple(dict_image(l) for l in reversed(word_letters(word))))}
-    return CobElem(_other(b.algebra), b.n, out)
+    return CobElem(dual_algebra(b.algebra), b.n, out)
 
 
 def _block_length(ts: TString) -> int:
@@ -296,7 +250,7 @@ def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> Cob
     if fault is not None and fault[0] == "break-h":
         return CobElem.zero(x.algebra, x.n)
     out: set = set()
-    for ts in _strings(x):
+    for ts in terms_of(x):
         f = ts.factors
         n_block = _block_length(ts)
         if n_block == 0 or n_block == len(f):
@@ -328,7 +282,7 @@ def verify_homotopy(
 
     def _holds(ts: TString) -> bool:
         lhs = cobar_diff(homotopy_h(ts, fault)) + homotopy_h(cobar_diff(ts), fault)
-        rhs = CobElem.from_string(ts)
+        rhs = CobElem.of(ts)
         image = phi(ts)
         if not image.is_zero():
             rhs = rhs + psi(image)

@@ -3,11 +3,14 @@ tables, and diagnostic dumps, with machine-readable deterministic reports.
 
 Exit codes: 0 for a clean run, 1 when a verification finds violations, 2 for
 configuration errors (N <= 2, a fault spec that the verify kind cannot
-inject, and --max-arity or --max-len given to a verify kind that does not
-read it).  Any other exception is an internal error and propagates.  JSON
-reports carry a versioned "schema" field and record the full configuration
-including the seed, so equal configurations produce byte-identical output.
-Every sweep runs serially.
+inject, --max-arity or --max-len given to a verify kind that does not read
+it, and a bound that leaves nothing to check: --max-arity < 3 for the
+ainfty kinds, --max-len < 1 for homotopy, --n-max < 3 for cohomology).  Any
+other exception is an internal error and propagates.  JSON reports carry a
+versioned "schema" field and record the full configuration including the
+seed, so equal configurations produce byte-identical output.  Every command
+also prints text; cohomology tables print CSV too.  Every sweep runs
+serially.
 
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
@@ -28,6 +31,7 @@ from .gradegroup import admissible_arities, check_multiplicativity
 from .hochschild import cohomology_table, witness_cocycle
 from .staralg import (
     AlgElem,
+    dual_algebra,
     enumerate_basis,
     special_element,
     var_grading,
@@ -129,6 +133,8 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
     n = args.n
     max_arity = args.max_arity if args.max_arity is not None else (2 * n + 2 if algebra == "A" else n + 2)
     max_len = args.max_len if args.max_len is not None else (4 * n if algebra == "A" else 3 * n)
+    if max_arity < 3:
+        raise ConfigError(f"--max-arity {max_arity} checks no relation: verify {args.kind} needs --max-arity >= 3")
     violations = check_ainfty(algebra, max_arity, max_len, n, fault=fault)
     extra = {"max-arity": max_arity, "max-len": max_len, "fault": args.inject_fault}
     return violations, extra
@@ -137,10 +143,12 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
 def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
     n = args.n
     max_len = args.max_len if args.max_len is not None else 8
+    if max_len < 1:
+        raise ConfigError(f"--max-len {max_len} checks no string: verify homotopy needs --max-len >= 1")
     violations = []
     for base in ("A", "B"):
         identity_ok = True
-        for w in enumerate_basis("B" if base == "A" else "A", max_len, n):
+        for w in enumerate_basis(dual_algebra(base), max_len, n):
             if w.is_idempotent():
                 continue
             if phi(psi(w)) != AlgElem.from_word(w):
@@ -228,6 +236,8 @@ def cmd_cohomology(args, out) -> int:
     _check_n(n)
     model = args.algebra
     n_max = args.n_max if args.n_max is not None else 3 * n
+    if n_max < 3:
+        raise ConfigError(f"--n-max {n_max} gives an empty table: cohomology needs --n-max >= 3")
     j_values = tuple(args.j) if args.j else (-1, -2)
     rows = cohomology_table(model, n, n_max, j_values, args.trunc)
     doc = {
@@ -307,9 +317,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p) -> None:
+    def common(p, formats=("json", "text")) -> None:
         p.add_argument("--n", type=int, default=3, help="number of quiver nodes (N > 2)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
 
     p_build = sub.add_parser("build", help="print generators, gradings, and basis counts")
@@ -330,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_coh = sub.add_parser("cohomology", help="bigraded cohomology table")
-    common(p_coh)
+    common(p_coh, ("json", "csv", "text"))
     p_coh.add_argument("--algebra", choices=("A", "B"), default="A")
     p_coh.add_argument("--n-max", type=int, default=None)
     p_coh.add_argument("--j", type=int, action="append", default=None)

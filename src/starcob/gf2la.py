@@ -3,10 +3,15 @@
 A matrix stores each row as a Python int bitmask (bit c set means entry 1 in
 column c).  Elimination always picks the lowest available pivot column, so
 ranks, kernels, and solutions are deterministic for a fixed row order.
+
+F2Sum is the sum type of both GF(2) complexes, the cobar complex of dual
+strings (barcobar.CobElem) and the twisted small model (hochschild.TwistedElem).
 """
 from __future__ import annotations
 
 from typing import Iterable, List, Optional
+
+from .staralg import ALGEBRAS
 
 
 class SparseMatF2:
@@ -137,23 +142,73 @@ def reduce_against(vec: int, basis_rows: List[int]) -> int:
 
 def row_space_basis(rows: List[int]) -> List[int]:
     """Independent RREF rows spanning the same space, lowest-lead-bit first."""
-    basis: List[int] = []
-    for row in rows:
-        for b in basis:
-            lead = (b & -b).bit_length() - 1
-            if (row >> lead) & 1:
-                row ^= b
-        if row:
-            basis.append(row)
-            basis.sort(key=lambda r: (r & -r).bit_length())
-    # back-eliminate for canonical form
-    for i, b in enumerate(basis):
-        for j, other in enumerate(basis):
-            if i != j:
-                lead = (b & -b).bit_length() - 1
-                if (other >> lead) & 1:
-                    basis[j] = other ^ b
-    return basis
+    ncols = max((row.bit_length() for row in rows), default=0)
+    work, pivots, _ = SparseMatF2(rows, ncols)._rref()
+    return work[: len(pivots)]
 
 
-__all__ = ["SparseMatF2", "reduce_against", "row_space_basis"]
+class F2Sum:
+    """A GF(2) combination of basis terms: a frozenset of hashable terms, all
+    over one algebra ("A" or "B") and one N.
+
+    A term carries `algebra`, `n` and `render()`.  Sums add by symmetric
+    difference; a subclass sets `sort_key`, the canonical order in which
+    `sorted_terms` and `render` list its terms.
+    """
+
+    __slots__ = ("algebra", "n", "terms")
+    sort_key = None
+
+    def __init__(self, algebra: str, n: int, terms: Iterable = ()):
+        if algebra not in ALGEBRAS:
+            raise ValueError(f"unknown algebra {algebra!r}")
+        self.algebra = algebra
+        self.n = n
+        self.terms: frozenset = frozenset(terms)
+        for term in self.terms:
+            if term.algebra != algebra or term.n != n:
+                raise ValueError(f"term {term.render()} does not belong to this {type(self).__name__}")
+
+    @classmethod
+    def zero(cls, algebra: str, n: int) -> "F2Sum":
+        return cls(algebra, n)
+
+    @classmethod
+    def of(cls, term) -> "F2Sum":
+        """The sum with the single term `term`."""
+        return cls(term.algebra, term.n, (term,))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.algebra, self.n, self.terms) == (other.algebra, other.n, other.terms)
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.n, self.terms))
+
+    def __add__(self, other: "F2Sum") -> "F2Sum":
+        if type(other) is not type(self) or (self.algebra, self.n) != (other.algebra, other.n):
+            raise ValueError("cannot add sums of different kinds, algebras or N")
+        return type(self)(self.algebra, self.n, self.terms ^ other.terms)
+
+    def sorted_terms(self) -> list:
+        return sorted(self.terms, key=self.sort_key)
+
+    def render(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(term.render() for term in self.sorted_terms())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.algebra!r}, {self.n}, {self.render()!r})"
+
+
+def terms_of(x) -> Iterable:
+    """The terms of a sum, or the single term x itself."""
+    return x.terms if isinstance(x, F2Sum) else (x,)
+
+
+__all__ = ["SparseMatF2", "reduce_against", "row_space_basis", "F2Sum", "terms_of"]

@@ -58,9 +58,6 @@ class GroupElem:
     def render(self) -> str:
         return f"({self.z}; {render_word(self.word)})"
 
-    def to_json(self) -> dict:
-        return {"z": self.z, "word": render_word(self.word)}
-
 
 GP_E = GroupElem(0, ())
 GP_LAMBDA = GroupElem(1, ())

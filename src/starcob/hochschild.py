@@ -4,7 +4,9 @@ A monomial of the model for algebra A is V0^p * (A-word) tensor (B-word) with
 matching path endpoints on both sides and a weight balance: p copies of the
 full weight vector plus the weight of the left word must equal the weight of
 the right word.  The model for algebra B mirrors this with V_{N+1}^p, a B-word
-on the left, an A-word on the right, and the edge-slot weight vector.
+on the left, an A-word on the right, and the edge-slot weight vector.  A
+monomial's `algebra` is that of its left word, and a TwistedElem is a
+gf2la.F2Sum of monomials of one model.
 
 The differential pairs left multiplication by each single letter x with right
 multiplication by its dictionary image, and right multiplication by x with
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
-from .gf2la import SparseMatF2, reduce_against, row_space_basis
+from .gf2la import F2Sum, SparseMatF2, reduce_against, row_space_basis, terms_of
 from .gradegroup import assign_grading
 from .ring import mono_str
 from .staralg import (
@@ -31,13 +33,14 @@ from .staralg import (
     BWord,
     Word,
     coeff_var,
+    dual_algebra,
     full_cycle_chain,
     grading,
     idempotent,
-    letter,
     loop_word,
     mono_grading,
     mul_word,
+    var_grading,
     word_sort_key,
     words_of_length,
 )
@@ -48,17 +51,9 @@ class InsufficientTruncation(ValueError):
 
 
 def _model_of(left: Word, right: Word) -> str:
-    if isinstance(left, AWord) and isinstance(right, BWord):
-        return "A"
-    if isinstance(left, BWord) and isinstance(right, AWord):
-        return "B"
-    raise ValueError("left and right words must come from dual algebras")
-
-
-def _weight_var_vec(model: str, n: int) -> tuple:
-    if model == "A":
-        return (1,) * (2 * n)
-    return tuple(i % 2 for i in range(2 * n))
+    if right.algebra != dual_algebra(left.algebra):
+        raise ValueError("left and right words must come from dual algebras")
+    return left.algebra
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +78,7 @@ class TwistedMono:
             raise ValueError("coefficient power must be >= 0")
         if self.left.init != self.right.init or self.left.fin != self.right.fin:
             raise ValueError("left and right words must share both endpoints")
-        var_vec = _weight_var_vec(model, n)
+        var_vec = var_grading(coeff_var(model, n), n).alexander
         lhs = tuple(
             self.p * v + a for v, a in zip(var_vec, grading(self.left).alexander)
         )
@@ -94,7 +89,7 @@ class TwistedMono:
             )
 
     @property
-    def model(self) -> str:
+    def algebra(self) -> str:
         return _model_of(self.left, self.right)
 
     @property
@@ -103,14 +98,14 @@ class TwistedMono:
 
     def bidegree(self) -> tuple[int, int]:
         """(n, j): homological degree and internal degree."""
-        coeff_m = mono_grading(self.p, self.model, self.n).m
+        coeff_m = mono_grading(self.p, self.algebra, self.n).m
         j = coeff_m + grading(self.left).m + grading(self.right).m
         return (self.right.ell, j)
 
     def render(self) -> str:
         head = self.left.render()
         if self.p:
-            head = f"{mono_str(self.p, coeff_var(self.model, self.n))}*{head}"
+            head = f"{mono_str(self.p, coeff_var(self.algebra, self.n))}*{head}"
         return f"{head} (x) {self.right.render()}"
 
 
@@ -118,47 +113,11 @@ def mono_sort_key(tm: TwistedMono) -> tuple:
     return (word_sort_key(tm.right), word_sort_key(tm.left), tm.p)
 
 
-class TwistedElem:
+class TwistedElem(F2Sum):
     """A GF(2) combination of twisted-model monomials."""
 
-    __slots__ = ("model", "n", "terms")
-
-    def __init__(self, model: str, n: int, terms=None):
-        if model not in ("A", "B"):
-            raise ValueError(f"unknown model {model!r}")
-        self.model = model
-        self.n = n
-        self.terms: frozenset = frozenset() if terms is None else frozenset(terms)
-        for tm in self.terms:
-            if tm.model != model or tm.n != n:
-                raise ValueError("monomial does not belong to this model")
-
-    @classmethod
-    def zero(cls, model: str, n: int) -> "TwistedElem":
-        return cls(model, n)
-
-    @classmethod
-    def from_mono(cls, tm: TwistedMono) -> "TwistedElem":
-        return cls(tm.model, tm.n, frozenset({tm}))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TwistedElem):
-            return NotImplemented
-        return (self.model, self.n, self.terms) == (other.model, other.n, other.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.model, self.n, self.terms))
-
-    def __add__(self, other: "TwistedElem") -> "TwistedElem":
-        if (self.model, self.n) != (other.model, other.n):
-            raise ValueError("cannot add elements of different models")
-        return TwistedElem(self.model, self.n, self.terms ^ other.terms)
-
-    def sorted_terms(self) -> list[TwistedMono]:
-        return sorted(self.terms, key=mono_sort_key)
+    __slots__ = ()
+    sort_key = staticmethod(mono_sort_key)
 
     def bidegree(self) -> Optional[tuple[int, int]]:
         """The common bidegree, or None for zero; mixed degrees raise."""
@@ -169,26 +128,6 @@ class TwistedElem:
             raise ValueError(f"element is not bihomogeneous: {sorted(degs)}")
         return degs.pop()
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(tm.render() for tm in self.sorted_terms())
-
-    def to_json(self) -> dict:
-        return {
-            "model": self.model,
-            "terms": [tm.render() for tm in self.sorted_terms()],
-        }
-
-    def __repr__(self) -> str:
-        return f"TwistedElem({self.model!r}, {self.n}, {self.render()!r})"
-
-
-def _left_letters(model: str, n: int) -> list[Word]:
-    if model == "A":
-        return [letter("A", t, i, n) for i in range(1, n + 1) for t in ("u", "s")]
-    return [letter("B", t, i, n) for i in range(1, n + 1) for t in ("r", "s")]
-
 
 def twisted_diff(x: Union[TwistedElem, TwistedMono]) -> TwistedElem:
     """The twisted differential.
@@ -198,10 +137,10 @@ def twisted_diff(x: Union[TwistedElem, TwistedMono]) -> TwistedElem:
     >>> twisted_diff(tm).render()
     's[1,2] (x) s1 + s[3,4] (x) s3'
     """
-    model, n = x.model, x.n
-    letters = _left_letters(model, n)
+    model, n = x.algebra, x.n
+    letters = words_of_length(model, 1, n)
     out: set = set()
-    for tm in (x,) if isinstance(x, TwistedMono) else x.terms:
+    for tm in terms_of(x):
         for xl in letters:
             xh = dict_image(xl)
             left = mul_word(xl, tm.left)
@@ -250,11 +189,9 @@ def slice_basis(
             f"bidegree ({n_deg}, {j}) of model {model} needs coefficient power "
             f"{p} > truncation {trunc}"
         )
-    left_alg = "A" if model == "A" else "B"
-    right_alg = "B" if model == "A" else "A"
-    lefts = words_of_length(left_alg, ell_left, big_n)
+    lefts = words_of_length(model, ell_left, big_n)
     out = []
-    for right in words_of_length(right_alg, n_deg, big_n):
+    for right in words_of_length(dual_algebra(model), n_deg, big_n):
         for left in lefts:
             if left.init != right.init or left.fin != right.fin:
                 continue
@@ -301,9 +238,7 @@ def cohomology_dim(
         return (0, [])
     kernel = out_mat.kernel_basis()
     in_mat, prev, _ = diff_matrix(model, n_deg - 1, j + 1, big_n, trunc)
-    image_rows = row_space_basis(
-        [in_mat.mul_vec(1 << c) for c in range(len(prev))]
-    ) if prev else []
+    image_rows = row_space_basis(in_mat.transpose().rows) if prev else []
     witnesses = []
     accum = list(image_rows)
     for vec in kernel:
@@ -322,11 +257,11 @@ def is_coboundary(
     x must be a cocycle; a zero x returns the zero element.
     """
     if x.is_zero():
-        return TwistedElem.zero(x.model, x.n)
+        return TwistedElem.zero(x.algebra, x.n)
     if not twisted_diff(x).is_zero():
         raise ValueError("element is not a cocycle")
     n_deg, j = x.bidegree()
-    in_mat, prev, cur = diff_matrix(x.model, n_deg - 1, j + 1, x.n, trunc)
+    in_mat, prev, cur = diff_matrix(x.algebra, n_deg - 1, j + 1, x.n, trunc)
     if not prev:
         return None
     index = {tm: i for i, tm in enumerate(cur)}
@@ -336,7 +271,7 @@ def is_coboundary(
     sol = in_mat.solve(b)
     if sol is None:
         return None
-    return _vec_to_elem(sol, prev, x.model, x.n)
+    return _vec_to_elem(sol, prev, x.algebra, x.n)
 
 
 def witness_cocycle(model: str, big_n: int) -> TwistedElem:
@@ -375,19 +310,17 @@ def string_diff(
     factor, or multiply by a letter on one side and concatenate its dual on
     the other."""
     out: list[tuple[int, Word, TString]] = []
-    for split in cobar_diff(ts).strings:
+    for split in cobar_diff(ts).terms:
         out.append((p, left, split))
-    n = left.n
-    model = "A" if isinstance(left, AWord) else "B"
-    for xl in _left_letters(model, n):
+    for xl in words_of_length(left.algebra, 1, left.n):
         dual = TString((xl,))
         merged = mul_word(xl, left)
         if merged is not None:
-            for s in cobar_mul(dual, ts).strings:
+            for s in cobar_mul(dual, ts).terms:
                 out.append((p, merged, s))
         merged = mul_word(left, xl)
         if merged is not None:
-            for s in cobar_mul(ts, dual).strings:
+            for s in cobar_mul(ts, dual).terms:
                 out.append((p, merged, s))
     return out
 
@@ -396,16 +329,15 @@ def string_model_check(model: str, big_n: int, max_len: int) -> bool:
     """Whether the twisted differential agrees with the string-model
     differential transported through psi and phi, on every admissible monomial
     whose right word has length 1..max_len."""
-    right_alg = "B" if model == "A" else "A"
-    left_alg = "A" if model == "A" else "B"
+    var_len = var_grading(coeff_var(model, big_n), big_n).ell
     for ell_r in range(1, max_len + 1):
-        for right in words_of_length(right_alg, ell_r, big_n):
+        for right in words_of_length(dual_algebra(model), ell_r, big_n):
             weight_total = sum(grading(right).alexander)
             for p in range(0, ell_r + 1):
-                ell_left = weight_total - p * sum(_weight_var_vec(model, big_n))
+                ell_left = weight_total - p * var_len
                 if ell_left < 0:
                     continue
-                for left in words_of_length(left_alg, ell_left, big_n):
+                for left in words_of_length(model, ell_left, big_n):
                     try:
                         tm = TwistedMono(p, left, right)
                     except ValueError:

@@ -212,6 +212,13 @@ class BWord:
 Word = Union[AWord, BWord]
 
 
+def dual_algebra(algebra: str) -> str:
+    """The other algebra of the dual pair."""
+    if algebra not in ALGEBRAS:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    return "B" if algebra == "A" else "A"
+
+
 def idempotent(algebra: str, i: int, n: int) -> Word:
     if algebra == "A":
         return AWord("i", i, 0, n)
@@ -489,16 +496,6 @@ class AlgElem:
                 parts.append(f"({cs})*{word.render()}")
         return " + ".join(parts)
 
-    def to_json(self) -> dict:
-        var = coeff_var(self.algebra, self.n)
-        return {
-            "algebra": self.algebra,
-            "terms": [
-                {"word": w.render(), "coeff": poly_str(c, var)}
-                for w, c in sorted(self.terms.items(), key=lambda kv: word_sort_key(kv[0]))
-            ],
-        }
-
     def __repr__(self) -> str:
         return f"AlgElem({self.algebra!r}, {self.n}, {self.render()!r})"
 
@@ -667,6 +664,7 @@ __all__ = [
     "BWord",
     "Word",
     "Grading",
+    "dual_algebra",
     "AlgElem",
     "idempotent",
     "letter",

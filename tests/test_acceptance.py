@@ -198,7 +198,7 @@ def test_criterion_10_global_sanity(capsys):
         for n_deg in range(0, 9):
             for j in range(-8, 1):
                 for tm in slice_basis(model, n_deg, j, 3):
-                    assert twisted_diff(twisted_diff(TwistedElem.from_mono(tm))).is_zero()
+                    assert twisted_diff(twisted_diff(TwistedElem.of(tm))).is_zero()
     # Associativity on all word triples of total length <= 8.
     for algebra, mul in (("A", mul_a), ("B", mul_b)):
         words = [w for w in enumerate_basis(algebra, 6, 3)]

@@ -17,7 +17,7 @@ from starcob.ainfty import (
     relation_sum,
     valid_higher_arities,
 )
-from starcob.staralg import AWord, BWord, WordIndex, enumerate_basis, letter
+from starcob.staralg import AWord, BWord, WordIndex, enumerate_basis, letter, mul_word
 
 
 def _u(i, n=3, p=1):
@@ -188,10 +188,40 @@ def _has_nonzero_term(algebra, words, n):
     return False
 
 
+def _candidate_definition(algebra, tuples, arity, max_len, n):
+    """The tuples that the candidate set is defined to hold: those with a
+    contiguous passing window of a valid arity r (whose outer arity
+    arity - r + 1 is valid too), and those with one adjacent pair whose
+    product turns the tuple into a passing window of arity - 1."""
+    valid = {2, *valid_higher_arities(algebra, n, arity)}
+    windows = {
+        r: set(passing_windows(algebra, r, max_len, n))
+        for r in valid_higher_arities(algebra, n, arity - 1)
+        if arity - r + 1 in valid
+    }
+    merged = set()
+    if arity - 1 in valid and arity - 1 > 2:
+        merged = set(passing_windows(algebra, arity - 1, max_len, n))
+
+    def belongs(t):
+        for r, found in windows.items():
+            if any(t[k : k + r] in found for k in range(arity - r + 1)):
+                return True
+        for k in range(arity - 1):
+            product = mul_word(t[k], t[k + 1])
+            if product is not None and t[:k] + (product,) + t[k + 2 :] in merged:
+                return True
+        return False
+
+    return {t for t in tuples if belongs(t)}
+
+
 def test_candidate_set_complete_against_brute_force():
     # Every chained tuple (idempotents included) whose relation sum is nonzero
     # must lie in the candidate set that check_ainfty sweeps in higher arity,
-    # and every candidate must be such a chained tuple.
+    # and every candidate must be such a chained tuple.  The candidate set
+    # must also equal its definition over the same tuples, so that a dropped
+    # filler position or entry split fails even where the two kinds overlap.
     # A: N=3, arity 7, length <= 7, with a dropped centered component so
     # that the sweep has violations to find.
     fault = ("drop-a-centered", 0)
@@ -199,6 +229,7 @@ def test_candidate_set_complete_against_brute_force():
     assert len(tuples) == 145917
     candidates = set(_candidate_tuples("A", 7, 7, 3))
     assert candidates <= set(tuples)  # chained and within the length bound
+    assert candidates == _candidate_definition("A", tuples, 7, 7, 3)
     violating = [t for t in tuples if not relation_sum("A", t, 3, fault).is_zero()]
     assert violating
     assert set(violating) <= candidates
@@ -211,10 +242,34 @@ def test_candidate_set_complete_against_brute_force():
         assert len(tuples) == count
         candidates = set(_candidate_tuples("B", arity, max_len, 3))
         assert candidates <= set(tuples)
+        assert candidates == _candidate_definition("B", tuples, arity, max_len, 3)
         assert all(relation_sum("B", t, 3).is_zero() for t in tuples)
         with_terms = {t for t in tuples if _has_nonzero_term("B", t, 3)}
         assert with_terms
         assert with_terms <= candidates
+
+
+def test_entry_splits_of_deep_windows_are_candidates(monkeypatch):
+    # At the windows above, every entry split is also reached by a filler or
+    # by the other idempotent split.  Splits into two non-idempotent words
+    # add tuples of their own first at A, N=3, arity 11, from the arity-10
+    # (j = 2) windows.  The arity-6 windows with five fillers make that
+    # candidate set cost about 10 s, so they are left out here.
+    real = passing_windows
+    monkeypatch.setattr(
+        "starcob.ainfty.passing_windows",
+        lambda algebra, r, max_len, n: [] if r == 6 else real(algebra, r, max_len, n),
+    )
+    candidates = set(_candidate_tuples("A", 11, 12, 3))
+    index = WordIndex("A", 12, 3, idempotents=False)
+    splits = set()
+    for window in real("A", 10, 12, 3):
+        for t, w in enumerate(window):
+            for c, d in index.forward(2, w.ell, entry=w.entry):
+                if mul_word(c, d) == w:
+                    splits.add(window[:t] + (c, d) + window[t + 1 :])
+    assert splits
+    assert splits <= candidates
 
 
 def test_parse_fault():

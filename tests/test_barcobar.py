@@ -113,8 +113,8 @@ def test_bar_diff_merges_adjacent():
 
 
 def test_cobar_mul_concatenates():
-    f = CobElem.from_string(_ts(U1))
-    g = CobElem.from_string(_ts(S1))
+    f = CobElem.of(_ts(U1))
+    g = CobElem.of(_ts(S1))
     prod = cobar_mul(f, g)
     assert prod.render() == "U1*.s1*"
     # Seam mismatch kills the concatenation.
@@ -192,7 +192,7 @@ def test_homotopy_side_conditions():
             # phi is a chain map to an algebra with zero differential.
             assert phi(cobar_diff(ts)).is_zero()
             # The homotopy raises the internal degree by one.
-            for out in h.sorted_strings():
+            for out in h.sorted_terms():
                 assert out.m_degree == ts.m_degree + 1
 
 
@@ -205,9 +205,9 @@ def test_h_vanishes_after_psi():
 
 
 def test_cobelem_addition_is_xor():
-    x = CobElem.from_string(_ts(U1))
+    x = CobElem.of(_ts(U1))
     assert (x + x).is_zero()
-    y = CobElem.from_string(_ts(S1))
+    y = CobElem.of(_ts(S1))
     assert (x + y) + y == x
 
 

@@ -233,3 +233,48 @@ def test_internal_value_error_propagates(monkeypatch):
     monkeypatch.setattr("starcob.cli.check_ainfty", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["verify", "ainfty-b", "--n", "3"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build"], ["verify", "arities"], ["dump", "basis"]],
+)
+def test_csv_format_only_on_cohomology(argv, capsys):
+    # Only cohomology writes CSV; elsewhere argparse rejects the choice.
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "3", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "homotopy", "--max-len", "0"], "--max-len"),
+        (["verify", "homotopy", "--max-len", "-1"], "--max-len"),
+        (["verify", "ainfty-a", "--max-arity", "2"], "--max-arity"),
+        (["verify", "ainfty-b", "--max-arity", "2"], "--max-arity"),
+        (["cohomology", "--n-max", "2"], "--n-max"),
+    ],
+)
+def test_empty_sweep_is_config_error(argv, option, capsys):
+    # A bound that leaves nothing to check must not report "0 violations".
+    code, out, err = _run(argv + ["--n", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "homotopy", "--max-len", "1"],
+        ["verify", "ainfty-a", "--max-arity", "3"],
+        ["verify", "ainfty-b", "--max-arity", "3"],
+        ["cohomology", "--n-max", "3"],
+    ],
+)
+def test_smallest_sweep_is_accepted(argv, capsys):
+    code, out, _ = _run(argv + ["--n", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["schema"] == "starcob/1"

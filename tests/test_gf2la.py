@@ -3,7 +3,12 @@ from __future__ import annotations
 
 import random
 
-from starcob.gf2la import SparseMatF2, reduce_against, row_space_basis
+import pytest
+
+from starcob.barcobar import CobElem, TString
+from starcob.gf2la import SparseMatF2, reduce_against, row_space_basis, terms_of
+from starcob.hochschild import TwistedElem, witness_cocycle
+from starcob.staralg import AWord
 
 
 def _vec(bits):
@@ -91,3 +96,20 @@ def test_solve_roundtrip_random():
         y = m.solve(b)
         assert y is not None
         assert m.mul_vec(y) == b
+
+
+def test_f2sum_membership_and_kinds():
+    # Both complexes share F2Sum: a sum rejects a term of another algebra or
+    # N, and sums of different kinds neither compare equal nor add.
+    ts = TString((AWord("u", 1, 1, 3),))
+    for algebra, n in (("B", 3), ("A", 4)):
+        with pytest.raises(ValueError):
+            CobElem(algebra, n, {ts})
+    with pytest.raises(ValueError):
+        CobElem("C", 3)
+    with pytest.raises(ValueError):
+        TwistedElem("B", 3, witness_cocycle("A", 3).terms)
+    assert CobElem.zero("A", 3) != TwistedElem.zero("A", 3)
+    with pytest.raises(ValueError):
+        CobElem.zero("A", 3) + TwistedElem.zero("A", 3)
+    assert tuple(terms_of(ts)) == tuple(terms_of(CobElem.of(ts))) == (ts,)

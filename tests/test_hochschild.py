@@ -33,7 +33,7 @@ def _i_b(i, n=3):
 def test_admissibility_enforced():
     # A loop-algebra left leg with a dual-algebra right leg is model A.
     tm = TwistedMono(1, _i_a(1), loop_word(1, "r", 6, 3))
-    assert tm.model == "A"
+    assert tm.algebra == "A"
     assert tm.n == 3
     # Endpoint mismatch.
     with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ def test_bidegree_formulas():
     # Row degree counts right-leg letters; column degree mixes the twist.
     assert tm.bidegree() == (6, (2 * n - 2) - 6)
     bm = TwistedMono(1, _i_b(1), AWord("s", 1, n, n))
-    assert bm.model == "B"
+    assert bm.algebra == "B"
     assert bm.bidegree() == (n, -2)
     # Model B: j = -2p - len(left leg).
     assert bm.bidegree()[1] == -2 * bm.p - bm.left.ell
@@ -68,7 +68,7 @@ def test_render():
 
 
 def test_diff_oracle_on_counit():
-    x = TwistedElem.from_mono(TwistedMono(0, _i_a(1), _i_b(1)))
+    x = TwistedElem.of(TwistedMono(0, _i_a(1), _i_b(1)))
     d = twisted_diff(x)
     assert d.render() == "s[1,2] (x) s1 + s[3,4] (x) s3"
     # The differential raises the row degree by one and drops the column by one.
@@ -82,7 +82,7 @@ def test_diff_squares_to_zero():
             for j in range(-6, 1):
                 basis = slice_basis(model, n_deg, j, 3)
                 for tm in basis:
-                    dd = twisted_diff(twisted_diff(TwistedElem.from_mono(tm)))
+                    dd = twisted_diff(twisted_diff(TwistedElem.of(tm)))
                     assert dd.is_zero()
 
 
@@ -157,14 +157,14 @@ def test_witness_is_not_a_coboundary():
 
 
 def test_coboundary_roundtrip():
-    x = TwistedElem.from_mono(TwistedMono(0, _i_a(1), _i_b(1)))
+    x = TwistedElem.of(TwistedMono(0, _i_a(1), _i_b(1)))
     d = twisted_diff(x)
     pre = is_coboundary(d)
     assert pre is not None
     assert twisted_diff(pre) == d
     # Non-cocycles are rejected outright.
     basis = slice_basis("A", 1, -1, 3)
-    probe = TwistedElem.from_mono(basis[0])
+    probe = TwistedElem.of(basis[0])
     if not twisted_diff(probe).is_zero():
         with pytest.raises(ValueError):
             is_coboundary(probe)
