@@ -14,6 +14,14 @@ psi sending a basis word to the string of duals of its letters.  phi kills any
 string with a factor of length > 1, phi composed with psi is the identity, and
 homotopy_h certifies that psi composed with phi is homotopic to the identity:
 delta H + H delta = id + psi phi on every chained string.
+
+The maps run on interned ids.  Each non-idempotent word of length <= max_len
+is a small int, and a string is a tuple of ids, in `_WordTables`: the word
+product, the splittings, the dictionary, psi and the leading-block rule are
+tables, built lazily, once per (algebra, N, max_len).  `TString` and
+`CobElem` are the validated boundary: each public map converts its input to
+ids, runs the one table-driven implementation and builds its result through
+them, and `verify_homotopy` checks the certificate on the ids directly.
 """
 from __future__ import annotations
 
@@ -37,6 +45,7 @@ from .staralg import (
     word_letters,
     word_sort_key,
     word_splits,
+    words_of_length,
 )
 
 
@@ -115,7 +124,8 @@ class TString:
 
     def render_with_block(self) -> str:
         """Render with the leading block separated by '|'."""
-        n_block = _block_length(self)
+        tables, (s,) = _tables_for(self)
+        n_block = tables.block_length(s)
         parts = [_dual_factor_str(w) for w in self.factors]
         return ".".join(parts[:n_block]) + "|" + ".".join(parts[n_block:])
 
@@ -131,6 +141,144 @@ class CobElem(F2Sum):
     sort_key = staticmethod(tstring_sort_key)
 
 
+class _WordTables:
+    """The interned words of one algebra, N and length bound, with the
+    tables the string maps read.
+
+    Word ids are canonical: the non-idempotent words of length <= max_len in
+    `words_of_length` order, lengths ascending, so the 2N single letters are
+    ids 0..2N-1.  A string is a tuple of ids.
+    """
+
+    def __init__(self, algebra: str, n: int, max_len: int):
+        self.algebra = algebra
+        self.n = n
+        self.max_len = max_len
+        self.words: list[Word] = [w for ell in range(1, max_len + 1) for w in words_of_length(algebra, ell, n)]
+        ids = self.ids = {w: i for i, w in enumerate(self.words)}
+        self.splits = [tuple((ids[c], ids[d]) for c, d in word_splits(w)) for w in self.words]
+        # mul[a][b]: the id of the product a*b, for the nonzero products of length <= max_len
+        self.mul: list[dict[int, int]] = [{} for _ in self.words]
+        for a, x in enumerate(self.words):
+            for b, y in enumerate(self.words):
+                if x.ell + y.ell > max_len:
+                    break
+                xy = mul_word(x, y)
+                if xy is not None:
+                    self.mul[a][b] = ids[xy]
+        dual = dual_algebra(algebra)
+        letters = words_of_length(algebra, 1, n)
+        other_letters = {w: i for i, w in enumerate(words_of_length(dual, 1, n))}
+        # image[a]: the dictionary image of letter a, as an id of the other algebra
+        self.image = [other_letters[dict_image(w)] for w in letters]
+        # block_next[a]: the letters b that may follow letter a in a leading
+        # block, those whose images compose: image(b) * image(a) != 0
+        self.block_next = [
+            frozenset(b for b, y in enumerate(letters) if mul_word(dict_image(y), dict_image(x)) is not None)
+            for x in letters
+        ]
+        # psi[o]: the duals of the letters of the other algebra's word o, reversed
+        self.psi = [
+            tuple(ids[dict_image(l)] for l in reversed(word_letters(o)))
+            for ell in range(1, max_len + 1)
+            for o in words_of_length(dual, ell, n)
+        ]
+
+    @functools.cached_property
+    def other(self) -> "_WordTables":
+        """The dual algebra's tables at the same N and bound, where phi lands."""
+        return _tables(dual_algebra(self.algebra), self.n, self.max_len)
+
+    def intern(self, ts: TString) -> tuple:
+        return tuple(map(self.ids.__getitem__, ts.factors))
+
+    def cob(self, strings: set) -> CobElem:
+        """The sum of the id strings, built through the validated TString."""
+        words = self.words
+        return CobElem(self.algebra, self.n, (TString(tuple(words[a] for a in s)) for s in strings))
+
+    def d_terms(self, s: tuple) -> Iterator[tuple]:
+        """The cobar differential of s: each split of one factor into two."""
+        for k, a in enumerate(s):
+            for c, d in self.splits[a]:
+                yield s[:k] + (c, d) + s[k + 1 :]
+
+    def merge_terms(self, s: tuple) -> Iterator[tuple]:
+        """The bar differential of s: each nonzero product of adjacent factors."""
+        mul = self.mul
+        for k in range(len(s) - 1):
+            m = mul[s[k]].get(s[k + 1])
+            if m is not None:
+                yield s[:k] + (m,) + s[k + 2 :]
+
+    def block_length(self, s: tuple) -> int:
+        """Length of the maximal leading block: single-letter factors whose
+        consecutive images compose to nonzero products in the other algebra."""
+        if s[0] >= 2 * self.n:
+            return 0
+        block_next = self.block_next
+        k = 1
+        while k < len(s) and s[k] in block_next[s[k - 1]]:
+            k += 1
+        return k
+
+    def h_term(self, s: tuple) -> Optional[tuple]:
+        """The homotopy of s: the last leading-block factor merged into the
+        first tail factor, or None for an empty block, no tail or a zero
+        product."""
+        k = self.block_length(s)
+        if k == 0 or k == len(s):
+            return None
+        m = self.mul[s[k - 1]].get(s[k])
+        if m is None:
+            return None
+        return s[: k - 1] + (m,) + s[k + 1 :]
+
+    def phi_word(self, s: tuple) -> Optional[int]:
+        """phi of s: the product of the factor images in reverse order, as an
+        id of `other`, or None when a factor is not a letter or it vanishes."""
+        if max(s) >= 2 * self.n:
+            return None
+        image, mul = self.image, self.other.mul
+        acc: Optional[int] = image[s[-1]]
+        for a in reversed(s[:-1]):
+            acc = mul[acc].get(image[a])
+            if acc is None:
+                return None
+        return acc
+
+    def homotopy_sides(self, s: tuple, fault: Optional[tuple] = None) -> tuple[set, set]:
+        """Both sides of the certificate on s: delta H + H delta, and id + psi phi."""
+        lhs: set = set()
+        if fault is None or fault[0] != "break-h":
+            h = self.h_term(s)
+            if h is not None:
+                for t in self.d_terms(h):
+                    lhs ^= {t}
+            for t in self.d_terms(s):
+                h = self.h_term(t)
+                if h is not None:
+                    lhs ^= {h}
+        rhs = {s}
+        p = self.phi_word(s)
+        if p is not None:
+            rhs ^= {self.psi[p]}
+        return lhs, rhs
+
+
+@functools.lru_cache(maxsize=64)
+def _tables(algebra: str, n: int, max_len: int) -> _WordTables:
+    """The tables of one (algebra, N, max_len), built on first use."""
+    return _WordTables(algebra, n, max_len)
+
+
+def _tables_for(x: Union[CobElem, TString]) -> tuple[_WordTables, list[tuple]]:
+    """Tables that cover every term of x, and the terms as id strings."""
+    terms = list(terms_of(x))
+    tables = _tables(x.algebra, x.n, max((ts.total_ell for ts in terms), default=0))
+    return tables, [tables.intern(ts) for ts in terms]
+
+
 def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
     """Split one factor into a product of two non-idempotent duals.
 
@@ -140,25 +288,22 @@ def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
     >>> cobar_diff(TString((AWord("u", 1, 1, n),))).render()
     '0'
     """
+    tables, strings = _tables_for(x)
     out: set = set()
-    for ts in terms_of(x):
-        f = ts.factors
-        for k, w in enumerate(f):
-            for c, d in word_splits(w):
-                out ^= {TString(f[:k] + (c, d) + f[k + 1 :])}
-    return CobElem(x.algebra, x.n, out)
+    for s in strings:
+        for t in tables.d_terms(s):
+            out ^= {t}
+    return tables.cob(out)
 
 
 def bar_diff(x: Union[CobElem, TString]) -> CobElem:
     """Merge two adjacent factors under the word product."""
+    tables, strings = _tables_for(x)
     out: set = set()
-    for ts in terms_of(x):
-        f = ts.factors
-        for k in range(len(f) - 1):
-            merged = mul_word(f[k], f[k + 1])
-            if merged is not None:
-                out ^= {TString(f[:k] + (merged,) + f[k + 2 :])}
-    return CobElem(x.algebra, x.n, out)
+    for s in strings:
+        for t in tables.merge_terms(s):
+            out ^= {t}
+    return tables.cob(out)
 
 
 def cobar_mul(f: Union[CobElem, TString], g: Union[CobElem, TString]) -> CobElem:
@@ -186,18 +331,10 @@ def phi(x: Union[CobElem, TString]) -> AlgElem:
     >>> phi(TString((AWord("u", 1, 1, n), AWord("s", 1, 1, n)))).render()
     'r1.s1'
     """
-    out = AlgElem.zero(dual_algebra(x.algebra), x.n)
-    for ts in terms_of(x):
-        if any(w.ell != 1 for w in ts.factors):
-            continue
-        acc: Optional[Word] = dict_image(ts.factors[-1])
-        for w in reversed(ts.factors[:-1]):
-            acc = mul_word(acc, dict_image(w))
-            if acc is None:
-                break
-        if acc is not None:
-            out = out + AlgElem.from_word(acc)
-    return out
+    tables, strings = _tables_for(x)
+    words = tables.other.words
+    images = (tables.phi_word(s) for s in strings)
+    return AlgElem.from_pairs(dual_algebra(x.algebra), x.n, ((0, words[p]) for p in images if p is not None))
 
 
 def psi(b: Union[AlgElem, Word]) -> CobElem:
@@ -210,29 +347,17 @@ def psi(b: Union[AlgElem, Word]) -> CobElem:
     """
     if not isinstance(b, AlgElem):
         b = AlgElem.from_word(b)
-    out: set = set()
     for word, coeff in b.terms.items():
         if word.is_idempotent():
             raise ValueError("psi is undefined on idempotents")
         if coeff != POLY_ONE:
             raise ValueError("psi acts on GF(2) combinations of words")
-        out ^= {TString(tuple(dict_image(l) for l in reversed(word_letters(word))))}
-    return CobElem(dual_algebra(b.algebra), b.n, out)
-
-
-def _block_length(ts: TString) -> int:
-    """Length of the maximal leading block: single-letter factors whose
-    consecutive images compose to nonzero products in the other algebra."""
-    f = ts.factors
-    if f[0].ell != 1:
-        return 0
-    n_block = 1
-    while n_block < len(f):
-        w = f[n_block]
-        if w.ell != 1 or mul_word(dict_image(w), dict_image(f[n_block - 1])) is None:
-            break
-        n_block += 1
-    return n_block
+    tables = _tables(dual_algebra(b.algebra), b.n, max((w.ell for w in b.terms), default=0))
+    ids = tables.other.ids
+    out: set = set()
+    for word in b.terms:
+        out ^= {tables.psi[ids[word]]}
+    return tables.cob(out)
 
 
 def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> CobElem:
@@ -249,16 +374,13 @@ def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> Cob
     """
     if fault is not None and fault[0] == "break-h":
         return CobElem.zero(x.algebra, x.n)
+    tables, strings = _tables_for(x)
     out: set = set()
-    for ts in terms_of(x):
-        f = ts.factors
-        n_block = _block_length(ts)
-        if n_block == 0 or n_block == len(f):
-            continue
-        merged = mul_word(f[n_block - 1], f[n_block])
-        if merged is not None:
-            out ^= {TString(f[: n_block - 1] + (merged,) + f[n_block + 1 :])}
-    return CobElem(x.algebra, x.n, out)
+    for s in strings:
+        h = tables.h_term(s)
+        if h is not None:
+            out ^= {h}
+    return tables.cob(out)
 
 
 def enumerate_strings(algebra: str, max_total_len: int, n: int) -> Iterator[TString]:
@@ -279,16 +401,12 @@ def verify_homotopy(
     The sweep is serial, in enumeration order, and stops at the first string
     on which the identity fails.
     """
-
-    def _holds(ts: TString) -> bool:
-        lhs = cobar_diff(homotopy_h(ts, fault)) + homotopy_h(cobar_diff(ts), fault)
-        rhs = CobElem.of(ts)
-        image = phi(ts)
-        if not image.is_zero():
-            rhs = rhs + psi(image)
-        return lhs == rhs
-
-    return all(_holds(ts) for ts in enumerate_strings(base, max_total_len, n))
+    tables = _tables(base, n, max(max_total_len, 0))
+    for ts in enumerate_strings(base, max_total_len, n):
+        lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)
+        if lhs != rhs:
+            return False
+    return True
 
 
 __all__ = [

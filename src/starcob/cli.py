@@ -5,7 +5,8 @@ Exit codes: 0 for a clean run, 1 when a verification finds violations, 2 for
 configuration errors (N <= 2, a fault spec that the verify kind cannot
 inject, --max-arity or --max-len given to a verify kind that does not read
 it, and a bound that leaves nothing to check: --max-arity < 3 for the
-ainfty kinds, --max-len < 1 for homotopy, --n-max < 3 for cohomology).  Any
+ainfty kinds, --max-len < 0 for the ainfty kinds and grading, --max-len < 1
+for homotopy, --n-max < 3 for cohomology).  Any
 other exception is an internal error and propagates.  JSON reports carry a
 versioned "schema" field and record the full configuration including the
 seed, so equal configurations produce byte-identical output.  Every command
@@ -73,6 +74,12 @@ def _check_options(args) -> None:
             raise ConfigError(f"option {opt} does not apply to verify {args.kind}")
 
 
+def _check_max_len(args) -> None:
+    # --max-len 0 still sweeps the idempotent tuples; below 0 no word is left
+    if args.max_len is not None and args.max_len < 0:
+        raise ConfigError(f"--max-len {args.max_len} checks no tuple: verify {args.kind} needs --max-len >= 0")
+
+
 def _check_n(n: int) -> None:
     if n <= 2:
         raise ConfigError(f"the construction needs N > 2, got N={n}")
@@ -135,6 +142,7 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
     max_len = args.max_len if args.max_len is not None else (4 * n if algebra == "A" else 3 * n)
     if max_arity < 3:
         raise ConfigError(f"--max-arity {max_arity} checks no relation: verify {args.kind} needs --max-arity >= 3")
+    _check_max_len(args)
     violations = check_ainfty(algebra, max_arity, max_len, n, fault=fault)
     extra = {"max-arity": max_arity, "max-len": max_len, "fault": args.inject_fault}
     return violations, extra
@@ -165,6 +173,7 @@ def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
 
 def _verify_grading(args) -> tuple[list[dict], dict]:
     n = args.n
+    _check_max_len(args)
     violations = []
     for algebra in ("A", "B"):
         max_arity = args.max_arity if args.max_arity is not None else (2 * n + 2 if algebra == "A" else n + 2)

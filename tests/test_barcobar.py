@@ -9,6 +9,7 @@ import pytest
 from starcob.barcobar import (
     CobElem,
     TString,
+    _tables,
     bar_diff,
     cobar_diff,
     cobar_mul,
@@ -25,9 +26,13 @@ from starcob.staralg import (
     BWord,
     chain_ok,
     enumerate_basis,
+    dual_algebra,
     grading,
     idempotent,
     letter,
+    mul_word,
+    word_letters,
+    word_splits,
 )
 
 
@@ -258,3 +263,96 @@ def test_enumerate_strings_counts():
     for ts in enumerate_strings("A", 3, 3):
         for a, b in zip(ts.factors, ts.factors[1:]):
             assert chain_ok(a, b)
+
+
+# Object-level reference maps: the string maps as they were written on words
+# and TStrings before they ran on interned ids.  They are the oracle of the
+# table-driven kernel below.
+
+
+def _ref_cobar_diff(strings):
+    out = set()
+    for ts in strings:
+        f = ts.factors
+        for k, w in enumerate(f):
+            for c, d in word_splits(w):
+                out ^= {TString(f[:k] + (c, d) + f[k + 1 :])}
+    return out
+
+
+def _ref_block_length(ts):
+    f = ts.factors
+    if f[0].ell != 1:
+        return 0
+    n_block = 1
+    while n_block < len(f):
+        w = f[n_block]
+        if w.ell != 1 or mul_word(dict_image(w), dict_image(f[n_block - 1])) is None:
+            break
+        n_block += 1
+    return n_block
+
+
+def _ref_homotopy_h(strings):
+    out = set()
+    for ts in strings:
+        f = ts.factors
+        n_block = _ref_block_length(ts)
+        if n_block == 0 or n_block == len(f):
+            continue
+        merged = mul_word(f[n_block - 1], f[n_block])
+        if merged is not None:
+            out ^= {TString(f[: n_block - 1] + (merged,) + f[n_block + 1 :])}
+    return out
+
+
+def _ref_phi(ts):
+    """The word phi(ts) of the other algebra, or None when it is zero."""
+    if any(w.ell != 1 for w in ts.factors):
+        return None
+    acc = dict_image(ts.factors[-1])
+    for w in reversed(ts.factors[:-1]):
+        acc = mul_word(acc, dict_image(w))
+        if acc is None:
+            return None
+    return acc
+
+
+def _ref_psi(word):
+    return TString(tuple(dict_image(l) for l in reversed(word_letters(word))))
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_matches_object_oracle(algebra, n):
+    # Every string of total length <= 6: the kernel's two sides of the
+    # certificate, and each public map built on it, equal the reference.
+    tables = _tables(algebra, n, 6)
+    swept = 0
+    for ts in enumerate_strings(algebra, 6, n):
+        swept += 1
+        ref_lhs = _ref_cobar_diff(_ref_homotopy_h({ts})) ^ _ref_homotopy_h(_ref_cobar_diff({ts}))
+        ref_rhs = {ts}
+        image = _ref_phi(ts)
+        if image is not None:
+            ref_rhs ^= {_ref_psi(image)}
+        lhs, rhs = tables.homotopy_sides(tables.intern(ts))
+        assert tables.cob(lhs).terms == ref_lhs, ts.render()
+        assert tables.cob(rhs).terms == ref_rhs, ts.render()
+        assert (cobar_diff(homotopy_h(ts)) + homotopy_h(cobar_diff(ts))).terms == ref_lhs
+        assert cobar_diff(ts).terms == _ref_cobar_diff({ts})
+        assert homotopy_h(ts).terms == _ref_homotopy_h({ts})
+        expected = AlgElem.zero(dual_algebra(algebra), n) if image is None else AlgElem.from_word(image)
+        assert phi(ts) == expected
+        assert tables.block_length(tables.intern(ts)) == _ref_block_length(ts)
+    assert swept > 0
+    for w in enumerate_basis(dual_algebra(algebra), 6, n):
+        if not w.is_idempotent():
+            assert psi(w).terms == {_ref_psi(w)}
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_break_h_fails_the_sweep(algebra, n):
+    assert verify_homotopy(6, n, algebra)
+    assert not verify_homotopy(6, n, algebra, fault=("break-h",))

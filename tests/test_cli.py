@@ -255,6 +255,10 @@ def test_csv_format_only_on_cohomology(argv, capsys):
         (["verify", "ainfty-a", "--max-arity", "2"], "--max-arity"),
         (["verify", "ainfty-b", "--max-arity", "2"], "--max-arity"),
         (["cohomology", "--n-max", "2"], "--n-max"),
+        (["verify", "ainfty-a", "--max-len", "-1"], "--max-len"),
+        (["verify", "ainfty-b", "--max-len", "-1"], "--max-len"),
+        (["verify", "grading", "--max-len", "-1"], "--max-len"),
+        (["verify", "ainfty-a", "--max-arity", "3", "--max-len", "-5"], "--max-len"),
     ],
 )
 def test_empty_sweep_is_config_error(argv, option, capsys):
@@ -272,6 +276,9 @@ def test_empty_sweep_is_config_error(argv, option, capsys):
         ["verify", "ainfty-a", "--max-arity", "3"],
         ["verify", "ainfty-b", "--max-arity", "3"],
         ["cohomology", "--n-max", "3"],
+        ["verify", "ainfty-a", "--max-len", "0"],
+        ["verify", "ainfty-b", "--max-len", "0"],
+        ["verify", "grading", "--max-len", "0"],
     ],
 )
 def test_smallest_sweep_is_accepted(argv, capsys):

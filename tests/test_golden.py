@@ -47,6 +47,12 @@ GOLDEN = [
         0,
         "6f3b36fc22bcf95a1a992b146181aac7b974cbc0c704462785ae2eac2af685d2",
     ),
+    ("verify homotopy --n 3", 0, "cbff837c4d4f7ae50dffa66e706ce5589541343a2317f002f9814f1217deac84"),
+    (
+        "verify homotopy --n 4 --max-len 7",
+        0,
+        "148012380972180d9ea7ac774ecbe56978840507423873ce0acef921e181da54",
+    ),
 ]
 
 
