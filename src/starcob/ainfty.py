@@ -10,12 +10,8 @@ cycle of edge letters maps to V_{N+1} times an idempotent, again with
 one-sided extended variants.  All other tuples map to zero, as do tuples
 containing a unit in arity > 2.
 
-check_ainfty evaluates the A-infinity relation exhaustively in arity 3 and on
-a provably complete candidate set in higher arities: a relation term can only
-be nonzero if the tuple contains a passing window of a higher operation
-(window plus arbitrary chained fillers) or contracts onto one under the
-binary product (single-entry splits of a passing window), so every other
-tuple vanishes termwise.
+check_ainfty evaluates the A-infinity relation on every tuple within bounds
+that has a nonzero term, read off the nonzero operations themselves.
 """
 from __future__ import annotations
 
@@ -41,7 +37,6 @@ from .staralg import (
     split_a_word,
     split_b_word,
     word_sort_key,
-    word_splits,
     words_of_length,
     zero_grading,
 )
@@ -186,7 +181,16 @@ def _classify_b(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None)
 
 
 def _mu_pairs(algebra: str, entries: Sequence[Entry], n: int, fault: Optional[tuple] = None) -> tuple[str, list[Entry]]:
-    """Operation value on a single tuple of (coefficient exponent, word) entries."""
+    """Operation value on a single tuple of (coefficient exponent, word) entries.
+
+    The higher operations are not GF(2)[V]-linear in an entry that carries a
+    coefficient.  For A, the grading of V0^e (weight (e,...,e), length 2Ne)
+    counts toward the weight and length tests, so mu_{2N}(V0*x, ..) = 0 even
+    where mu_{2N}(x, ..) != 0; V0^e*x can pass where x fails only when it
+    stands in for e full turns of letters, which needs j >= N + 1 (arity 2N^2
+    and up).  For B, every bare-edge slot needs exponent 0, and only the
+    extended end entry may carry V_{N+1}^e, which multiplies into the value.
+    """
     arity = len(entries)
     if arity == 0:
         raise ValueError("operations need at least one input")
@@ -345,41 +349,38 @@ def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> lis
     return sorted(windows, key=lambda t: tuple(word_sort_key(w) for w in t))
 
 
-def _entry_splits(algebra: str, w: Word, n: int) -> list[tuple[Word, Word]]:
-    """All pairs (c, d) of basis words with mu_2(c, d) equal to w."""
-    return [(idempotent(algebra, w.entry, n), w), (w, idempotent(algebra, w.exit, n)), *word_splits(w)]
+def _relation_tuples(algebra: str, max_arity: int, max_total_len: int, n: int) -> set[tuple[Word, ...]]:
+    """Every tuple within bounds that can have a nonzero relation term.
 
-
-def _relation_arities(algebra: str, max_arity: int, n: int) -> list[int]:
-    valid = _valid_arities(algebra, n, max_arity)
-    out = []
-    for arity in range(4, max_arity + 1):
-        if any(r in valid and (arity - r + 1) in valid for r in range(2, arity)):
-            out.append(arity)
-    return out
-
-
-def _candidate_tuples(algebra: str, arity: int, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
+    A term mu_s(.., mu_r(W), ..) needs a nonzero operation W -> V^e*p, so the
+    tuples are read off nonzero_operations: W with a word c on either side
+    whose product with p is nonzero (outer mu_2), and W put in place of an
+    entry p of a passing window (outer higher operation).  The window lookup
+    drops the coefficient V^e; that is complete because an operation that is
+    nonzero on V^e*p is nonzero on p, always for B and for A below outer
+    arity 2N^2 (see _mu_pairs).
+    """
     index = WordIndex(algebra, max_total_len, n)
-    valid = _valid_arities(algebra, n, arity)
-    candidates: set[tuple[Word, ...]] = set()
-    for r in valid_higher_arities(algebra, n, arity - 1):
-        if (arity - r + 1) not in valid:
-            continue
-        for window in passing_windows(algebra, r, max_total_len, n):
-            w_len = sum(w.ell for w in window)
-            for pos in range(arity - r + 1):
-                for left in index.backward(pos, max_total_len - w_len, window[0].entry):
-                    used = w_len + sum(w.ell for w in left)
-                    for right in index.forward(arity - r - pos, max_total_len - used, window[-1].exit):
-                        candidates.add(left + window + right)
-    if (arity - 1) in valid and arity - 1 > 2:
-        for window in passing_windows(algebra, arity - 1, max_total_len, n):
-            for t, entry in enumerate(window):
-                for c, d in _entry_splits(algebra, entry, n):
-                    candidates.add(window[:t] + (c, d) + window[t + 1 :])
-    out = [t for t in candidates if sum(w.ell for w in t) <= max_total_len]
-    out.sort(key=lambda t: tuple(word_sort_key(w) for w in t))
+    ops = [op for op in nonzero_operations(algebra, max_arity - 1, max_total_len, n) if len(op[0]) < max_arity]
+    windows_at: dict[Word, list[tuple[tuple[Word, ...], int]]] = {}
+    for window, _ in ops:
+        if len(window) > 2:
+            for k, w in enumerate(window):
+                windows_at.setdefault(w, []).append((window, k))
+    out: set[tuple[Word, ...]] = set()
+    for inputs, outputs in ops:
+        budget = max_total_len - sum(w.ell for w in inputs)
+        for _, p in outputs:
+            for c in index.by_exit[p.entry]:
+                if c.ell <= budget and mul_word(c, p) is not None:
+                    out.add((c,) + inputs)
+            for c in index.by_entry[p.exit]:
+                if c.ell <= budget and mul_word(p, c) is not None:
+                    out.add(inputs + (c,))
+            for window, k in windows_at.get(p, ()):
+                t = window[:k] + inputs + window[k + 1 :]
+                if len(t) <= max_arity and sum(w.ell for w in t) <= max_total_len:
+                    out.add(t)
     return out
 
 
@@ -401,23 +402,15 @@ def check_ainfty(
 ) -> list[dict]:
     """Violations of the A-infinity relations within the given bounds.
 
-    Arity 3 is swept over every chained triple of basis words; higher arities
-    are swept over the complete candidate set described in the module
-    docstring.  The candidate set is generated from the unfaulted operation
-    tables, so injected faults cannot hide violations.  The sweep is serial
-    and covers every tuple; violations are sorted by arity, then inputs.
+    The relation is evaluated on every tuple that has a nonzero term (see
+    _relation_tuples).  Those tuples are read off the unfaulted operations and
+    a fault only deletes values, so injected faults cannot hide violations.
+    The sweep is serial; violations are sorted by arity, then inputs.
     """
     if n <= 2:
         raise ValueError("the construction needs N > 2")
-
-    def _tuples() -> Iterator[tuple[Word, ...]]:
-        if max_arity >= 3:
-            yield from WordIndex(algebra, max_total_len, n).forward(3, max_total_len)
-        for arity in _relation_arities(algebra, max_arity, n):
-            yield from _candidate_tuples(algebra, arity, max_total_len, n)
-
     violations: list[dict] = []
-    for words in _tuples():
+    for words in _relation_tuples(algebra, max_arity, max_total_len, n):
         total = relation_sum(algebra, words, n, fault)
         if not total.is_zero():
             violations.append(_violation(algebra, words, total))

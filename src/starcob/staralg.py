@@ -595,16 +595,6 @@ class WordIndex:
                 for rest in self.forward(k - 1, budget - w.ell, w.exit):
                     yield (w,) + rest
 
-    def backward(self, k: int, budget: int, exit: int) -> Iterator[tuple[Word, ...]]:
-        """Chained k-tuples whose last word is left at `exit`."""
-        if k == 0:
-            yield ()
-            return
-        for w in self.by_exit[exit]:
-            if w.ell <= budget:
-                for rest in self.backward(k - 1, budget - w.ell, w.entry):
-                    yield rest + (w,)
-
     def chains(self, budget: int, entry: Optional[int] = None) -> Iterator[tuple[Word, ...]]:
         """Chained tuples of every arity >= 1, each right before its extensions."""
         for w in self._starts(entry):

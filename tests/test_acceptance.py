@@ -73,6 +73,11 @@ def test_criterion_02_b_relations_hold():
     for big_n in (3, 4, 5):
         violations = check_ainfty("B", big_n + 2, 3 * big_n, big_n)
         assert violations == [], violations[:3]
+    # Windows that compose two higher operations, mu_N(.., mu_N(..), ..),
+    # of arity 2N - 1; the default arity N + 2 misses them for N >= 4.
+    for big_n, max_arity, max_len in ((4, 7, 10), (5, 9, 12)):
+        violations = check_ainfty("B", max_arity, max_len, big_n)
+        assert violations == [], violations[:3]
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0
     _report(2, elapsed)

@@ -1,13 +1,17 @@
 """Tests for the higher operations and the relation checker."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
 
+from starcob import ainfty
 from starcob.ainfty import (
-    _candidate_tuples,
+    TAG_CENTERED,
+    TAG_ZERO,
     _mu_pairs,
+    _relation_tuples,
     check_ainfty,
     mu_a,
     mu_b,
@@ -175,101 +179,91 @@ def test_fault_changes_single_operation():
     assert kept.value == clean.value
 
 
-def _has_nonzero_term(algebra, words, n):
-    """Whether some composed term mu(.., mu(..), ..) of the relation on the
-    tuple is nonzero, over every split and unfaulted operation."""
-    base = [(0, w) for w in words]
-    size = len(words)
-    for r in range(2, size):
-        for k in range(size - r + 1):
-            for pair in _mu_pairs(algebra, base[k : k + r], n)[1]:
-                if _mu_pairs(algebra, base[:k] + [pair] + base[k + r :], n)[1]:
-                    return True
-    return False
+def _term_oracle(algebra, n):
+    """Whether some composed term mu(.., mu(..), ..) of the relation on a
+    tuple is nonzero, over every split and unfaulted operation.  Operation
+    values are memoized per oracle, which meets the same sub-tuples often."""
+    op = functools.cache(lambda entries: _mu_pairs(algebra, entries, n)[1])
 
-
-def _candidate_definition(algebra, tuples, arity, max_len, n):
-    """The tuples that the candidate set is defined to hold: those with a
-    contiguous passing window of a valid arity r (whose outer arity
-    arity - r + 1 is valid too), and those with one adjacent pair whose
-    product turns the tuple into a passing window of arity - 1."""
-    valid = {2, *valid_higher_arities(algebra, n, arity)}
-    windows = {
-        r: set(passing_windows(algebra, r, max_len, n))
-        for r in valid_higher_arities(algebra, n, arity - 1)
-        if arity - r + 1 in valid
-    }
-    merged = set()
-    if arity - 1 in valid and arity - 1 > 2:
-        merged = set(passing_windows(algebra, arity - 1, max_len, n))
-
-    def belongs(t):
-        for r, found in windows.items():
-            if any(t[k : k + r] in found for k in range(arity - r + 1)):
-                return True
-        for k in range(arity - 1):
-            product = mul_word(t[k], t[k + 1])
-            if product is not None and t[:k] + (product,) + t[k + 2 :] in merged:
-                return True
+    def has_term(words):
+        base = tuple((0, w) for w in words)
+        size = len(words)
+        for r in range(2, size):
+            for k in range(size - r + 1):
+                for pair in op(base[k : k + r]):
+                    if op(base[:k] + (pair,) + base[k + r :]):
+                        return True
         return False
 
-    return {t for t in tuples if belongs(t)}
+    return has_term
+
+
+def _swept(algebra, arity, max_len, n=3):
+    """The tuples of one arity that check_ainfty evaluates."""
+    return {t for t in _relation_tuples(algebra, arity, max_len, n) if len(t) == arity}
 
 
 def test_candidate_set_complete_against_brute_force():
-    # Every chained tuple (idempotents included) whose relation sum is nonzero
-    # must lie in the candidate set that check_ainfty sweeps in higher arity,
-    # and every candidate must be such a chained tuple.  The candidate set
-    # must also equal its definition over the same tuples, so that a dropped
-    # filler position or entry split fails even where the two kinds overlap.
-    # A: N=3, arity 7, length <= 7, with a dropped centered component so
-    # that the sweep has violations to find.
-    fault = ("drop-a-centered", 0)
-    tuples = list(WordIndex("A", 7, 3).forward(7, 7))
-    assert len(tuples) == 145917
-    candidates = set(_candidate_tuples("A", 7, 7, 3))
-    assert candidates <= set(tuples)  # chained and within the length bound
-    assert candidates == _candidate_definition("A", tuples, 7, 7, 3)
-    violating = [t for t in tuples if not relation_sum("A", t, 3, fault).is_zero()]
-    assert violating
-    assert set(violating) <= candidates
-    # B: N=3, arity 4 (length <= 6) and arity 5 (length <= 7).  The relations
-    # hold there, so check the stronger claim that every tuple with a nonzero
-    # term is a candidate.  Arity-5 candidates come from chained fillers on
-    # both sides of a window alone, with no entry splits.
-    for arity, max_len, count in ((4, 6, 3867), (5, 7, 21549)):
-        tuples = list(WordIndex("B", max_len, 3).forward(arity, max_len))
+    # In each arity the swept tuples are exactly the chained tuples
+    # (idempotents included) that have a nonzero relation term, over every
+    # split and unfaulted operation.  Arity 3 has only mu_2 o mu_2 terms; A
+    # arity 7 has mu_6 o mu_2 and mu_2 o mu_6; B arity 5 at N=3 has mu_3 o mu_3.
+    for algebra, arity, max_len, count in (
+        ("A", 3, 4, 387),
+        ("B", 3, 4, 387),
+        ("A", 7, 7, 145917),
+        ("B", 4, 6, 3867),
+        ("B", 5, 7, 21549),
+    ):
+        tuples = list(WordIndex(algebra, max_len, 3).forward(arity, max_len))
         assert len(tuples) == count
-        candidates = set(_candidate_tuples("B", arity, max_len, 3))
-        assert candidates <= set(tuples)
-        assert candidates == _candidate_definition("B", tuples, arity, max_len, 3)
-        assert all(relation_sum("B", t, 3).is_zero() for t in tuples)
-        with_terms = {t for t in tuples if _has_nonzero_term("B", t, 3)}
-        assert with_terms
-        assert with_terms <= candidates
+        swept = _swept(algebra, arity, max_len)
+        assert swept
+        assert swept == set(filter(_term_oracle(algebra, 3), tuples))
+        if (algebra, arity) == ("A", 7):
+            # A dropped centered component gives violations, and each lies
+            # in the set built from the unfaulted operations.
+            fault = ("drop-a-centered", 0)
+            violating = {t for t in tuples if not relation_sum("A", t, 3, fault).is_zero()}
+            assert violating
+            assert violating <= swept
 
 
-def test_entry_splits_of_deep_windows_are_candidates(monkeypatch):
-    # At the windows above, every entry split is also reached by a filler or
-    # by the other idempotent split.  Splits into two non-idempotent words
-    # add tuples of their own first at A, N=3, arity 11, from the arity-10
-    # (j = 2) windows.  The arity-6 windows with five fillers make that
-    # candidate set cost about 10 s, so they are left out here.
-    real = passing_windows
-    monkeypatch.setattr(
-        "starcob.ainfty.passing_windows",
-        lambda algebra, r, max_len, n: [] if r == 6 else real(algebra, r, max_len, n),
-    )
-    candidates = set(_candidate_tuples("A", 11, 12, 3))
+def test_relation_tuples_complete_when_relations_fail(monkeypatch):
+    # Where the relations hold, every tuple with a nonzero term has a second
+    # one, so the test above cannot tell if one way of building tuples is
+    # lost.  With the centered B value at node 1 dropped from the operation
+    # itself, tuples with a single nonzero term occur for an outer mu_2 on
+    # either side and for an outer mu_3; the swept set must still equal the
+    # brute-force one.
+    classify = ainfty._classify_b
+
+    def dropped(entries, n, fault=None):
+        tag, value = classify(entries, n, fault)
+        if tag == TAG_CENTERED and entries[-1][1].init == 1:
+            return (TAG_ZERO, [])
+        return (tag, value)
+
+    monkeypatch.setattr(ainfty, "_classify_b", dropped)
+    tuples = list(WordIndex("B", 6, 3).forward(4, 6))
+    assert _swept("B", 4, 6) == set(filter(_term_oracle("B", 3), tuples))
+    assert sum(not relation_sum("B", t, 3).is_zero() for t in tuples) == 12
+
+
+def test_entry_splits_of_deep_windows_are_candidates():
+    # Splitting one entry of an arity-10 (j = 2) window into two
+    # non-idempotent words gives arity-11 tuples with a mu_10 o mu_2 term;
+    # they first occur at A, N=3, length <= 12.
+    swept = _swept("A", 11, 12)
     index = WordIndex("A", 12, 3, idempotents=False)
     splits = set()
-    for window in real("A", 10, 12, 3):
+    for window in passing_windows("A", 10, 12, 3):
         for t, w in enumerate(window):
             for c, d in index.forward(2, w.ell, entry=w.entry):
                 if mul_word(c, d) == w:
                     splits.add(window[:t] + (c, d) + window[t + 1 :])
     assert splits
-    assert splits <= candidates
+    assert splits <= swept
 
 
 def test_parse_fault():

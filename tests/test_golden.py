@@ -53,6 +53,19 @@ GOLDEN = [
         0,
         "148012380972180d9ea7ac774ecbe56978840507423873ce0acef921e181da54",
     ),
+    # The first A window that reaches the j = 2 operation: 396 violations
+    # under today's definition of mu_{4N-2} (ROADMAP item 1).
+    (
+        "verify ainfty-a --n 3 --max-arity 11 --max-len 12",
+        1,
+        "14b26c04ff25cda1dc39b6392a02eee89a7d9c14a2136c7d3f02bbeba45aa372",
+    ),
+    # A B window that composes two higher operations, mu_N(.., mu_N(..), ..).
+    (
+        "verify ainfty-b --n 4 --max-arity 7 --max-len 10",
+        0,
+        "b6687378f58fc07cbc60556bde4aa7543eb61fa266bfb8f7bf0f729aa0e9567d",
+    ),
 ]
 
 

@@ -206,14 +206,13 @@ def test_entry_exit_nodes():
 
 
 def test_word_index_chains_against_brute_force():
-    # Forward and backward chains of k = 2, 3 words, idempotents included,
+    # Forward chains of k = 2, 3 words, idempotents included,
     # against a filter over all k-fold products of basis words.
     def seam(algebra, a, b):
         return a.fin == b.init if algebra == "A" else a.init == b.fin
 
     for algebra in ("A", "B"):
         first_node = (lambda w: w.init) if algebra == "A" else (lambda w: w.fin)
-        last_node = (lambda w: w.fin) if algebra == "A" else (lambda w: w.init)
         for n in (3, 4):
             basis = enumerate_basis(algebra, 4, n)
             index = WordIndex(algebra, 4, n)
@@ -230,10 +229,8 @@ def test_word_index_chains_against_brute_force():
                     assert set(fwd) == set(within)
                     for node in range(1, n + 1):
                         fwd = list(index.forward(k, budget, entry=node))
-                        bwd = list(index.backward(k, budget, exit=node))
-                        assert len(fwd) == len(set(fwd)) and len(bwd) == len(set(bwd))
+                        assert len(fwd) == len(set(fwd))
                         assert set(fwd) == {t for t in within if first_node(t[0]) == node}
-                        assert set(bwd) == {t for t in within if last_node(t[-1]) == node}
 
 
 def test_full_cycle_and_loop_words():
