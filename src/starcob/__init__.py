@@ -16,7 +16,7 @@ from .ainfty import (
     op_grading_check,
     parse_fault,
     passing_windows,
-    relation_sum,
+    relation_value as relation_sum,  # takes basis words; ainfty.relation_sum is its id-level form
     valid_higher_arities,
 )
 from .staralg import (

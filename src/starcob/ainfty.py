@@ -10,8 +10,17 @@ cycle of edge letters maps to V_{N+1} times an idempotent, again with
 one-sided extended variants.  All other tuples map to zero, as do tuples
 containing a unit in arity > 2.
 
+The operations run on interned word ids.  `_OpTables` holds the basis words
+of one algebra and N up to a length bound as small ints, with the columns the
+classifier reads (length, entry/exit node, product, factorizations, packed
+weight vector, the idempotent at each word's initial node, the drop-mu2N
+component), built lazily, once per (algebra, N, bound).  `_classify` is the
+one operation classifier, on (exponent, id) entries: mu_a, mu_b,
+nonzero_operations and relation_value intern their inputs and call it.
+
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
-that has a nonzero term, read off the nonzero operations themselves.
+that has a nonzero term, read off the nonzero operations themselves; the
+sweep runs on id tuples and renders words only for violations.
 """
 from __future__ import annotations
 
@@ -20,28 +29,27 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Iterator, Optional, Sequence, Union
 
-from .ring import Monomial, mono_mul
+from .ring import Monomial
 from .staralg import (
     AlgElem,
     AWord,
     BWord,
     Grading,
     Word,
-    WordIndex,
     advance,
-    chain_ok,
+    coeff_var,
     grading,
     idempotent,
     mono_grading,
     mul_word,
-    split_a_word,
-    split_b_word,
+    var_grading,
     word_sort_key,
+    word_splits,
     words_of_length,
     zero_grading,
 )
 
-Entry = tuple  # (coefficient exponent, Word)
+Entry = tuple  # (coefficient exponent, word id) inside the kernel, (exponent, Word) outside
 
 TAG_ZERO = "zero"
 TAG_BINARY = "binary"
@@ -73,115 +81,83 @@ def _entry_grading(algebra: str, exp: Monomial, word: Word, n: int) -> Grading:
     return mono_grading(exp, algebra, n) + g if exp else g
 
 
-def _is_unit(exp: Monomial, word: Word) -> bool:
-    return word.is_idempotent() and exp == 0
+class _OpTables:
+    """The basis words of one algebra and N with length <= max_len, interned,
+    with the columns the operation classifier reads.
+
+    Ids are canonical: the N idempotents are ids 0..N-1, then the words of
+    each length 1..max_len in `words_of_length` order.  Each call on the
+    tables keeps the graded length of its entries (a coefficient V^e counts
+    the length of V^e) within max_len.  A weight vector is packed into one
+    int, slot k in bits [k*width, (k+1)*width), and `width` holds max_len,
+    so no slot of a sum over such entries carries into the next.
+    """
+
+    def __init__(self, algebra: str, n: int, max_len: int):
+        self.algebra = algebra
+        self.n = n
+        self.max_len = max_len
+        words = self.words = [w for ell in range(max_len + 1) for w in words_of_length(algebra, ell, n)]
+        ids = self.ids = {w: a for a, w in enumerate(words)}
+        self.ell = [w.ell for w in words]
+        self.entry = [w.entry for w in words]
+        self.exit = [w.exit for w in words]
+        self.by_entry: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
+        self.by_exit: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
+        for a, w in enumerate(words):
+            self.by_entry[w.entry].append(a)
+            self.by_exit[w.exit].append(a)
+        # mul[a][b]: the id of a*b, for the nonzero products of length <= max_len,
+        # in canonical order of b; a product is nonzero only across a chained seam
+        self.mul: list[dict[int, int]] = [{} for _ in words]
+        for a, x in enumerate(words):
+            for b in self.by_entry[x.exit]:
+                y = words[b]
+                if x.ell + y.ell <= max_len:
+                    xy = mul_word(x, y)
+                    if xy is not None:
+                        self.mul[a][b] = ids[xy]
+        # splits[a][k - 1]: the factorization of a with a k-letter head (A) or
+        # a k-letter first-applied part (B), as in word_splits
+        self.splits = [tuple((ids[c], ids[d]) for c, d in word_splits(w)) for w in words]
+        # init_unit[a]: the idempotent at the initial node of a
+        self.init_unit = [ids[idempotent(algebra, w.init, n)] for w in words]
+        width = max(max_len, 1).bit_length()
+
+        def pack(vec: tuple) -> int:
+            return sum(v << (width * k) for k, v in enumerate(vec))
+
+        self.weight = [pack(grading(w).alexander) for w in words]
+        self.ones = pack((1,) * (2 * n))
+        g = var_grading(coeff_var(algebra, n), n)
+        self.coeff_len = g.ell
+        self.coeff_weight = pack(g.alexander)
+        if algebra == "A":
+            # component[a]: the centered component drop-mu2N:k removes when a is first
+            self.component = [2 * (w.start - 1) + (0 if w.kind == "u" else 1) for w in words]
+        else:
+            # the bare edge letters, and each word with its first- or
+            # last-applied edge letter taken off (None unless the word has
+            # one and two or more letters)
+            self.edge_letters = frozenset(ids[w] for w in words if w.ell == 1 and w.first == "s")
+            self.rest_after_first = [sp[0][0] if sp and w.first == "s" else None for w, sp in zip(words, self.splits)]
+            self.rest_before_last = [sp[-1][1] if sp and w.last == "s" else None for w, sp in zip(words, self.splits)]
 
 
-def _classify_a(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None) -> tuple[str, list[Entry]]:
-    arity = len(entries)
-    words = [w for _, w in entries]
-    if any(_is_unit(m, w) for m, w in entries):
-        return (TAG_ZERO, [])
-    if not all(map(chain_ok, words, words[1:])):
-        return (TAG_ZERO, [])
-    step = 2 * n - 2
-    if (arity - 2) % step:
-        return (TAG_ZERO, [])
-    j = (arity - 2) // step
-    if j < 1:
-        return (TAG_ZERO, [])
-    gradings = [_entry_grading("A", m, w, n) for m, w in entries]
-    total_len = sum(g.ell for g in gradings)
-    target_vec = tuple(j for _ in range(2 * n))
-    coeff = j  # V0^j times the entry coefficients
-    for m, _ in entries:
-        coeff = mono_mul(coeff, m)
-    excess = total_len - 2 * n * j
-
-    if excess == 0:
-        if tuple(sum(v) for v in zip(*(g.alexander for g in gradings))) != target_vec:
-            return (TAG_ZERO, [])
-        if fault is not None and fault[0] == "drop-a-centered":
-            w0 = words[0]
-            comp = 2 * (w0.start - 1) + (0 if w0.kind == "u" else 1)
-            if fault[1] is None or fault[1] == comp:
-                return (TAG_ZERO, [])
-        return (TAG_CENTERED, [(coeff, idempotent("A", words[0].init, n))])
-
-    if excess < 0:
-        return (TAG_ZERO, [])
-
-    def _try_left() -> Optional[Entry]:
-        split = split_a_word(words[0], excess)
-        if split is None:
-            return None
-        head, tail = split
-        vec = list(grading(tail).alexander)
-        for g in gradings[1:]:
-            vec = [a + b for a, b in zip(vec, g.alexander)]
-        if tuple(vec) != target_vec:
-            return None
-        return (coeff, head)
-
-    def _try_right() -> Optional[Entry]:
-        split = split_a_word(words[-1], words[-1].length - excess)
-        if split is None:
-            return None
-        head, tail = split
-        vec = list(grading(head).alexander)
-        for g in gradings[:-1]:
-            vec = [a + b for a, b in zip(vec, g.alexander)]
-        if tuple(vec) != target_vec:
-            return None
-        return (0, tail)
-
-    left = _try_left()
-    right = _try_right()
-    if left is not None and right is not None:
-        raise RuntimeError("tuple classifies as both left- and right-extended")
-    if left is not None:
-        return (TAG_LEFT, [left])
-    if right is not None:
-        return (TAG_RIGHT, [(coeff, right[1])])
-    return (TAG_ZERO, [])
+@functools.lru_cache(maxsize=64)
+def _op_tables(algebra: str, n: int, max_len: int) -> _OpTables:
+    """The tables of one (algebra, N, max_len), built on first use."""
+    return _OpTables(algebra, n, max_len)
 
 
-def _classify_b(entries: Sequence[Entry], n: int, fault: Optional[tuple] = None) -> tuple[str, list[Entry]]:
-    arity = len(entries)
-    words = [w for _, w in entries]
-    if any(_is_unit(m, w) for m, w in entries):
-        return (TAG_ZERO, [])
-    if arity != n or not all(map(chain_ok, words, words[1:])):
-        return (TAG_ZERO, [])
-
-    def _bare_sigma(k: int) -> bool:
-        m, w = entries[k]
-        return m == 0 and w.kind == "c" and w.first == "s" and w.length == 1
-
-    coeff = 1  # V_{N+1} times the entry coefficients
-    for m, _ in entries:
-        coeff = mono_mul(coeff, m)
-
-    if all(_bare_sigma(k) for k in range(arity)):
-        return (TAG_CENTERED, [(coeff, idempotent("B", words[-1].init, n))])
-
-    if all(_bare_sigma(k) for k in range(1, arity)):
-        w0 = words[0]
-        if w0.kind == "c" and w0.length >= 2 and w0.first == "s":
-            remainder = split_b_word(w0, 1)[0]
-            return (TAG_LEFT, [(coeff, remainder)])
-
-    if all(_bare_sigma(k) for k in range(arity - 1)):
-        wn = words[-1]
-        if wn.kind == "c" and wn.length >= 2 and wn.last == "s":
-            remainder = split_b_word(wn, wn.length - 1)[1]
-            return (TAG_RIGHT, [(coeff, remainder)])
-
-    return (TAG_ZERO, [])
+def _dropped(fault: Optional[tuple]) -> Optional[int]:
+    """The centered A component a fault spec drops, or None."""
+    return fault[1] if fault is not None and fault[0] == "drop-a-centered" else None
 
 
-def _mu_pairs(algebra: str, entries: Sequence[Entry], n: int, fault: Optional[tuple] = None) -> tuple[str, list[Entry]]:
-    """Operation value on a single tuple of (coefficient exponent, word) entries.
+def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = None) -> Optional[tuple[str, int, int]]:
+    """The operation on (coefficient exponent, word id) entries, as
+    (tag, exponent, id), or None when it vanishes.
 
     The higher operations are not GF(2)[V]-linear in an entry that carries a
     coefficient.  For A, the grading of V0^e (weight (e,...,e), length 2Ne)
@@ -190,21 +166,67 @@ def _mu_pairs(algebra: str, entries: Sequence[Entry], n: int, fault: Optional[tu
     stands in for e full turns of letters, which needs j >= N + 1 (arity 2N^2
     and up).  For B, every bare-edge slot needs exponent 0, and only the
     extended end entry may carry V_{N+1}^e, which multiplies into the value.
+    `drop` is the centered A component a fault removes.
     """
     arity = len(entries)
-    if arity == 0:
-        raise ValueError("operations need at least one input")
-    if arity == 1:
-        return (TAG_ZERO, [])
     if arity == 2:
-        (ma, wa), (mb, wb) = entries
-        word = mul_word(wa, wb)
-        if word is None:
-            return (TAG_ZERO, [])
-        return (TAG_BINARY, [(mono_mul(ma, mb), word)])
-    if algebra == "A":
-        return _classify_a(entries, n, fault)
-    return _classify_b(entries, n, fault)
+        (ea, a), (eb, b) = entries
+        p = ops.mul[a].get(b)
+        return None if p is None else (TAG_BINARY, ea + eb, p)
+    n = ops.n
+    is_a = ops.algebra == "A"
+    if arity < 3 or ((arity - 2) % (2 * n - 2) if is_a else arity != n):
+        return None
+    ell, weight, exit_, entry = ops.ell, ops.weight, ops.exit, ops.entry
+    exps = length = total = 0
+    prev = None
+    for e, a in entries:
+        if (a < n and not e) or (prev is not None and exit_[prev] != entry[a]):  # a unit, or not chained
+            return None
+        exps += e
+        length += ell[a]
+        total += weight[a]
+        prev = a
+    (e0, w0), (el, wl) = entries[0], entries[-1]
+    if not is_a:
+        edge = ops.edge_letters
+        bare = [not e and a in edge for e, a in entries]
+        if all(bare):
+            return (TAG_CENTERED, 1 + exps, ops.init_unit[wl])
+        if all(bare[1:]) and ops.rest_after_first[w0] is not None:
+            return (TAG_LEFT, 1 + exps, ops.rest_after_first[w0])
+        if all(bare[:-1]) and ops.rest_before_last[wl] is not None:
+            return (TAG_RIGHT, 1 + exps, ops.rest_before_last[wl])
+        return None
+    j = (arity - 2) // (2 * n - 2)
+    excess = length + ops.coeff_len * exps - 2 * n * j
+    if excess < 0:
+        return None
+    cw = ops.coeff_weight
+    total += cw * exps
+    target = ops.ones * j
+    if excess == 0:
+        if total != target or ops.component[w0] == drop:
+            return None
+        return (TAG_CENTERED, j + exps, ops.init_unit[w0])
+    left = right = None
+    splits = ops.splits[w0]
+    if excess <= len(splits):
+        head, tail = splits[excess - 1]
+        if weight[tail] + total - weight[w0] - cw * e0 == target:
+            left = head
+    splits = ops.splits[wl]
+    if excess <= len(splits):
+        head, tail = splits[len(splits) - excess]
+        if weight[head] + total - weight[wl] - cw * el == target:
+            right = tail
+    if left is not None and right is not None:
+        raise RuntimeError("tuple classifies as both left- and right-extended")
+    if left is not None:
+        return (TAG_LEFT, j + exps, left)
+    if right is not None:
+        return (TAG_RIGHT, j + exps, right)
+    return None
 
 
 def _as_pairs(x: Union[AlgElem, Word]) -> list[Entry]:
@@ -216,16 +238,20 @@ def _as_pairs(x: Union[AlgElem, Word]) -> list[Entry]:
 def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple] = None) -> OpResult:
     if not seq:
         raise ValueError("operations need at least one input")
-    first = seq[0]
-    n = first.n
+    n = seq[0].n
     pair_lists = [_as_pairs(x) for x in seq]
-    terms: list[Entry] = []
+    coeff_len = var_grading(coeff_var(algebra, n), n).ell
+    bound = sum(max((w.ell + coeff_len * e for e, w in pairs), default=0) for pairs in pair_lists)
+    ops = _op_tables(algebra, n, bound)
+    drop = _dropped(fault)
+    terms: list[tuple[Monomial, Word]] = []
     tags: set[str] = set()
-    for combo in iter_product(*pair_lists):
-        tag, pairs = _mu_pairs(algebra, combo, n, fault)
-        if pairs:
+    for combo in iter_product(*([(e, ops.ids[w]) for e, w in pairs] for pairs in pair_lists)):
+        res = _classify(ops, combo, drop)
+        if res is not None:
+            tag, e, p = res
             tags.add(tag)
-            terms.extend(pairs)
+            terms.append((e, ops.words[p]))
     value = AlgElem.from_pairs(algebra, n, terms)
     if value.is_zero():
         return OpResult(value, TAG_ZERO)
@@ -265,25 +291,42 @@ def _valid_arities(algebra: str, n: int, max_arity: int) -> frozenset:
     return frozenset({2, *valid_higher_arities(algebra, n, max_arity)})
 
 
-def relation_sum(algebra: str, words: Sequence[Word], n: int, fault: Optional[tuple] = None) -> AlgElem:
-    """Sum of all composed operation terms on a tuple of basis words.
+def relation_sum(ops: _OpTables, ids: tuple, drop: Optional[int] = None) -> dict[int, int]:
+    """Sum of all composed operation terms on a tuple of word ids, as
+    {id: coefficient bitmask}, nonzero coefficients only.
 
     Only splits whose inner arity r and outer arity size - r + 1 are both
-    valid are visited; every other composed term vanishes.
+    valid are visited; every other composed term vanishes.  The terms are
+    XORed per output id.
     """
-    size = len(words)
-    valid = _valid_arities(algebra, n, size - 1)
-    base: list[Entry] = [(0, w) for w in words]
-    terms: list[Entry] = []
+    size = len(ids)
+    valid = _valid_arities(ops.algebra, ops.n, size - 1)
+    base = [(0, a) for a in ids]
+    acc: dict[int, int] = {}
     for r in range(2, size):
         if r not in valid or size - r + 1 not in valid:
             continue
         for k in range(size - r + 1):
-            _, inner = _mu_pairs(algebra, base[k : k + r], n, fault)
-            for pair in inner:
-                _, outer = _mu_pairs(algebra, base[:k] + [pair] + base[k + r :], n, fault)
-                terms.extend(outer)
-    return AlgElem.from_pairs(algebra, n, terms)
+            inner = _classify(ops, base[k : k + r], drop)
+            if inner is not None:
+                outer = _classify(ops, base[:k] + [inner[1:]] + base[k + r :], drop)
+                if outer is not None:
+                    _, e, q = outer
+                    acc[q] = acc.get(q, 0) ^ (1 << e)
+    return {q: c for q, c in acc.items() if c}
+
+
+def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[tuple] = None) -> AlgElem:
+    """Sum of all composed operation terms on a tuple of basis words.
+
+    >>> n = 3
+    >>> sigma = [BWord("c", i, "s", 1, n) for i in (3, 2, 1)]
+    >>> relation_value("B", [BWord("c", 1, "r", 1, n)] + sigma, n).render()
+    '0'
+    """
+    ops = _op_tables(algebra, n, sum(w.ell for w in words))
+    total = relation_sum(ops, tuple(ops.ids[w] for w in words), _dropped(fault))
+    return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
 
 
 def _centered_tuples(algebra: str, arity: int, n: int) -> list[tuple[Word, ...]]:
@@ -349,47 +392,65 @@ def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> lis
     return sorted(windows, key=lambda t: tuple(word_sort_key(w) for w in t))
 
 
-def _relation_tuples(algebra: str, max_arity: int, max_total_len: int, n: int) -> set[tuple[Word, ...]]:
-    """Every tuple within bounds that can have a nonzero relation term.
+
+def _nonzero(ops: _OpTables, max_arity: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every nonzero operation of arity <= max_arity on the table's words,
+    as (input ids, exponent, output id): first the binary products of
+    chained pairs, then each higher operation on its passing windows, by
+    arity."""
+    for i in range(1, ops.n + 1):
+        for a in ops.by_entry[i]:
+            for b, p in ops.mul[a].items():
+                yield (a, b), 0, p
+    ids = ops.ids
+    for r in valid_higher_arities(ops.algebra, ops.n, max_arity):
+        for window in passing_windows(ops.algebra, r, ops.max_len, ops.n):
+            t = tuple(ids[w] for w in window)
+            res = _classify(ops, [(0, a) for a in t])
+            if res is not None:
+                yield t, res[1], res[2]
+
+
+def _relation_tuples(ops: _OpTables, max_arity: int) -> set[tuple[int, ...]]:
+    """Every id tuple within bounds that can have a nonzero relation term.
 
     A term mu_s(.., mu_r(W), ..) needs a nonzero operation W -> V^e*p, so the
-    tuples are read off nonzero_operations: W with a word c on either side
+    tuples are read off the nonzero operations: W with a word c on either side
     whose product with p is nonzero (outer mu_2), and W put in place of an
     entry p of a passing window (outer higher operation).  The window lookup
     drops the coefficient V^e; that is complete because an operation that is
     nonzero on V^e*p is nonzero on p, always for B and for A below outer
-    arity 2N^2 (see _mu_pairs).
+    arity 2N^2 (see _classify).
     """
-    index = WordIndex(algebra, max_total_len, n)
-    ops = [op for op in nonzero_operations(algebra, max_arity - 1, max_total_len, n) if len(op[0]) < max_arity]
-    windows_at: dict[Word, list[tuple[tuple[Word, ...], int]]] = {}
-    for window, _ in ops:
+    ell, mul, max_len = ops.ell, ops.mul, ops.max_len
+    nonzero = [(t, sum(ell[a] for a in t), p) for t, _, p in _nonzero(ops, max_arity - 1) if len(t) < max_arity]
+    windows_at: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+    for window, length, _ in nonzero:
         if len(window) > 2:
-            for k, w in enumerate(window):
-                windows_at.setdefault(w, []).append((window, k))
-    out: set[tuple[Word, ...]] = set()
-    for inputs, outputs in ops:
-        budget = max_total_len - sum(w.ell for w in inputs)
-        for _, p in outputs:
-            for c in index.by_exit[p.entry]:
-                if c.ell <= budget and mul_word(c, p) is not None:
-                    out.add((c,) + inputs)
-            for c in index.by_entry[p.exit]:
-                if c.ell <= budget and mul_word(p, c) is not None:
-                    out.add(inputs + (c,))
-            for window, k in windows_at.get(p, ()):
-                t = window[:k] + inputs + window[k + 1 :]
-                if len(t) <= max_arity and sum(w.ell for w in t) <= max_total_len:
-                    out.add(t)
+            for k, a in enumerate(window):
+                windows_at.setdefault(a, []).append((window, length, k))
+    out: set[tuple[int, ...]] = set()
+    for t, length, p in nonzero:
+        budget = max_len - length
+        for c in ops.by_exit[ops.entry[p]]:
+            if ell[c] <= budget and p in mul[c]:
+                out.add((c,) + t)
+        for c in ops.by_entry[ops.exit[p]]:
+            if ell[c] <= budget and c in mul[p]:
+                out.add(t + (c,))
+        for window, window_len, k in windows_at.get(p, ()):
+            if len(window) + len(t) - 1 <= max_arity and window_len - ell[p] + length <= max_len:
+                out.add(window[:k] + t + window[k + 1 :])
     return out
 
 
-def _violation(algebra: str, words: Sequence[Word], total: AlgElem) -> dict:
+def _violation(ops: _OpTables, ids: tuple, total: dict[int, int]) -> dict:
+    words = ops.words
     return {
-        "algebra": algebra,
-        "arity": len(words),
-        "inputs": [w.render() for w in words],
-        "lhs-sum": total.render(),
+        "algebra": ops.algebra,
+        "arity": len(ids),
+        "inputs": [words[a].render() for a in ids],
+        "lhs-sum": AlgElem(ops.algebra, ops.n, {words[q]: c for q, c in total.items()}).render(),
     }
 
 
@@ -409,32 +470,29 @@ def check_ainfty(
     """
     if n <= 2:
         raise ValueError("the construction needs N > 2")
+    ops = _op_tables(algebra, n, max_total_len)
+    drop = _dropped(fault)
     violations: list[dict] = []
-    for words in _relation_tuples(algebra, max_arity, max_total_len, n):
-        total = relation_sum(algebra, words, n, fault)
-        if not total.is_zero():
-            violations.append(_violation(algebra, words, total))
+    for ids in _relation_tuples(ops, max_arity):
+        total = relation_sum(ops, ids, drop)
+        if total:
+            violations.append(_violation(ops, ids, total))
     violations.sort(key=lambda v: (v["arity"], v["inputs"]))
     return violations
 
 
 def nonzero_operations(
     algebra: str, max_arity: int, max_total_len: int, n: int
-) -> Iterator[tuple[tuple[Word, ...], list[Entry]]]:
+) -> Iterator[tuple[tuple[Word, ...], list[tuple[Monomial, Word]]]]:
     """Every nonzero operation within bounds, as (inputs, output entries).
 
     First the binary products of chained word pairs with total length within
     bounds, then each higher operation on its passing windows, by arity.
     """
-    for a, b in WordIndex(algebra, max_total_len, n).forward(2, max_total_len):
-        word = mul_word(a, b)
-        if word is not None:
-            yield (a, b), [(0, word)]
-    for r in valid_higher_arities(algebra, n, max_arity):
-        for window in passing_windows(algebra, r, max_total_len, n):
-            value = _mu(algebra, list(window)).value
-            if not value.is_zero():
-                yield window, value.monomial_pairs()
+    ops = _op_tables(algebra, n, max_total_len)
+    words = ops.words
+    for t, e, p in _nonzero(ops, max_arity):
+        yield tuple(words[a] for a in t), [(e, words[p])]
 
 
 def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
@@ -488,7 +546,7 @@ __all__ = [
     "OpResult",
     "mu_a",
     "mu_b",
-    "relation_sum",
+    "relation_value",
     "valid_higher_arities",
     "passing_windows",
     "nonzero_operations",

@@ -8,9 +8,13 @@ import pytest
 
 from starcob import ainfty
 from starcob.ainfty import (
+    TAG_BINARY,
     TAG_CENTERED,
+    TAG_LEFT,
+    TAG_RIGHT,
     TAG_ZERO,
-    _mu_pairs,
+    _entry_grading,
+    _op_tables,
     _relation_tuples,
     check_ainfty,
     mu_a,
@@ -18,10 +22,25 @@ from starcob.ainfty import (
     op_grading_check,
     parse_fault,
     passing_windows,
-    relation_sum,
+    relation_value,
     valid_higher_arities,
 )
-from starcob.staralg import AWord, BWord, WordIndex, enumerate_basis, letter, mul_word
+from starcob.ring import mono_mul
+from starcob.staralg import (
+    AlgElem,
+    AWord,
+    BWord,
+    WordIndex,
+    chain_ok,
+    coeff_var,
+    grading,
+    idempotent,
+    letter,
+    mul_word,
+    split_a_word,
+    split_b_word,
+    var_grading,
+)
 
 
 def _u(i, n=3, p=1):
@@ -83,6 +102,13 @@ def test_mu_a_zero_cases():
     # Strict unitality: idempotent entries kill higher operations.
     res = mu_a([AWord("i", 1, 0, 3), _s(1), _u(2), _s(2), _u(3), _s(3)])
     assert res.value.is_zero()
+    # That window is zero by its length alone; this j = 2 one passes the
+    # weight and length tests, and only the unit I2 makes it zero.
+    passing = [_u(1), _u(1), _s(1), _u(2), _u(2), _s(2), _u(3), _u(3), _s(3), _s(1, length=3)]
+    assert mu_a(passing).value.render() == "V0^2*I1"
+    with_unit = passing[:3] + [AWord("i", 2, 0, 3)] + passing[3:6] + [_u(3, p=2)] + passing[8:]
+    assert len(with_unit) == 10
+    assert mu_a(with_unit).value.is_zero()
 
 
 def test_mu_a_higher_weight():
@@ -136,9 +162,9 @@ def test_mu_b_zero_cases():
 
 
 def test_relation_sum_vanishes_on_witness_tuples():
-    assert relation_sum("A", [_u(1), _u(1), _s(1), _u(2), _s(2), _u(3), _s(3)], 3).is_zero()
-    assert relation_sum("B", [_rho(1), _sig(3), _sig(2), _sig(1)], 3).is_zero()
-    assert relation_sum("B", [_sig(3), _sig(2), _sig(1), _rho(1)], 3).is_zero()
+    assert relation_value("A", [_u(1), _u(1), _s(1), _u(2), _s(2), _u(3), _s(3)], 3).is_zero()
+    assert relation_value("B", [_rho(1), _sig(3), _sig(2), _sig(1)], 3).is_zero()
+    assert relation_value("B", [_sig(3), _sig(2), _sig(1), _rho(1)], 3).is_zero()
 
 
 def test_passing_windows_at_base_arity():
@@ -179,11 +205,223 @@ def test_fault_changes_single_operation():
     assert kept.value == clean.value
 
 
-def _term_oracle(algebra, n):
+# Object-level reference classifier: the operations as they were written on
+# Word entries before they ran on interned ids.  It is the oracle of the id
+# classifier ainfty._classify.
+
+
+def _ref_is_unit(exp, word):
+    return word.is_idempotent() and exp == 0
+
+
+def _ref_classify_a(entries, n, fault=None):
+    arity = len(entries)
+    words = [w for _, w in entries]
+    if any(_ref_is_unit(m, w) for m, w in entries):
+        return (TAG_ZERO, [])
+    if not all(map(chain_ok, words, words[1:])):
+        return (TAG_ZERO, [])
+    step = 2 * n - 2
+    if (arity - 2) % step:
+        return (TAG_ZERO, [])
+    j = (arity - 2) // step
+    if j < 1:
+        return (TAG_ZERO, [])
+    gradings = [_entry_grading("A", m, w, n) for m, w in entries]
+    total_len = sum(g.ell for g in gradings)
+    target_vec = tuple(j for _ in range(2 * n))
+    coeff = j  # V0^j times the entry coefficients
+    for m, _ in entries:
+        coeff = mono_mul(coeff, m)
+    excess = total_len - 2 * n * j
+
+    if excess == 0:
+        if tuple(sum(v) for v in zip(*(g.alexander for g in gradings))) != target_vec:
+            return (TAG_ZERO, [])
+        if fault is not None and fault[0] == "drop-a-centered":
+            w0 = words[0]
+            if fault[1] == 2 * (w0.start - 1) + (0 if w0.kind == "u" else 1):
+                return (TAG_ZERO, [])
+        return (TAG_CENTERED, [(coeff, idempotent("A", words[0].init, n))])
+
+    if excess < 0:
+        return (TAG_ZERO, [])
+
+    def _try_left():
+        split = split_a_word(words[0], excess)
+        if split is None:
+            return None
+        head, tail = split
+        vec = list(grading(tail).alexander)
+        for g in gradings[1:]:
+            vec = [a + b for a, b in zip(vec, g.alexander)]
+        if tuple(vec) != target_vec:
+            return None
+        return (coeff, head)
+
+    def _try_right():
+        split = split_a_word(words[-1], words[-1].length - excess)
+        if split is None:
+            return None
+        head, tail = split
+        vec = list(grading(head).alexander)
+        for g in gradings[:-1]:
+            vec = [a + b for a, b in zip(vec, g.alexander)]
+        if tuple(vec) != target_vec:
+            return None
+        return (0, tail)
+
+    left = _try_left()
+    right = _try_right()
+    if left is not None and right is not None:
+        raise RuntimeError("tuple classifies as both left- and right-extended")
+    if left is not None:
+        return (TAG_LEFT, [left])
+    if right is not None:
+        return (TAG_RIGHT, [(coeff, right[1])])
+    return (TAG_ZERO, [])
+
+
+def _ref_classify_b(entries, n, fault=None):
+    arity = len(entries)
+    words = [w for _, w in entries]
+    if any(_ref_is_unit(m, w) for m, w in entries):
+        return (TAG_ZERO, [])
+    if arity != n or not all(map(chain_ok, words, words[1:])):
+        return (TAG_ZERO, [])
+
+    def _bare_sigma(k):
+        m, w = entries[k]
+        return m == 0 and w.kind == "c" and w.first == "s" and w.length == 1
+
+    coeff = 1  # V_{N+1} times the entry coefficients
+    for m, _ in entries:
+        coeff = mono_mul(coeff, m)
+
+    if all(_bare_sigma(k) for k in range(arity)):
+        return (TAG_CENTERED, [(coeff, idempotent("B", words[-1].init, n))])
+
+    if all(_bare_sigma(k) for k in range(1, arity)):
+        w0 = words[0]
+        if w0.kind == "c" and w0.length >= 2 and w0.first == "s":
+            remainder = split_b_word(w0, 1)[0]
+            return (TAG_LEFT, [(coeff, remainder)])
+
+    if all(_bare_sigma(k) for k in range(arity - 1)):
+        wn = words[-1]
+        if wn.kind == "c" and wn.length >= 2 and wn.last == "s":
+            remainder = split_b_word(wn, wn.length - 1)[1]
+            return (TAG_RIGHT, [(coeff, remainder)])
+
+    return (TAG_ZERO, [])
+
+
+def _ref_mu_pairs(algebra, entries, n, fault=None):
+    """Operation value on one tuple of (coefficient exponent, word) entries."""
+    arity = len(entries)
+    if arity == 1:
+        return (TAG_ZERO, [])
+    if arity == 2:
+        (ma, wa), (mb, wb) = entries
+        word = mul_word(wa, wb)
+        if word is None:
+            return (TAG_ZERO, [])
+        return (TAG_BINARY, [(mono_mul(ma, mb), word)])
+    if algebra == "A":
+        return _ref_classify_a(entries, n, fault)
+    return _ref_classify_b(entries, n, fault)
+
+
+@pytest.mark.parametrize("algebra, arity, max_len", [("A", 6, 7), ("A", 7, 7), ("B", 3, 6), ("B", 4, 6)])
+@pytest.mark.parametrize("n", [3, 4])
+def test_classifier_matches_object_oracle(algebra, arity, max_len, n):
+    # Every chained tuple (idempotents included), with exponent 0, or 1 or 2
+    # on one entry at a time, unfaulted and under every drop-mu2N:k.  A
+    # variant with a unit entry (an idempotent with exponent 0) is zero by
+    # strict unitality, which the kernel must show; with two or more
+    # idempotents every variant has one, so those tuples run at exponent 0
+    # only.  A fault only deletes values, so the reference is consulted under
+    # each fault only where its unfaulted value is nonzero.
+    ops = _op_tables(algebra, n, max_len + 2 * var_grading(coeff_var(algebra, n), n).ell)
+    classify = ainfty._classify
+    index = WordIndex(algebra, max_len, n)
+    # the index's own word objects, keyed by identity: hashing each word of
+    # each tuple would cost more than the checks
+    intern = {id(w): ops.ids[w] for bucket in index.by_entry.values() for w in bucket}
+    checked = nonzero = 0
+    for t in index.forward(arity, max_len):
+        ids = [intern[id(w)] for w in t]
+        idems = [a < n for a in ids]
+        if sum(idems) > 1:
+            assert classify(ops, tuple((0, a) for a in ids)) is None, t
+            continue
+        for i, e in [(None, 0)] + [(i, e) for i in range(arity) for e in (1, 2)]:
+            exps = [e if k == i else 0 for k in range(arity)]
+            got = classify(ops, tuple(zip(exps, ids)))
+            if any(idem and not x for idem, x in zip(idems, exps)):
+                assert got is None, (t, exps)
+                continue
+            checked += 1
+            entries = tuple(zip(exps, t))
+            tag, pairs = _ref_mu_pairs(algebra, entries, n)
+            assert got == (None if not pairs else (tag, pairs[0][0], ops.ids[pairs[0][1]])), entries
+            for k in range(2 * n):
+                want = None
+                if pairs:
+                    tag_k, pairs_k = _ref_mu_pairs(algebra, entries, n, ("drop-a-centered", k))
+                    want = (tag_k, pairs_k[0][0], ops.ids[pairs_k[0][1]]) if pairs_k else None
+                assert classify(ops, tuple(zip(exps, ids)), k) == want, (entries, k)
+            nonzero += bool(pairs)
+    assert checked
+    # only A at N=3, arity 6 and B at arity N reach a higher operation here
+    assert bool(nonzero) == ((algebra, n, arity) in {("A", 3, 6), ("B", 3, 3), ("B", 4, 4)})
+
+
+def test_coefficient_entries_at_arity_2n_squared():
+    # The coefficient rule first matters at j >= N + 1 (N=3: arity 18, j = 4),
+    # out of reach of the exhaustive windows above.  V0*I1 stands in for one
+    # turn of letters and passes as a centered window (and its first entry,
+    # an idempotent, is component 1); V0*U1^2 in front of three turns less a
+    # letter does not pass, since V0 counts toward the weight test.
+    n = 3
+    turn = [_s(1), _u(2), _s(2), _u(3), _s(3)]
+    passing = [(1, idempotent("A", 1, n)), (0, _u(1, p=2))] + [(0, w) for w in turn + [_u(1)] + turn + turn]
+    failing = [(1, _u(1, p=2))] + [(0, w) for w in turn + [_u(1)] + turn + [_u(1)] + turn]
+    for entries, value in ((passing, "V0^5*I1"), (failing, "0")):
+        assert len(entries) == 18
+        elems = [AlgElem.from_word(w, 1 << e) for e, w in entries]
+        for k in [None, *range(2 * n)]:
+            fault = None if k is None else ("drop-a-centered", k)
+            tag, pairs = _ref_mu_pairs("A", tuple(entries), n, fault)
+            got = mu_a(elems, fault)
+            assert (got.tag, got.value) == (tag, AlgElem.from_pairs("A", n, pairs))
+            assert got.value.render() == ("0" if k == 1 else value)
+
+
+def test_both_extended_window_raises():
+    # The j = 2 window that is both left- and right-extended (ROADMAP item
+    # 1) raises in the reference and in the kernel.
+    n = 3
+    window = [
+        _s(1, length=2), _u(3), _u(3), _s(3), _u(1), _u(1), _s(1), _u(2), _u(2), _s(2, length=3),
+    ]
+    assert "s[1,3].U3.U3.s[3,4].U1.U1.s[1,2].U2.U2.s[2,5]" == ".".join(w.render() for w in window)
+    entries = tuple((0, w) for w in window)
+    with pytest.raises(RuntimeError, match="both left- and right-extended"):
+        _ref_mu_pairs("A", entries, n)
+    with pytest.raises(RuntimeError, match="both left- and right-extended"):
+        ops = _op_tables("A", n, 13)
+        ainfty._classify(ops, tuple((0, ops.ids[w]) for w in window))
+    with pytest.raises(RuntimeError, match="both left- and right-extended"):
+        mu_a(window)
+
+
+def _term_oracle(algebra, n, mu_pairs=_ref_mu_pairs):
     """Whether some composed term mu(.., mu(..), ..) of the relation on a
-    tuple is nonzero, over every split and unfaulted operation.  Operation
-    values are memoized per oracle, which meets the same sub-tuples often."""
-    op = functools.cache(lambda entries: _mu_pairs(algebra, entries, n)[1])
+    tuple is nonzero, over every split and unfaulted operation of the
+    reference.  Operation values are memoized per oracle, which meets the
+    same sub-tuples often."""
+    op = functools.cache(lambda entries: mu_pairs(algebra, entries, n)[1])
 
     def has_term(words):
         base = tuple((0, w) for w in words)
@@ -199,8 +437,9 @@ def _term_oracle(algebra, n):
 
 
 def _swept(algebra, arity, max_len, n=3):
-    """The tuples of one arity that check_ainfty evaluates."""
-    return {t for t in _relation_tuples(algebra, arity, max_len, n) if len(t) == arity}
+    """The tuples of one arity that check_ainfty evaluates, as words."""
+    ops = _op_tables(algebra, n, max_len)
+    return {tuple(ops.words[a] for a in t) for t in _relation_tuples(ops, arity) if len(t) == arity}
 
 
 def test_candidate_set_complete_against_brute_force():
@@ -224,7 +463,7 @@ def test_candidate_set_complete_against_brute_force():
             # A dropped centered component gives violations, and each lies
             # in the set built from the unfaulted operations.
             fault = ("drop-a-centered", 0)
-            violating = {t for t in tuples if not relation_sum("A", t, 3, fault).is_zero()}
+            violating = {t for t in tuples if not relation_value("A", t, 3, fault).is_zero()}
             assert violating
             assert violating <= swept
 
@@ -233,21 +472,28 @@ def test_relation_tuples_complete_when_relations_fail(monkeypatch):
     # Where the relations hold, every tuple with a nonzero term has a second
     # one, so the test above cannot tell if one way of building tuples is
     # lost.  With the centered B value at node 1 dropped from the operation
-    # itself, tuples with a single nonzero term occur for an outer mu_2 on
-    # either side and for an outer mu_3; the swept set must still equal the
+    # itself (in the id classifier, and in the reference the oracle uses),
+    # tuples with a single nonzero term occur for an outer mu_2 on either
+    # side and for an outer mu_3; the swept set must still equal the
     # brute-force one.
-    classify = ainfty._classify_b
+    classify = ainfty._classify
 
-    def dropped(entries, n, fault=None):
-        tag, value = classify(entries, n, fault)
+    def dropped(ops, entries, drop=None):
+        res = classify(ops, entries, drop)
+        if res is not None and res[0] == TAG_CENTERED and ops.words[entries[-1][1]].init == 1:
+            return None
+        return res
+
+    def ref_dropped(algebra, entries, n):
+        tag, value = _ref_mu_pairs(algebra, entries, n)
         if tag == TAG_CENTERED and entries[-1][1].init == 1:
             return (TAG_ZERO, [])
         return (tag, value)
 
-    monkeypatch.setattr(ainfty, "_classify_b", dropped)
+    monkeypatch.setattr(ainfty, "_classify", dropped)
     tuples = list(WordIndex("B", 6, 3).forward(4, 6))
-    assert _swept("B", 4, 6) == set(filter(_term_oracle("B", 3), tuples))
-    assert sum(not relation_sum("B", t, 3).is_zero() for t in tuples) == 12
+    assert _swept("B", 4, 6) == set(filter(_term_oracle("B", 3, ref_dropped), tuples))
+    assert sum(not relation_value("B", t, 3).is_zero() for t in tuples) == 12
 
 
 def test_entry_splits_of_deep_windows_are_candidates():

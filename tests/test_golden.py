@@ -66,6 +66,14 @@ GOLDEN = [
         0,
         "b6687378f58fc07cbc60556bde4aa7543eb61fa266bfb8f7bf0f729aa0e9567d",
     ),
+    # The last centered A component at N=4, and a clean B sweep at N=5:
+    # both recorded before the relation sweep ran on interned word ids.
+    (
+        "verify ainfty-a --n 4 --inject-fault drop-mu2N:7",
+        1,
+        "a679a4469813366513218e33ce15f058f427502c868429ab9c67251157fae624",
+    ),
+    ("verify ainfty-b --n 5", 0, "988ec0a414647b6de92b299bda4700861cc083b87372596934b323e349715d0d"),
 ]
 
 
