@@ -10,12 +10,11 @@ cycle of edge letters maps to V_{N+1} times an idempotent, again with
 one-sided extended variants.  All other tuples map to zero, as do tuples
 containing a unit in arity > 2.
 
-The operations run on interned word ids.  `_OpTables` holds the basis words
-of one algebra and N up to a length bound as small ints, with the columns the
-classifier reads (length, entry/exit node, product, factorizations, packed
-weight vector, the idempotent at each word's initial node, the drop-mu2N
-component), built lazily, once per (algebra, N, bound).  `_classify` is the
-one operation classifier, on (exponent, id) entries: mu_a, mu_b,
+The operations run on interned word ids.  `_OpTables` extends the
+`staralg.WordTable` of one algebra, N and length bound with the columns only
+the classifier reads (packed weights, units, the drop-mu2N component, the B
+edge columns), built lazily, once per (algebra, N, bound).  `_classify` is
+the one operation classifier, on (exponent, id) entries: mu_a, mu_b,
 nonzero_operations and relation_value intern their inputs and call it.
 
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
@@ -36,15 +35,14 @@ from .staralg import (
     BWord,
     Grading,
     Word,
+    WordTable,
     advance,
     coeff_var,
     grading,
-    idempotent,
     mono_grading,
     mul_word,
     var_grading,
     word_sort_key,
-    word_splits,
     words_of_length,
     zero_grading,
 )
@@ -81,47 +79,22 @@ def _entry_grading(algebra: str, exp: Monomial, word: Word, n: int) -> Grading:
     return mono_grading(exp, algebra, n) + g if exp else g
 
 
-class _OpTables:
-    """The basis words of one algebra and N with length <= max_len, interned,
-    with the columns the operation classifier reads.
+class _OpTables(WordTable):
+    """The word table of one algebra and N up to max_len, with the columns
+    the operation classifier reads.
 
-    Ids are canonical: the N idempotents are ids 0..N-1, then the words of
-    each length 1..max_len in `words_of_length` order.  Each call on the
-    tables keeps the graded length of its entries (a coefficient V^e counts
-    the length of V^e) within max_len.  A weight vector is packed into one
-    int, slot k in bits [k*width, (k+1)*width), and `width` holds max_len,
-    so no slot of a sum over such entries carries into the next.
+    Each call on the tables keeps the graded length of its entries (a
+    coefficient V^e counts the length of V^e) within max_len.  A weight
+    vector is packed into one int, slot k in bits [k*width, (k+1)*width), and
+    `width` holds max_len, so no slot of a sum over such entries carries into
+    the next.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
-        self.algebra = algebra
-        self.n = n
-        self.max_len = max_len
-        words = self.words = [w for ell in range(max_len + 1) for w in words_of_length(algebra, ell, n)]
-        ids = self.ids = {w: a for a, w in enumerate(words)}
-        self.ell = [w.ell for w in words]
-        self.entry = [w.entry for w in words]
-        self.exit = [w.exit for w in words]
-        self.by_entry: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-        self.by_exit: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-        for a, w in enumerate(words):
-            self.by_entry[w.entry].append(a)
-            self.by_exit[w.exit].append(a)
-        # mul[a][b]: the id of a*b, for the nonzero products of length <= max_len,
-        # in canonical order of b; a product is nonzero only across a chained seam
-        self.mul: list[dict[int, int]] = [{} for _ in words]
-        for a, x in enumerate(words):
-            for b in self.by_entry[x.exit]:
-                y = words[b]
-                if x.ell + y.ell <= max_len:
-                    xy = mul_word(x, y)
-                    if xy is not None:
-                        self.mul[a][b] = ids[xy]
-        # splits[a][k - 1]: the factorization of a with a k-letter head (A) or
-        # a k-letter first-applied part (B), as in word_splits
-        self.splits = [tuple((ids[c], ids[d]) for c, d in word_splits(w)) for w in words]
-        # init_unit[a]: the idempotent at the initial node of a
-        self.init_unit = [ids[idempotent(algebra, w.init, n)] for w in words]
+        super().__init__(algebra, n, max_len)
+        words, ids = self.words, self.ids
+        # init_unit[a]: the idempotent at the initial node of a (ids 0..N-1 by node)
+        self.init_unit = [w.init - 1 for w in words]
         width = max(max_len, 1).bit_length()
 
         def pack(vec: tuple) -> int:

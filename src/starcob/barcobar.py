@@ -15,10 +15,10 @@ string with a factor of length > 1, phi composed with psi is the identity, and
 homotopy_h certifies that psi composed with phi is homotopic to the identity:
 delta H + H delta = id + psi phi on every chained string.
 
-The maps run on interned ids.  Each non-idempotent word of length <= max_len
-is a small int, and a string is a tuple of ids, in `_WordTables`: the word
-product, the splittings, the dictionary, psi and the leading-block rule are
-tables, built lazily, once per (algebra, N, max_len).  `TString` and
+The maps run on interned ids.  `_WordTables` extends the `staralg.WordTable`
+of one algebra, N and max_len with the dictionary, psi and the leading-block
+rule as tables, built lazily, once per (algebra, N, max_len); a string is a
+tuple of non-idempotent ids.  `TString` and
 `CobElem` are the validated boundary: each public map converts its input to
 ids, runs the one table-driven implementation and builds its result through
 them, and `verify_homotopy` checks the certificate on the ids directly.
@@ -36,15 +36,15 @@ from .staralg import (
     AWord,
     BWord,
     Word,
-    WordIndex,
+    WordTable,
     chain_ok,
     dual_algebra,
+    enumerate_basis,
     grading,
     letter,
     mul_word,
     word_letters,
     word_sort_key,
-    word_splits,
     words_of_length,
 )
 
@@ -141,47 +141,31 @@ class CobElem(F2Sum):
     sort_key = staticmethod(tstring_sort_key)
 
 
-class _WordTables:
-    """The interned words of one algebra, N and length bound, with the
-    tables the string maps read.
+class _WordTables(WordTable):
+    """The word table of one algebra, N and length bound, with the columns
+    the string maps read.
 
-    Word ids are canonical: the non-idempotent words of length <= max_len in
-    `words_of_length` order, lengths ascending, so the 2N single letters are
-    ids 0..2N-1.  A string is a tuple of ids.
+    A string is a tuple of non-idempotent ids.  Its letters are ids
+    N..3N-1, and `image` and `block_next` are indexed by id - N.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
-        self.algebra = algebra
-        self.n = n
-        self.max_len = max_len
-        self.words: list[Word] = [w for ell in range(1, max_len + 1) for w in words_of_length(algebra, ell, n)]
-        ids = self.ids = {w: i for i, w in enumerate(self.words)}
-        self.splits = [tuple((ids[c], ids[d]) for c, d in word_splits(w)) for w in self.words]
-        # mul[a][b]: the id of the product a*b, for the nonzero products of length <= max_len
-        self.mul: list[dict[int, int]] = [{} for _ in self.words]
-        for a, x in enumerate(self.words):
-            for b, y in enumerate(self.words):
-                if x.ell + y.ell > max_len:
-                    break
-                xy = mul_word(x, y)
-                if xy is not None:
-                    self.mul[a][b] = ids[xy]
+        super().__init__(algebra, n, max_len)
         dual = dual_algebra(algebra)
         letters = words_of_length(algebra, 1, n)
-        other_letters = {w: i for i, w in enumerate(words_of_length(dual, 1, n))}
-        # image[a]: the dictionary image of letter a, as an id of the other algebra
+        other_letters = {w: n + i for i, w in enumerate(words_of_length(dual, 1, n))}
+        # image[a - N]: the dictionary image of letter a, as an id of the other algebra
         self.image = [other_letters[dict_image(w)] for w in letters]
-        # block_next[a]: the letters b that may follow letter a in a leading
+        # block_next[a - N]: the letters b that may follow letter a in a leading
         # block, those whose images compose: image(b) * image(a) != 0
         self.block_next = [
-            frozenset(b for b, y in enumerate(letters) if mul_word(dict_image(y), dict_image(x)) is not None)
+            frozenset(n + b for b, y in enumerate(letters) if mul_word(dict_image(y), dict_image(x)) is not None)
             for x in letters
         ]
-        # psi[o]: the duals of the letters of the other algebra's word o, reversed
+        # psi[o]: the duals of the letters of the other algebra's word o,
+        # reversed (empty on the idempotents, where psi is undefined)
         self.psi = [
-            tuple(ids[dict_image(l)] for l in reversed(word_letters(o)))
-            for ell in range(1, max_len + 1)
-            for o in words_of_length(dual, ell, n)
+            tuple(self.ids[dict_image(l)] for l in reversed(word_letters(o))) for o in enumerate_basis(dual, max_len, n)
         ]
 
     @functools.cached_property
@@ -214,11 +198,12 @@ class _WordTables:
     def block_length(self, s: tuple) -> int:
         """Length of the maximal leading block: single-letter factors whose
         consecutive images compose to nonzero products in the other algebra."""
-        if s[0] >= 2 * self.n:
+        n = self.n
+        if s[0] >= 3 * n:
             return 0
         block_next = self.block_next
         k = 1
-        while k < len(s) and s[k] in block_next[s[k - 1]]:
+        while k < len(s) and s[k] in block_next[s[k - 1] - n]:
             k += 1
         return k
 
@@ -237,12 +222,13 @@ class _WordTables:
     def phi_word(self, s: tuple) -> Optional[int]:
         """phi of s: the product of the factor images in reverse order, as an
         id of `other`, or None when a factor is not a letter or it vanishes."""
-        if max(s) >= 2 * self.n:
+        n = self.n
+        if max(s) >= 3 * n:
             return None
         image, mul = self.image, self.other.mul
-        acc: Optional[int] = image[s[-1]]
+        acc: Optional[int] = image[s[-1] - n]
         for a in reversed(s[:-1]):
-            acc = mul[acc].get(image[a])
+            acc = mul[acc].get(image[a - n])
             if acc is None:
                 return None
         return acc
@@ -385,8 +371,9 @@ def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> Cob
 
 def enumerate_strings(algebra: str, max_total_len: int, n: int) -> Iterator[TString]:
     """All chained tensor strings with total length <= max_total_len."""
-    for factors in WordIndex(algebra, max_total_len, n, idempotents=False).chains(max_total_len):
-        yield TString(factors)
+    tables = _tables(algebra, n, max_total_len)
+    for s in tables.chains(max_total_len):
+        yield TString(tuple(map(tables.words.__getitem__, s)))
 
 
 def verify_homotopy(

@@ -10,6 +10,7 @@ n = k(2N-2)+2 on the A side and n = j(N-2)+2 on the B side.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .ainfty import nonzero_operations
@@ -135,12 +136,13 @@ def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: 
     """Violations of gr(output) = lambda^(arity-2) * product of input gradings
     over all nonzero binary products and higher-operation windows in range."""
     violations: list[dict] = []
+    grade = functools.cache(assign_grading)  # each distinct word graded once per call
     for inputs, outputs in nonzero_operations(algebra, max_arity, max_total_len, n):
         expect = gp_pow(GP_LAMBDA, len(inputs) - 2)
         for w in inputs:
-            expect = gp_mul(expect, assign_grading(w))
+            expect = gp_mul(expect, grade(w))
         for exp, word in outputs:
-            got = gp_mul(mono_group_grading(exp, algebra, n), assign_grading(word))
+            got = gp_mul(mono_group_grading(exp, algebra, n), grade(word))
             if got != expect:
                 violations.append(
                     {

@@ -17,8 +17,9 @@ its neighbouring words must meet at a node.  A-words chain left to right
 (prev.fin == next.init) and B-words right to left (prev.init == next.fin).
 Each word stores the node where a chain enters it (`entry`) and leaves it
 (`exit`): init/fin for A, fin/init for B.  So one rule, prev.exit ==
-next.entry, decides chaining in both algebras (`chain_ok`), and `WordIndex`
-enumerates every chained tuple of words.
+next.entry, decides chaining in both algebras (`chain_ok`).  `WordTable`
+interns the words up to a length bound as ids, with their product and split
+tables and the chained id tuples; the ainfty and barcobar kernels extend it.
 
 Gradings: an integer Maslov degree m (0 on A-words, minus the length on
 B-words), a weight vector of length 2N counting each loop/edge letter (loop
@@ -561,47 +562,58 @@ def chain_ok(prev: Word, nxt: Word) -> bool:
     return prev.exit == nxt.entry
 
 
-class WordIndex:
-    """Basis words of length <= max_len, bucketed by entry and by exit node.
+class WordTable:
+    """The basis words of one algebra and N with length <= max_len, interned
+    as small ints, with the product and split tables both id kernels share.
 
-    Every enumerator yields chained tuples (prev.exit == nxt.entry at each
-    seam) of total length <= budget, each bucket in canonical order.
+    Ids are canonical (`enumerate_basis` order): the N idempotents are ids
+    0..N-1, the 2N letters ids N..3N-1, then the longer words by length in
+    `words_of_length` order.  `by_entry`/`by_exit` bucket the ids by node in
+    id order, so each bucket starts with its idempotent and ascends in length.
 
-    >>> idx = WordIndex("B", 1, 3, idempotents=False)
-    >>> [[w.render() for w in t] for t in idx.forward(2, 2, entry=2)]
-    [['s1', 'r1'], ['s1', 's3'], ['r2', 's1'], ['r2', 'r2']]
+    >>> table = WordTable("B", 3, 1)
+    >>> [[table.words[a].render() for a in t] for t in table.chains(2, entry=2)]
+    [['s1'], ['s1', 'r1'], ['s1', 's3'], ['r2'], ['r2', 's1'], ['r2', 'r2']]
     """
 
-    def __init__(self, algebra: str, max_len: int, n: int, idempotents: bool = True):
+    def __init__(self, algebra: str, n: int, max_len: int):
+        self.algebra = algebra
         self.n = n
-        self.by_entry: dict[int, list[Word]] = {i: [] for i in range(1, n + 1)}
-        self.by_exit: dict[int, list[Word]] = {i: [] for i in range(1, n + 1)}
-        for ell in range(0 if idempotents else 1, max_len + 1):
-            for w in words_of_length(algebra, ell, n):
-                self.by_entry[w.entry].append(w)
-                self.by_exit[w.exit].append(w)
+        self.max_len = max_len
+        words = self.words = enumerate_basis(algebra, max_len, n)
+        ids = self.ids = {w: a for a, w in enumerate(words)}
+        self.ell = [w.ell for w in words]
+        self.entry = [w.entry for w in words]
+        self.exit = [w.exit for w in words]
+        self.by_entry = {i: [a for a, e in enumerate(self.entry) if e == i] for i in range(1, n + 1)}
+        self.by_exit = {i: [a for a, e in enumerate(self.exit) if e == i] for i in range(1, n + 1)}
+        # mul[a][b]: the id of a*b, for the nonzero products of length <= max_len,
+        # in id order of b; a product is nonzero only across a chained seam
+        self.mul: list[dict[int, int]] = [{} for _ in words]
+        for a, x in enumerate(words):
+            for b in self.by_entry[x.exit]:
+                y = words[b]
+                if x.ell + y.ell > max_len:
+                    break
+                xy = mul_word(x, y)
+                if xy is not None:
+                    self.mul[a][b] = ids[xy]
+        # splits[a][k - 1]: the factorization of a with a k-letter head (A) or
+        # a k-letter first-applied part (B), as in word_splits
+        self.splits = [tuple((ids[c], ids[d]) for c, d in word_splits(w)) for w in words]
 
-    def _starts(self, entry: Optional[int]) -> Iterator[Word]:
-        nodes = range(1, self.n + 1) if entry is None else (entry,)
-        return (w for i in nodes for w in self.by_entry[i])
-
-    def forward(self, k: int, budget: int, entry: Optional[int] = None) -> Iterator[tuple[Word, ...]]:
-        """Chained k-tuples whose first word is entered at `entry` (any node if None)."""
-        if k == 0:
-            yield ()
-            return
-        for w in self._starts(entry):
-            if w.ell <= budget:
-                for rest in self.forward(k - 1, budget - w.ell, w.exit):
-                    yield (w,) + rest
-
-    def chains(self, budget: int, entry: Optional[int] = None) -> Iterator[tuple[Word, ...]]:
-        """Chained tuples of every arity >= 1, each right before its extensions."""
-        for w in self._starts(entry):
-            if w.ell <= budget:
-                yield (w,)
-                for rest in self.chains(budget - w.ell, w.exit):
-                    yield (w,) + rest
+    def chains(self, budget: int, entry: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+        """Chained tuples of non-idempotent ids of every arity >= 1 and total
+        length <= budget, whose first word is entered at `entry` (any node if
+        None), each right before its extensions."""
+        ell = self.ell
+        for i in range(1, self.n + 1) if entry is None else (entry,):
+            for a in self.by_entry[i][1:]:  # past the bucket's idempotent
+                if ell[a] > budget:
+                    break
+                yield (a,)
+                for rest in self.chains(budget - ell[a], self.exit[a]):
+                    yield (a,) + rest
 
 
 def full_cycle_chain(start: int, n: int) -> AWord:
@@ -678,7 +690,7 @@ __all__ = [
     "words_of_length",
     "enumerate_basis",
     "chain_ok",
-    "WordIndex",
+    "WordTable",
     "full_cycle_chain",
     "loop_word",
     "special_element",

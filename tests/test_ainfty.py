@@ -5,6 +5,7 @@ import functools
 import itertools
 
 import pytest
+from chained import chained_tuples
 
 from starcob import ainfty
 from starcob.ainfty import (
@@ -30,7 +31,6 @@ from starcob.staralg import (
     AlgElem,
     AWord,
     BWord,
-    WordIndex,
     chain_ok,
     coeff_var,
     grading,
@@ -344,13 +344,9 @@ def test_classifier_matches_object_oracle(algebra, arity, max_len, n):
     # each fault only where its unfaulted value is nonzero.
     ops = _op_tables(algebra, n, max_len + 2 * var_grading(coeff_var(algebra, n), n).ell)
     classify = ainfty._classify
-    index = WordIndex(algebra, max_len, n)
-    # the index's own word objects, keyed by identity: hashing each word of
-    # each tuple would cost more than the checks
-    intern = {id(w): ops.ids[w] for bucket in index.by_entry.values() for w in bucket}
     checked = nonzero = 0
-    for t in index.forward(arity, max_len):
-        ids = [intern[id(w)] for w in t]
+    for ids in chained_tuples(ops, arity, max_len):
+        t = tuple(ops.words[a] for a in ids)
         idems = [a < n for a in ids]
         if sum(idems) > 1:
             assert classify(ops, tuple((0, a) for a in ids)) is None, t
@@ -436,6 +432,12 @@ def _term_oracle(algebra, n, mu_pairs=_ref_mu_pairs):
     return has_term
 
 
+def _chained_words(algebra, arity, max_len, n=3):
+    """Every chained tuple of one arity (idempotents included), as words."""
+    ops = _op_tables(algebra, n, max_len)
+    return [tuple(ops.words[a] for a in t) for t in chained_tuples(ops, arity, max_len)]
+
+
 def _swept(algebra, arity, max_len, n=3):
     """The tuples of one arity that check_ainfty evaluates, as words."""
     ops = _op_tables(algebra, n, max_len)
@@ -454,7 +456,7 @@ def test_candidate_set_complete_against_brute_force():
         ("B", 4, 6, 3867),
         ("B", 5, 7, 21549),
     ):
-        tuples = list(WordIndex(algebra, max_len, 3).forward(arity, max_len))
+        tuples = _chained_words(algebra, arity, max_len)
         assert len(tuples) == count
         swept = _swept(algebra, arity, max_len)
         assert swept
@@ -491,7 +493,7 @@ def test_relation_tuples_complete_when_relations_fail(monkeypatch):
         return (tag, value)
 
     monkeypatch.setattr(ainfty, "_classify", dropped)
-    tuples = list(WordIndex("B", 6, 3).forward(4, 6))
+    tuples = _chained_words("B", 4, 6)
     assert _swept("B", 4, 6) == set(filter(_term_oracle("B", 3, ref_dropped), tuples))
     assert sum(not relation_value("B", t, 3).is_zero() for t in tuples) == 12
 
@@ -501,13 +503,14 @@ def test_entry_splits_of_deep_windows_are_candidates():
     # non-idempotent words gives arity-11 tuples with a mu_10 o mu_2 term;
     # they first occur at A, N=3, length <= 12.
     swept = _swept("A", 11, 12)
-    index = WordIndex("A", 12, 3, idempotents=False)
+    table = _op_tables("A", 3, 12)
     splits = set()
     for window in passing_windows("A", 10, 12, 3):
         for t, w in enumerate(window):
-            for c, d in index.forward(2, w.ell, entry=w.entry):
-                if mul_word(c, d) == w:
-                    splits.add(window[:t] + (c, d) + window[t + 1 :])
+            for ids in table.chains(w.ell, entry=w.entry):
+                pair = tuple(table.words[a] for a in ids)
+                if len(pair) == 2 and mul_word(*pair) == w:
+                    splits.add(window[:t] + pair + window[t + 1 :])
     assert splits
     assert splits <= swept
 

@@ -1,6 +1,7 @@
 """Tests for dual strings, the cobar differential, and the homotopy data."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
@@ -248,6 +249,18 @@ def _brute_strings(algebra, max_len, n):
                 if all(_seam(algebra, a, b) for a, b in zip(tup, tup[1:])):
                     out.add(tup)
     return out
+
+
+def test_enumerate_strings_order():
+    # test_cobar_leibniz_random samples strings by position and
+    # verify_homotopy stops at the first failing string, so the enumeration
+    # order is part of the behaviour; this digest pins it.
+    digest = hashlib.sha256()
+    for algebra in ("A", "B"):
+        for n in (3, 4):
+            for ts in enumerate_strings(algebra, 7, n):
+                digest.update((ts.render() + "\n").encode())
+    assert digest.hexdigest() == "ee16fc7868d268b7be993ba272444c1b6de06062806dc4c1feb66325cded182e"
 
 
 def test_enumerate_strings_counts():

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 
 import pytest
+from chained import chained_tuples
 
 from starcob.ring import POLY_ONE, poly_from_monos
 from starcob.staralg import (
@@ -12,7 +13,7 @@ from starcob.staralg import (
     AWord,
     BWord,
     Grading,
-    WordIndex,
+    WordTable,
     chain_ok,
     enumerate_basis,
     full_cycle_chain,
@@ -205,32 +206,82 @@ def test_entry_exit_nodes():
     assert not chain_ok(BWord("c", 2, "s", 1, 3), BWord("c", 3, "s", 1, 3))
 
 
-def test_word_index_chains_against_brute_force():
-    # Forward chains of k = 2, 3 words, idempotents included,
-    # against a filter over all k-fold products of basis words.
-    def seam(algebra, a, b):
-        return a.fin == b.init if algebra == "A" else a.init == b.fin
+def _seam(algebra, a, b):
+    # The tensor-product seam spelled out per algebra, independent of the
+    # words' stored entry/exit nodes.
+    return a.fin == b.init if algebra == "A" else a.init == b.fin
 
+
+def _first_node(algebra, w):
+    return w.init if algebra == "A" else w.fin
+
+
+def test_word_table_columns():
+    # The id layout, and every column against the object-level word
+    # functions: the product on every pair of ids (so the products the table
+    # leaves out, unchained or over the bound, are exactly the zero ones),
+    # the splits, and the entry/exit buckets.
+    bound = 8
     for algebra in ("A", "B"):
-        first_node = (lambda w: w.init) if algebra == "A" else (lambda w: w.fin)
+        for n in (3, 4):
+            table = WordTable(algebra, n, bound)
+            words = table.words
+            assert words == enumerate_basis(algebra, bound, n)
+            assert words[:n] == [idempotent(algebra, i, n) for i in range(1, n + 1)]
+            assert words[n : 3 * n] == words_of_length(algebra, 1, n)
+            assert table.ids == {w: a for a, w in enumerate(words)}
+            assert table.ell == [w.ell for w in words]
+            assert table.entry == [w.entry for w in words]
+            assert table.exit == [w.exit for w in words]
+            ids = range(len(words))
+            for i in range(1, n + 1):
+                assert table.by_entry[i] == [a for a in ids if _first_node(algebra, words[a]) == i]
+                assert table.by_exit[i] == [a for a in ids if table.exit[a] == i]
+            for a, x in enumerate(words):
+                assert list(table.mul[a]) == sorted(table.mul[a])
+                for b, y in enumerate(words):
+                    xy = mul_word(x, y)
+                    want = None if xy is None or xy.ell > bound else table.ids[xy]
+                    assert table.mul[a].get(b) == want, (x.render(), y.render())
+                assert table.splits[a] == tuple((table.ids[c], table.ids[d]) for c, d in word_splits(x))
+
+
+def test_word_table_chains_against_brute_force():
+    # WordTable.chains at every budget up to 4, over all nodes and per entry
+    # node, against a filter over products of non-idempotent basis words
+    # grouped by length: the same tuples of every arity, each exactly once.
+    # The fixed-arity helper of the test oracles (k = 2, 3, idempotents
+    # included) is checked against all k-fold products the same way.
+    for algebra in ("A", "B"):
         for n in (3, 4):
             basis = enumerate_basis(algebra, 4, n)
-            index = WordIndex(algebra, 4, n)
-            for k in (2, 3):
-                brute = [
-                    t
-                    for t in itertools.product(basis, repeat=k)
-                    if all(seam(algebra, a, b) for a, b in zip(t, t[1:]))
-                ]
-                for budget in range(5):
-                    within = [t for t in brute if sum(w.ell for w in t) <= budget]
-                    fwd = list(index.forward(k, budget))
-                    assert len(fwd) == len(set(fwd))
-                    assert set(fwd) == set(within)
-                    for node in range(1, n + 1):
-                        fwd = list(index.forward(k, budget, entry=node))
-                        assert len(fwd) == len(set(fwd))
-                        assert set(fwd) == {t for t in within if first_node(t[0]) == node}
+            table = WordTable(algebra, n, 4)
+            by_len = {}
+            for w in basis:
+                by_len.setdefault(w.ell, []).append(w)
+            brute = set()
+            for k in range(1, 5):
+                for lens in itertools.product(range(1, 5), repeat=k):
+                    if sum(lens) <= 4:
+                        for t in itertools.product(*(by_len[ell] for ell in lens)):
+                            if all(_seam(algebra, a, b) for a, b in zip(t, t[1:])):
+                                brute.add(t)
+            fixed = {
+                k: [t for t in itertools.product(basis, repeat=k) if all(_seam(algebra, a, b) for a, b in zip(t, t[1:]))]
+                for k in (2, 3)
+            }
+            for budget in range(5):
+                for node in (None, *range(1, n + 1)):
+                    def starts(t):
+                        return node is None or _first_node(algebra, t[0]) == node
+
+                    got = [tuple(table.words[a] for a in t) for t in table.chains(budget, entry=node)]
+                    assert len(got) == len(set(got))
+                    assert set(got) == {t for t in brute if sum(w.ell for w in t) <= budget and starts(t)}
+                    for k, tuples in fixed.items():
+                        got = [tuple(table.words[a] for a in t) for t in chained_tuples(table, k, budget, entry=node)]
+                        assert len(got) == len(set(got))
+                        assert set(got) == {t for t in tuples if sum(w.ell for w in t) <= budget and starts(t)}
 
 
 def test_full_cycle_and_loop_words():
