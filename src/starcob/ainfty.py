@@ -1,14 +1,18 @@
 """Higher multiplications on the two quiver algebras and relation checking.
 
-Algebra A carries, besides its binary product, one family of higher
-operations in each arity (2N-2)j + 2: a chained tuple of total length 2Nj
-using every loop/edge letter exactly j times ("centered") maps to V0^j times
-an idempotent; tuples exceeding that length by a prefix of the first entry or
-a suffix of the last entry ("left-/right-extended") map to that margin times
-V0^j.  Algebra B carries one higher operation in arity N: the descending
-cycle of edge letters maps to V_{N+1} times an idempotent, again with
-one-sided extended variants.  All other tuples map to zero, as do tuples
+Algebra A carries, besides its binary product, one higher operation, in
+arity 2N: a rotation of u1 s1 u2 s2 ... uN sN ("centered") maps to V0 times
+the idempotent at its first node; tuples exceeding it by a prefix of the first
+entry or a suffix of the last entry ("left-/right-extended") map to that
+margin times V0.  Algebra B carries one higher operation in arity N: the
+descending cycle of edge letters maps to V_{N+1} times an idempotent, again
+with one-sided extended variants.  All other tuples map to zero, as do tuples
 containing a unit in arity > 2.
+
+A has no operation in the other arities (2N-2)j + 2 that the grading admits
+(j >= 2): the arity-(4N-1) relations fix mu_{4N-2} uniquely up to gauge (an
+A-infinity isomorphism id + f_{4N-3} changes it by a Hochschild coboundary),
+and zero solves them.
 
 The operations run on interned word ids.  `_OpTables` extends the
 `staralg.WordTable` of one algebra, N and length bound with the columns only
@@ -37,11 +41,9 @@ from .staralg import (
     Word,
     WordTable,
     advance,
-    coeff_var,
     grading,
     mono_grading,
     mul_word,
-    var_grading,
     word_sort_key,
     words_of_length,
     zero_grading,
@@ -67,10 +69,8 @@ class OpResult:
 
 def valid_higher_arities(algebra: str, n: int, max_arity: int) -> list[int]:
     """Arities > 2 at which the algebra carries a (possibly) nonzero operation."""
-    if algebra == "A":
-        step = 2 * n - 2
-        return [step * j + 2 for j in range(1, (max_arity - 2) // step + 1)]
-    return [n] if n <= max_arity else []
+    arity = 2 * n if algebra == "A" else n
+    return [arity] if arity <= max_arity else []
 
 
 def _entry_grading(algebra: str, exp: Monomial, word: Word, n: int) -> Grading:
@@ -83,11 +83,10 @@ class _OpTables(WordTable):
     """The word table of one algebra and N up to max_len, with the columns
     the operation classifier reads.
 
-    Each call on the tables keeps the graded length of its entries (a
-    coefficient V^e counts the length of V^e) within max_len.  A weight
-    vector is packed into one int, slot k in bits [k*width, (k+1)*width), and
-    `width` holds max_len, so no slot of a sum over such entries carries into
-    the next.
+    Each call on the tables keeps the total word length of its entries
+    within max_len.  A weight vector is packed into one int, slot k in bits
+    [k*width, (k+1)*width), and `width` holds max_len, so no slot of a sum
+    over such entries carries into the next.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
@@ -102,9 +101,6 @@ class _OpTables(WordTable):
 
         self.weight = [pack(grading(w).alexander) for w in words]
         self.ones = pack((1,) * (2 * n))
-        g = var_grading(coeff_var(algebra, n), n)
-        self.coeff_len = g.ell
-        self.coeff_weight = pack(g.alexander)
         if algebra == "A":
             # component[a]: the centered component drop-mu2N:k removes when a is first
             self.component = [2 * (w.start - 1) + (0 if w.kind == "u" else 1) for w in words]
@@ -133,12 +129,12 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
     (tag, exponent, id), or None when it vanishes.
 
     The higher operations are not GF(2)[V]-linear in an entry that carries a
-    coefficient.  For A, the grading of V0^e (weight (e,...,e), length 2Ne)
-    counts toward the weight and length tests, so mu_{2N}(V0*x, ..) = 0 even
-    where mu_{2N}(x, ..) != 0; V0^e*x can pass where x fails only when it
-    stands in for e full turns of letters, which needs j >= N + 1 (arity 2N^2
-    and up).  For B, every bare-edge slot needs exponent 0, and only the
-    extended end entry may carry V_{N+1}^e, which multiplies into the value.
+    coefficient.  For A, an entry with a coefficient gives zero: V0^e counts
+    toward the length and weight tests (length 2Ne, weight (e,...,e)), and no
+    arity-2N tuple with such an entry passes them, so mu_{2N}(V0*x, ..) = 0
+    even where mu_{2N}(x, ..) != 0.  For B, every bare-edge slot needs
+    exponent 0, and only the extended end entry may carry V_{N+1}^e, which
+    multiplies into the value.
     `drop` is the centered A component a fault removes.
     """
     arity = len(entries)
@@ -148,7 +144,7 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
         return None if p is None else (TAG_BINARY, ea + eb, p)
     n = ops.n
     is_a = ops.algebra == "A"
-    if arity < 3 or ((arity - 2) % (2 * n - 2) if is_a else arity != n):
+    if arity < 3 or arity != (2 * n if is_a else n):
         return None
     ell, weight, exit_, entry = ops.ell, ops.weight, ops.exit, ops.entry
     exps = length = total = 0
@@ -160,7 +156,7 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
         length += ell[a]
         total += weight[a]
         prev = a
-    (e0, w0), (el, wl) = entries[0], entries[-1]
+    w0, wl = entries[0][1], entries[-1][1]
     if not is_a:
         edge = ops.edge_letters
         bare = [not e and a in edge for e, a in entries]
@@ -171,34 +167,26 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
         if all(bare[:-1]) and ops.rest_before_last[wl] is not None:
             return (TAG_RIGHT, 1 + exps, ops.rest_before_last[wl])
         return None
-    j = (arity - 2) // (2 * n - 2)
-    excess = length + ops.coeff_len * exps - 2 * n * j
-    if excess < 0:
+    excess = length - 2 * n
+    if exps or excess < 0:
         return None
-    cw = ops.coeff_weight
-    total += cw * exps
-    target = ops.ones * j
+    ones = ops.ones
     if excess == 0:
-        if total != target or ops.component[w0] == drop:
+        if total != ones or ops.component[w0] == drop:
             return None
-        return (TAG_CENTERED, j + exps, ops.init_unit[w0])
-    left = right = None
+        return (TAG_CENTERED, 1, ops.init_unit[w0])
+    # Left-extended needs a last word of length 1 and right-extended a longer
+    # one, so at most one of the two holds.
     splits = ops.splits[w0]
     if excess <= len(splits):
         head, tail = splits[excess - 1]
-        if weight[tail] + total - weight[w0] - cw * e0 == target:
-            left = head
+        if weight[tail] + total - weight[w0] == ones:
+            return (TAG_LEFT, 1, head)
     splits = ops.splits[wl]
     if excess <= len(splits):
         head, tail = splits[len(splits) - excess]
-        if weight[head] + total - weight[wl] - cw * el == target:
-            right = tail
-    if left is not None and right is not None:
-        raise RuntimeError("tuple classifies as both left- and right-extended")
-    if left is not None:
-        return (TAG_LEFT, j + exps, left)
-    if right is not None:
-        return (TAG_RIGHT, j + exps, right)
+        if weight[head] + total - weight[wl] == ones:
+            return (TAG_RIGHT, 1, tail)
     return None
 
 
@@ -213,8 +201,7 @@ def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple
         raise ValueError("operations need at least one input")
     n = seq[0].n
     pair_lists = [_as_pairs(x) for x in seq]
-    coeff_len = var_grading(coeff_var(algebra, n), n).ell
-    bound = sum(max((w.ell + coeff_len * e for e, w in pairs), default=0) for pairs in pair_lists)
+    bound = sum(max((w.ell for _, w in pairs), default=0) for pairs in pair_lists)
     ops = _op_tables(algebra, n, bound)
     drop = _dropped(fault)
     terms: list[tuple[Monomial, Word]] = []
@@ -312,42 +299,18 @@ def _centered_tuples(algebra: str, arity: int, n: int) -> list[tuple[Word, ...]]
             tup = tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, n + 1))
             out.append(tup)
         return out
-    step = 2 * n - 2
-    if (arity - 2) % step:
+    if arity != 2 * n:
         return out
-    j = (arity - 2) // step
-    if j < 1:
-        return out
-    budget = 2 * n * j
-    target = [j] * (2 * n)
-
-    def rec(prefix: list[Word], used: list[int], total: int) -> None:
-        if len(prefix) == arity:
-            if total == budget and used == target:
-                out.append(tuple(prefix))
-            return
-        remaining_slots = arity - len(prefix)
-        start_nodes = range(1, n + 1) if not prefix else [prefix[-1].fin]
-        for node in start_nodes:
-            for kind in ("u", "s"):
-                for ell in range(1, budget - total - (remaining_slots - 1) + 1):
-                    w = AWord(kind, node, ell, n)
-                    g = grading(w)
-                    new_used = [a + b for a, b in zip(used, g.alexander)]
-                    if any(a > t for a, t in zip(new_used, target)):
-                        continue
-                    rec(prefix + [w], new_used, total + ell)
-
-    rec([], [0] * (2 * n), 0)
-    out.sort(key=lambda t: tuple(word_sort_key(w) for w in t))
-    return out
+    # the 2N rotations of u1 s1 u2 s2 ... uN sN, in word order
+    cycle = [AWord(kind, i, 1, n) for i in range(1, n + 1) for kind in ("u", "s")]
+    return sorted((tuple(cycle[k:] + cycle[:k]) for k in range(2 * n)), key=lambda t: tuple(map(word_sort_key, t)))
 
 
 def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
     """All tuples of the given arity on which the higher operation is nonzero."""
-    # Every centered tuple has length 2Nj (A, arity (2N-2)j + 2) or N (B), and
-    # every other passing window extends one by `extra` letters at one end.
-    centered_len = n if algebra == "B" else 2 * n * ((arity - 2) // (2 * n - 2))
+    # Every centered tuple has length 2N (A) or N (B), and every other
+    # passing window extends one by `extra` letters at one end.
+    centered_len = n if algebra == "B" else 2 * n
     if centered_len > max_total_len:
         return []
     windows: set[tuple[Word, ...]] = set()
@@ -392,8 +355,8 @@ def _relation_tuples(ops: _OpTables, max_arity: int) -> set[tuple[int, ...]]:
     whose product with p is nonzero (outer mu_2), and W put in place of an
     entry p of a passing window (outer higher operation).  The window lookup
     drops the coefficient V^e; that is complete because an operation that is
-    nonzero on V^e*p is nonzero on p, always for B and for A below outer
-    arity 2N^2 (see _classify).
+    nonzero on V^e*p is nonzero on p: for B it multiplies V^e into its value,
+    and for A it vanishes on every entry with a coefficient (see _classify).
     """
     ell, mul, max_len = ops.ell, ops.mul, ops.max_len
     nonzero = [(t, sum(ell[a] for a in t), p) for t, _, p in _nonzero(ops, max_arity - 1) if len(t) < max_arity]

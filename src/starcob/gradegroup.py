@@ -6,7 +6,8 @@ letters (-1, e); words of algebra A are graded (0, e).  Every nonzero arity-n
 operation must multiply gradings up to the central element lambda = (1, e)
 raised to n - 2, which pins the coefficient gradings to (2N-2, e) for V0 and
 (-2, e) for V_{N+1} and obstructs all other arities: the admissible ones are
-n = k(2N-2)+2 on the A side and n = j(N-2)+2 on the B side.
+n = k(2N-2)+2 on the A side and n = j(N-2)+2 on the B side.  Admissible is
+not carried: A has a higher operation in arity 2N only (see ainfty).
 """
 from __future__ import annotations
 

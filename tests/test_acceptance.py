@@ -63,6 +63,10 @@ def test_criterion_01_a_relations_hold():
     for big_n in (3, 4):
         violations = check_ainfty("A", 2 * big_n + 2, 4 * big_n, big_n)
         assert violations == [], violations[:3]
+        # Past mu_{2N} o mu_{2N}, arity 4N - 1: guards against an operation
+        # in arity 4N - 2, which A does not carry.
+        violations = check_ainfty("A", 4 * big_n - 1, 4 * big_n + 2, big_n)
+        assert violations == [], violations[:3]
     elapsed = time.monotonic() - t0
     assert elapsed < 60.0
     _report(1, elapsed)

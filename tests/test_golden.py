@@ -53,12 +53,29 @@ GOLDEN = [
         0,
         "148012380972180d9ea7ac774ecbe56978840507423873ce0acef921e181da54",
     ),
-    # The first A window that reaches the j = 2 operation: 396 violations
-    # under today's definition of mu_{4N-2} (ROADMAP item 1).
+    # The first A windows past arity 4N - 2.  They gave 396 violations (exit
+    # 1), and at length 13 a "both left- and right-extended" error, while A
+    # carried a j = 2 operation mu_{4N-2}; with mu_{2N} as A's one higher
+    # operation they are clean (tests/test_deformation.py shows why).
     (
         "verify ainfty-a --n 3 --max-arity 11 --max-len 12",
-        1,
-        "14b26c04ff25cda1dc39b6392a02eee89a7d9c14a2136c7d3f02bbeba45aa372",
+        0,
+        "1b40acbfc6e7d7a1e11e9ac91bfe416fee80cf5b326fa96efc1b59eac2a318f8",
+    ),
+    (
+        "verify ainfty-a --n 3 --max-arity 11 --max-len 13",
+        0,
+        "59b134ba5459b5fe7d194a01fcf0aeef0065b503f96ce048d08fa8cb2cd2836f",
+    ),
+    (
+        "verify grading --n 3 --max-arity 10 --max-len 13",
+        0,
+        "f0089e51cd2bdcd8fe9c51e78564f7f50d0222df2da9df3c8a59accd7a1fc005",
+    ),
+    (
+        "verify ainfty-a --n 4 --max-arity 15 --max-len 16",
+        0,
+        "7a7015cde57c1efe7f40e49a96f7ac2703435edb22fdf4a7248f5c4d22b53ce7",
     ),
     # A B window that composes two higher operations, mu_N(.., mu_N(..), ..).
     (
