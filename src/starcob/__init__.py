@@ -11,13 +11,13 @@ from __future__ import annotations
 from .ainfty import (
     OpResult,
     check_ainfty,
+    higher_arity,
     mu_a,
     mu_b,
     op_grading_check,
     parse_fault,
     passing_windows,
-    relation_value as relation_sum,  # takes basis words; ainfty.relation_sum is its id-level form
-    valid_higher_arities,
+    relation_value,
 )
 from .staralg import (
     AlgElem,
@@ -54,11 +54,11 @@ __all__ = [
     "mul_b",
     "mu_a",
     "mu_b",
-    "relation_sum",
+    "relation_value",
     "check_ainfty",
     "op_grading_check",
     "passing_windows",
-    "valid_higher_arities",
+    "higher_arity",
     "parse_fault",
     "enumerate_basis",
     "special_element",

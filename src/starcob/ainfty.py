@@ -7,7 +7,7 @@ entry or a suffix of the last entry ("left-/right-extended") map to that
 margin times V0.  Algebra B carries one higher operation in arity N: the
 descending cycle of edge letters maps to V_{N+1} times an idempotent, again
 with one-sided extended variants.  All other tuples map to zero, as do tuples
-containing a unit in arity > 2.
+containing a unit in arity > 2.  `higher_arity` gives 2N (A) or N (B).
 
 A has no operation in the other arities (2N-2)j + 2 that the grading admits
 (j >= 2): the arity-(4N-1) relations fix mu_{4N-2} uniquely up to gauge (an
@@ -67,10 +67,9 @@ class OpResult:
     tag: str
 
 
-def valid_higher_arities(algebra: str, n: int, max_arity: int) -> list[int]:
-    """Arities > 2 at which the algebra carries a (possibly) nonzero operation."""
-    arity = 2 * n if algebra == "A" else n
-    return [arity] if arity <= max_arity else []
+def higher_arity(algebra: str, n: int) -> int:
+    """The arity of the algebra's one higher operation: 2N for A, N for B."""
+    return 2 * n if algebra == "A" else n
 
 
 def _entry_grading(algebra: str, exp: Monomial, word: Word, n: int) -> Grading:
@@ -92,6 +91,7 @@ class _OpTables(WordTable):
     def __init__(self, algebra: str, n: int, max_len: int):
         super().__init__(algebra, n, max_len)
         words, ids = self.words, self.ids
+        self.higher_arity = higher_arity(algebra, n)
         # init_unit[a]: the idempotent at the initial node of a (ids 0..N-1 by node)
         self.init_unit = [w.init - 1 for w in words]
         width = max(max_len, 1).bit_length()
@@ -142,10 +142,10 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
         (ea, a), (eb, b) = entries
         p = ops.mul[a].get(b)
         return None if p is None else (TAG_BINARY, ea + eb, p)
+    if arity < 3 or arity != ops.higher_arity:
+        return None
     n = ops.n
     is_a = ops.algebra == "A"
-    if arity < 3 or arity != (2 * n if is_a else n):
-        return None
     ell, weight, exit_, entry = ops.ell, ops.weight, ops.exit, ops.entry
     exps = length = total = 0
     prev = None
@@ -233,7 +233,7 @@ def mu_a(seq: Sequence[Union[AlgElem, AWord]], fault: Optional[tuple] = None) ->
     return _mu("A", seq, fault)
 
 
-def mu_b(seq: Sequence[Union[AlgElem, BWord]], fault: Optional[tuple] = None) -> OpResult:
+def mu_b(seq: Sequence[Union[AlgElem, BWord]]) -> OpResult:
     """Higher operation of algebra B.
 
     >>> n = 3
@@ -242,29 +242,23 @@ def mu_b(seq: Sequence[Union[AlgElem, BWord]], fault: Optional[tuple] = None) ->
     >>> res.tag, res.value.render()
     ('centered', 'V4*I1')
     """
-    return _mu("B", seq, fault)
-
-
-@functools.cache
-def _valid_arities(algebra: str, n: int, max_arity: int) -> frozenset:
-    """Arities <= max_arity whose operation can be nonzero: 2 and the valid higher ones."""
-    return frozenset({2, *valid_higher_arities(algebra, n, max_arity)})
+    return _mu("B", seq)
 
 
 def relation_sum(ops: _OpTables, ids: tuple, drop: Optional[int] = None) -> dict[int, int]:
     """Sum of all composed operation terms on a tuple of word ids, as
     {id: coefficient bitmask}, nonzero coefficients only.
 
-    Only splits whose inner arity r and outer arity size - r + 1 are both
-    valid are visited; every other composed term vanishes.  The terms are
-    XORed per output id.
+    Only splits whose inner arity r and outer arity size - r + 1 are both 2
+    or the higher arity are visited; every other composed term vanishes.
+    The terms are XORed per output id.
     """
     size = len(ids)
-    valid = _valid_arities(ops.algebra, ops.n, size - 1)
+    arities = (2, ops.higher_arity)
     base = [(0, a) for a in ids]
     acc: dict[int, int] = {}
-    for r in range(2, size):
-        if r not in valid or size - r + 1 not in valid:
+    for r in arities:
+        if size - r + 1 not in arities:
             continue
         for k in range(size - r + 1):
             inner = _classify(ops, base[k : k + r], drop)
@@ -289,32 +283,31 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
     return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
 
 
-def _centered_tuples(algebra: str, arity: int, n: int) -> list[tuple[Word, ...]]:
-    """All centered tuples of the given arity (non-idempotent chained words)."""
-    out: list[tuple[Word, ...]] = []
+def _centered_tuples(algebra: str, n: int) -> list[tuple[Word, ...]]:
+    """All centered tuples of the higher operation, each a tuple of
+    higher_arity(algebra, n) letters."""
+    arity = higher_arity(algebra, n)
     if algebra == "B":
-        if arity != n:
-            return out
+        out: list[tuple[Word, ...]] = []
         for i in range(1, n + 1):
-            tup = tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, n + 1))
+            tup = tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, arity + 1))
             out.append(tup)
-        return out
-    if arity != 2 * n:
         return out
     # the 2N rotations of u1 s1 u2 s2 ... uN sN, in word order
     cycle = [AWord(kind, i, 1, n) for i in range(1, n + 1) for kind in ("u", "s")]
-    return sorted((tuple(cycle[k:] + cycle[:k]) for k in range(2 * n)), key=lambda t: tuple(map(word_sort_key, t)))
+    return sorted((tuple(cycle[k:] + cycle[:k]) for k in range(arity)), key=lambda t: tuple(map(word_sort_key, t)))
 
 
-def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
-    """All tuples of the given arity on which the higher operation is nonzero."""
-    # Every centered tuple has length 2N (A) or N (B), and every other
-    # passing window extends one by `extra` letters at one end.
-    centered_len = n if algebra == "B" else 2 * n
+def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
+    """All tuples within the length bound on which the higher operation is
+    nonzero."""
+    # Every centered tuple is higher_arity(algebra, n) letters long, and every
+    # other passing window extends one by `extra` letters at one end.
+    centered_len = higher_arity(algebra, n)
     if centered_len > max_total_len:
         return []
     windows: set[tuple[Word, ...]] = set()
-    for tup in _centered_tuples(algebra, arity, n):
+    for tup in _centered_tuples(algebra, n):
         windows.add(tup)
         first, last = tup[0], tup[-1]
         for extra in range(1, max_total_len - centered_len + 1):
@@ -328,23 +321,22 @@ def passing_windows(algebra: str, arity: int, max_total_len: int, n: int) -> lis
     return sorted(windows, key=lambda t: tuple(word_sort_key(w) for w in t))
 
 
-
 def _nonzero(ops: _OpTables, max_arity: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """Every nonzero operation of arity <= max_arity on the table's words,
     as (input ids, exponent, output id): first the binary products of
-    chained pairs, then each higher operation on its passing windows, by
-    arity."""
+    chained pairs, then the higher operation on its passing windows."""
     for i in range(1, ops.n + 1):
         for a in ops.by_entry[i]:
             for b, p in ops.mul[a].items():
                 yield (a, b), 0, p
+    if ops.higher_arity > max_arity:
+        return
     ids = ops.ids
-    for r in valid_higher_arities(ops.algebra, ops.n, max_arity):
-        for window in passing_windows(ops.algebra, r, ops.max_len, ops.n):
-            t = tuple(ids[w] for w in window)
-            res = _classify(ops, [(0, a) for a in t])
-            if res is not None:
-                yield t, res[1], res[2]
+    for window in passing_windows(ops.algebra, ops.max_len, ops.n):
+        t = tuple(ids[w] for w in window)
+        res = _classify(ops, [(0, a) for a in t])
+        if res is not None:
+            yield t, res[1], res[2]
 
 
 def _relation_tuples(ops: _OpTables, max_arity: int) -> set[tuple[int, ...]]:
@@ -419,16 +411,17 @@ def check_ainfty(
 
 def nonzero_operations(
     algebra: str, max_arity: int, max_total_len: int, n: int
-) -> Iterator[tuple[tuple[Word, ...], list[tuple[Monomial, Word]]]]:
-    """Every nonzero operation within bounds, as (inputs, output entries).
+) -> Iterator[tuple[tuple[Word, ...], Monomial, Word]]:
+    """Every nonzero operation within bounds, as (inputs, exponent, output
+    word): the value is V^exponent * output word.
 
     First the binary products of chained word pairs with total length within
-    bounds, then each higher operation on its passing windows, by arity.
+    bounds, then the higher operation on its passing windows.
     """
     ops = _op_tables(algebra, n, max_total_len)
     words = ops.words
     for t, e, p in _nonzero(ops, max_arity):
-        yield tuple(words[a] for a in t), [(e, words[p])]
+        yield tuple(words[a] for a in t), e, words[p]
 
 
 def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
@@ -438,23 +431,22 @@ def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -
     the Maslov degree and preserve the weight vector (hence total length).
     """
     violations: list[dict] = []
-    for inputs, outputs in nonzero_operations(algebra, max_arity, max_total_len, n):
+    for inputs, exp, word in nonzero_operations(algebra, max_arity, max_total_len, n):
         r = len(inputs)
         total = zero_grading(n)
         for w in inputs:
             total = total + grading(w)
         expect = Grading(total.m + r - 2, total.alexander, total.ell)
-        for exp, word in outputs:
-            got = _entry_grading(algebra, exp, word, n)
-            if got != expect:
-                violations.append(
-                    {
-                        "algebra": algebra,
-                        "arity": r,
-                        "inputs": [w.render() for w in inputs],
-                        "reason": f"{'binary' if r == 2 else 'operation'} grading {got} != {expect}",
-                    }
-                )
+        got = _entry_grading(algebra, exp, word, n)
+        if got != expect:
+            violations.append(
+                {
+                    "algebra": algebra,
+                    "arity": r,
+                    "inputs": [w.render() for w in inputs],
+                    "reason": f"{'binary' if r == 2 else 'operation'} grading {got} != {expect}",
+                }
+            )
     return violations
 
 
@@ -483,7 +475,7 @@ __all__ = [
     "mu_a",
     "mu_b",
     "relation_value",
-    "valid_higher_arities",
+    "higher_arity",
     "passing_windows",
     "nonzero_operations",
     "check_ainfty",

@@ -21,7 +21,7 @@ rule as tables, built lazily, once per (algebra, N, max_len); a string is a
 tuple of non-idempotent ids.  `TString` and
 `CobElem` are the validated boundary: each public map converts its input to
 ids, runs the one table-driven implementation and builds its result through
-them, and `verify_homotopy` checks the certificate on the ids directly.
+them; `verify_homotopy` and `phi_psi_failures` check on the ids directly.
 """
 from __future__ import annotations
 
@@ -251,6 +251,11 @@ class _WordTables(WordTable):
             rhs ^= {self.psi[p]}
         return lhs, rhs
 
+    def phi_psi_failures(self) -> list[Word]:
+        """The non-idempotent words o of `other` with phi(psi(o)) != o."""
+        other = self.other
+        return [other.words[o] for o in range(self.n, len(other.words)) if self.phi_word(self.psi[o]) != o]
+
 
 @functools.lru_cache(maxsize=64)
 def _tables(algebra: str, n: int, max_len: int) -> _WordTables:
@@ -346,7 +351,7 @@ def psi(b: Union[AlgElem, Word]) -> CobElem:
     return tables.cob(out)
 
 
-def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> CobElem:
+def homotopy_h(x: Union[CobElem, TString]) -> CobElem:
     """Merge the last leading-block factor into the first tail factor.
 
     Zero on strings with an empty leading block, with no tail, or whose merge
@@ -358,8 +363,6 @@ def homotopy_h(x: Union[CobElem, TString], fault: Optional[tuple] = None) -> Cob
     >>> homotopy_h(TString((AWord("u", 1, 1, n), AWord("s", 1, 1, n)))).render()
     '0'
     """
-    if fault is not None and fault[0] == "break-h":
-        return CobElem.zero(x.algebra, x.n)
     tables, strings = _tables_for(x)
     out: set = set()
     for s in strings:
@@ -396,6 +399,12 @@ def verify_homotopy(
     return True
 
 
+def phi_psi_failures(max_total_len: int, n: int, base: str = "A") -> list[Word]:
+    """The non-idempotent words w of the algebra dual to `base`, with length
+    within the bound, on which phi(psi(w)) != w, in basis order."""
+    return _tables(base, n, max(max_total_len, 0)).phi_psi_failures()
+
+
 __all__ = [
     "TString",
     "CobElem",
@@ -409,4 +418,5 @@ __all__ = [
     "homotopy_h",
     "enumerate_strings",
     "verify_homotopy",
+    "phi_psi_failures",
 ]

@@ -26,17 +26,11 @@ import json
 import sys
 from typing import Optional
 
-from .ainfty import check_ainfty, op_grading_check, parse_fault
-from .barcobar import enumerate_strings, phi, psi, verify_homotopy
+from .ainfty import check_ainfty, higher_arity, op_grading_check, parse_fault
+from .barcobar import enumerate_strings, phi_psi_failures, verify_homotopy
 from .gradegroup import admissible_arities, check_multiplicativity
 from .hochschild import cohomology_table, witness_cocycle
-from .staralg import (
-    AlgElem,
-    dual_algebra,
-    enumerate_basis,
-    special_element,
-    var_grading,
-)
+from .staralg import enumerate_basis, special_element, var_grading
 
 SCHEMA = "starcob/1"
 
@@ -63,8 +57,8 @@ def _fault(args) -> Optional[tuple]:
         return None
     if FAULT_KINDS[fault[0]] != args.kind:
         raise ConfigError(f"fault spec {spec!r} applies only to verify {FAULT_KINDS[fault[0]]}")
-    if fault[0] == "drop-a-centered" and not 0 <= fault[1] < 2 * args.n:
-        raise ConfigError(f"fault spec {spec!r} needs 0 <= k < 2N = {2 * args.n}")
+    if fault[0] == "drop-a-centered" and not 0 <= fault[1] < higher_arity("A", args.n):
+        raise ConfigError(f"fault spec {spec!r} needs 0 <= k < 2N = {higher_arity('A', args.n)}")
     return fault
 
 
@@ -72,6 +66,14 @@ def _check_options(args) -> None:
     for opt in UNREAD_OPTIONS.get(args.kind, ()):
         if getattr(args, opt[2:].replace("-", "_")) is not None:
             raise ConfigError(f"option {opt} does not apply to verify {args.kind}")
+
+
+def _window(args, algebra: str) -> tuple[int, int]:
+    """The (max-arity, max-len) of a sweep over the algebra: the options,
+    else the higher arity + 2 and length 4N for A, 3N for B."""
+    max_arity = args.max_arity if args.max_arity is not None else higher_arity(algebra, args.n) + 2
+    max_len = args.max_len if args.max_len is not None else (4 if algebra == "A" else 3) * args.n
+    return max_arity, max_len
 
 
 def _check_max_len(args) -> None:
@@ -137,13 +139,11 @@ def cmd_build(args, out) -> int:
 
 
 def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dict], dict]:
-    n = args.n
-    max_arity = args.max_arity if args.max_arity is not None else (2 * n + 2 if algebra == "A" else n + 2)
-    max_len = args.max_len if args.max_len is not None else (4 * n if algebra == "A" else 3 * n)
+    max_arity, max_len = _window(args, algebra)
     if max_arity < 3:
         raise ConfigError(f"--max-arity {max_arity} checks no relation: verify {args.kind} needs --max-arity >= 3")
     _check_max_len(args)
-    violations = check_ainfty(algebra, max_arity, max_len, n, fault=fault)
+    violations = check_ainfty(algebra, max_arity, max_len, args.n, fault=fault)
     extra = {"max-arity": max_arity, "max-len": max_len, "fault": args.inject_fault}
     return violations, extra
 
@@ -155,17 +155,12 @@ def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
         raise ConfigError(f"--max-len {max_len} checks no string: verify homotopy needs --max-len >= 1")
     violations = []
     for base in ("A", "B"):
-        identity_ok = True
-        for w in enumerate_basis(dual_algebra(base), max_len, n):
-            if w.is_idempotent():
-                continue
-            if phi(psi(w)) != AlgElem.from_word(w):
-                identity_ok = False
-                violations.append({"base": base, "reason": f"phi(psi({w.render()})) != {w.render()}"})
-        cert = verify_homotopy(max_len, n, base, fault=fault)
-        if not cert:
+        failures = phi_psi_failures(max_len, n, base)
+        for w in failures:
+            violations.append({"base": base, "reason": f"phi(psi({w.render()})) != {w.render()}"})
+        if not verify_homotopy(max_len, n, base, fault=fault):
             violations.append({"base": base, "reason": "homotopy certificate fails"})
-        if not identity_ok:
+        if failures:
             violations.append({"base": base, "reason": "phi-psi identity fails"})
     extra = {"max-len": max_len, "fault": args.inject_fault}
     return violations, extra
@@ -175,9 +170,10 @@ def _verify_grading(args) -> tuple[list[dict], dict]:
     n = args.n
     _check_max_len(args)
     violations = []
+    windows = {}
     for algebra in ("A", "B"):
-        max_arity = args.max_arity if args.max_arity is not None else (2 * n + 2 if algebra == "A" else n + 2)
-        max_len = args.max_len if args.max_len is not None else (4 * n if algebra == "A" else 3 * n)
+        max_arity, max_len = _window(args, algebra)
+        windows[algebra] = {"max-arity": max_arity, "max-len": max_len}
         violations.extend(op_grading_check(algebra, max_arity, max_len, n))
         violations.extend(check_multiplicativity(algebra, max_arity, max_len, n))
     expected_m = {0: 2 * n - 2, n + 1: -2}
@@ -185,14 +181,16 @@ def _verify_grading(args) -> tuple[list[dict], dict]:
         got = var_grading(var, n).m
         if got != m_expected:
             violations.append({"reason": f"m(V{var}) = {got} != {m_expected}"})
-    return violations, {}
+    return violations, {"windows": windows}
 
 
 def _verify_arities(args) -> tuple[list[dict], dict]:
     n = args.n
     violations = []
     computed = {}
-    for side, below, boundary in (("A", (3, 2 * n - 1), 2 * n), ("B", (3, n - 1), n)):
+    for side in ("A", "B"):
+        boundary = higher_arity(side, n)
+        below = (3, boundary - 1)
         empty = admissible_arities(side, n, *below)
         bound = admissible_arities(side, n, 3, boundary)
         computed[side] = {

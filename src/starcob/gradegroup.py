@@ -138,21 +138,20 @@ def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: 
     over all nonzero binary products and higher-operation windows in range."""
     violations: list[dict] = []
     grade = functools.cache(assign_grading)  # each distinct word graded once per call
-    for inputs, outputs in nonzero_operations(algebra, max_arity, max_total_len, n):
+    for inputs, exp, word in nonzero_operations(algebra, max_arity, max_total_len, n):
         expect = gp_pow(GP_LAMBDA, len(inputs) - 2)
         for w in inputs:
             expect = gp_mul(expect, grade(w))
-        for exp, word in outputs:
-            got = gp_mul(mono_group_grading(exp, algebra, n), grade(word))
-            if got != expect:
-                violations.append(
-                    {
-                        "algebra": algebra,
-                        "arity": len(inputs),
-                        "inputs": [w.render() for w in inputs],
-                        "reason": f"grading {got.render()} != {expect.render()}",
-                    }
-                )
+        got = gp_mul(mono_group_grading(exp, algebra, n), grade(word))
+        if got != expect:
+            violations.append(
+                {
+                    "algebra": algebra,
+                    "arity": len(inputs),
+                    "inputs": [w.render() for w in inputs],
+                    "reason": f"grading {got.render()} != {expect.render()}",
+                }
+            )
     return violations
 
 

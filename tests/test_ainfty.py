@@ -23,8 +23,8 @@ from starcob.ainfty import (
     op_grading_check,
     parse_fault,
     passing_windows,
+    higher_arity,
     relation_value,
-    valid_higher_arities,
 )
 from starcob.ring import mono_mul
 from starcob.staralg import (
@@ -59,14 +59,19 @@ def _rho(i, n=3):
     return letter("B", "r", i, n)
 
 
-def test_valid_higher_arities():
+def test_higher_arity():
     # A carries mu_{2N} only: the arities (2N-2)j + 2 with j >= 2 that the
     # grading admits hold no operation (tests/test_deformation.py).
-    assert valid_higher_arities("A", 3, 12) == [6]
-    assert valid_higher_arities("A", 4, 16) == [8]
-    assert valid_higher_arities("A", 3, 5) == []
-    assert valid_higher_arities("B", 3, 12) == [3]
-    assert valid_higher_arities("B", 5, 12) == [5]
+    assert higher_arity("A", 3) == 6
+    assert higher_arity("A", 4) == 8
+    assert higher_arity("B", 3) == 3
+    assert higher_arity("B", 5) == 5
+    # the classifier's column, and the arity of every passing window
+    for algebra, n in (("A", 3), ("A", 4), ("B", 3), ("B", 5)):
+        assert _op_tables(algebra, n, 4 * n).higher_arity == higher_arity(algebra, n)
+        assert {len(w) for w in passing_windows(algebra, 4 * n, n)} == {higher_arity(algebra, n)}
+    # below its centered length no window passes
+    assert passing_windows("A", 5, 3) == []
 
 
 def test_mu_a_centered_rotation():
@@ -174,13 +179,13 @@ def test_relation_sum_vanishes_on_witness_tuples():
 
 
 def test_passing_windows_at_base_arity():
-    wins = passing_windows("A", 6, 6, 3)
+    wins = passing_windows("A", 6, 3)
     assert len(wins) == 6
     for w in wins:
         res = mu_a(list(w))
         assert res.tag == "centered"
         assert not res.value.is_zero()
-    wins_b = passing_windows("B", 3, 3, 3)
+    wins_b = passing_windows("B", 3, 3)
     assert len(wins_b) == 3
     for w in wins_b:
         assert mu_b(list(w)).tag == "centered"
@@ -515,7 +520,7 @@ def test_entry_splits_of_deep_windows_are_candidates():
     swept = _swept("A", 9, 10, n)
     table = _op_tables("A", n, 10)
     splits = set()
-    for window in passing_windows("A", 8, 10, n):
+    for window in passing_windows("A", 10, n):
         for t, w in enumerate(window):
             for ids in table.chains(w.ell, entry=w.entry):
                 pair = tuple(table.words[a] for a in ids)
@@ -543,8 +548,8 @@ def test_op_grading_check_clean():
 
 def test_tags_are_exclusive_across_windows():
     # Every nonzero higher operation reports exactly one structural case.
-    for algebra, arity in (("A", 6), ("B", 3)):
-        for win in passing_windows(algebra, arity, 10, 3):
+    for algebra in ("A", "B"):
+        for win in passing_windows(algebra, 10, 3):
             res = mu_a(list(win)) if algebra == "A" else mu_b(list(win))
             assert res.tag in {"centered", "left-extended", "right-extended"}
             assert not res.value.is_zero()

@@ -11,6 +11,7 @@ from starcob.barcobar import (
     CobElem,
     TString,
     _tables,
+    _WordTables,
     bar_diff,
     cobar_diff,
     cobar_mul,
@@ -18,6 +19,7 @@ from starcob.barcobar import (
     enumerate_strings,
     homotopy_h,
     phi,
+    phi_psi_failures,
     psi,
     verify_homotopy,
 )
@@ -369,3 +371,26 @@ def test_kernel_matches_object_oracle(algebra, n):
 def test_break_h_fails_the_sweep(algebra, n):
     assert verify_homotopy(6, n, algebra)
     assert not verify_homotopy(6, n, algebra, fault=("break-h",))
+
+
+@pytest.mark.parametrize("base", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_phi_psi_identity_matches_object_oracle(base, n):
+    # The table check fails on exactly the words on which the public maps
+    # give phi(psi(w)) != w: on none, for every word of length <= 6.
+    words = [w for w in enumerate_basis(dual_algebra(base), 6, n) if not w.is_idempotent()]
+    assert len(words) > 2 * n
+    oracle = [w for w in words if phi(psi(w)) != AlgElem.from_word(w)]
+    assert phi_psi_failures(6, n, base) == oracle == []
+
+
+@pytest.mark.parametrize("base", ["A", "B"])
+def test_phi_psi_check_names_a_corrupted_psi_entry(base):
+    # A fresh table, not the cached one, with the psi entry of its last word
+    # replaced by that of the word before: the check names that word only.
+    tables = _WordTables(base, 3, 4)
+    other = tables.other
+    last = len(other.words) - 1
+    tables.psi[last] = tables.psi[last - 1]
+    assert tables.phi_psi_failures() == [other.words[last]]
+    assert _tables(base, 3, 4).phi_psi_failures() == []

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from starcob.barcobar import _tables
 from starcob.cli import main
 
 
@@ -285,3 +286,26 @@ def test_smallest_sweep_is_accepted(argv, capsys):
     code, out, _ = _run(argv + ["--n", "3"], capsys)
     assert code == 0
     assert json.loads(out)["schema"] == "starcob/1"
+
+
+def test_grading_report_records_its_window(capsys):
+    # Two different sweeps give two different configs.
+    _, default, _ = _run(["verify", "grading", "--n", "3"], capsys)
+    _, wide, _ = _run(["verify", "grading", "--n", "3", "--max-arity", "10", "--max-len", "13"], capsys)
+    assert json.loads(default)["config"]["windows"] == {
+        "A": {"max-arity": 8, "max-len": 12},
+        "B": {"max-arity": 5, "max-len": 9},
+    }
+    assert json.loads(wide)["config"]["windows"] == {
+        "A": {"max-arity": 10, "max-len": 13},
+        "B": {"max-arity": 10, "max-len": 13},
+    }
+
+
+def test_homotopy_builds_one_table_per_algebra(capsys):
+    # The phi-psi identity and the certificate share the tables of
+    # (algebra, N, --max-len), so the sweep builds exactly two.
+    _tables.cache_clear()
+    code, _, _ = _run(["verify", "homotopy", "--n", "3", "--max-len", "5"], capsys)
+    assert code == 0
+    assert _tables.cache_info().misses == 2

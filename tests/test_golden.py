@@ -67,10 +67,11 @@ GOLDEN = [
         0,
         "59b134ba5459b5fe7d194a01fcf0aeef0065b503f96ce048d08fa8cb2cd2836f",
     ),
+    # The grading report records the window of each algebra in its config.
     (
         "verify grading --n 3 --max-arity 10 --max-len 13",
         0,
-        "f0089e51cd2bdcd8fe9c51e78564f7f50d0222df2da9df3c8a59accd7a1fc005",
+        "6998c426a754c3d39c05bf4a79394fa2c6628f4bf4f5acb4f7666b5a36fd4e6b",
     ),
     (
         "verify ainfty-a --n 4 --max-arity 15 --max-len 16",
