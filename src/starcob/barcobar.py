@@ -21,7 +21,18 @@ rule as tables, built lazily, once per (algebra, N, max_len); a string is a
 tuple of non-idempotent ids.  `TString` and
 `CobElem` are the validated boundary: each public map converts its input to
 ids, runs the one table-driven implementation and builds its result through
-them; `verify_homotopy` and `phi_psi_failures` check on the ids directly.
+them; `homotopy_failure`, `verify_homotopy` and `phi_psi_failures` check on
+the ids directly.
+
+The Z/N rotation of the cyclic quiver, node i to node i+1, commutes with
+every column the certificate reads (the product, the splits, the dictionary,
+the leading-block rule and psi), so the two sides on a rotated string are the
+rotated sides.  Rotation moves the node where a string's first factor is
+entered, so the strings entered at node 1 are exactly one per rotation orbit,
+and `homotopy_failure` checks only those: a failure anywhere has a rotated
+copy among them.  The equivariance tests in tests/test_barcobar.py are what
+make this sweep complete; a fault injected into the homotopy must be
+rotation-invariant too, as `break-h` is, or the sweep can miss it.
 """
 from __future__ import annotations
 
@@ -372,11 +383,39 @@ def homotopy_h(x: Union[CobElem, TString]) -> CobElem:
     return tables.cob(out)
 
 
-def enumerate_strings(algebra: str, max_total_len: int, n: int) -> Iterator[TString]:
-    """All chained tensor strings with total length <= max_total_len."""
+def enumerate_strings(algebra: str, max_total_len: int, n: int, entry: Optional[int] = None) -> Iterator[TString]:
+    """All chained tensor strings with total length <= max_total_len, or only
+    those whose first factor is entered at node `entry`.  The strings entered
+    at node 1 come first, then node 2, and so on."""
     tables = _tables(algebra, n, max_total_len)
-    for s in tables.chains(max_total_len):
+    for s in tables.chains(max_total_len, entry):
         yield TString(tuple(map(tables.words.__getitem__, s)))
+
+
+def homotopy_failure(
+    max_total_len: int,
+    n: int,
+    base: str = "A",
+    fault: Optional[tuple] = None,
+) -> Optional[dict]:
+    """The first chained string over `base` with total length within the
+    bound on which delta H + H delta != id + psi phi, with both sides
+    rendered, or None when the certificate holds on every string.
+
+    The sweep is serial and checks one string per rotation orbit, those
+    entered at node 1 (see the module docstring).  They come first in
+    `enumerate_strings` order, so the first failure is the one a sweep over
+    every string would meet first.
+
+    >>> homotopy_failure(2, 3, "A", ("break-h",))
+    {'string': 'U1*.U1*', 'lhs-sum': '0', 'rhs-sum': 'U1*.U1*'}
+    """
+    tables = _tables(base, n, max(max_total_len, 0))
+    for ts in enumerate_strings(base, max_total_len, n, 1):
+        lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)
+        if lhs != rhs:
+            return {"string": ts.render(), "lhs-sum": tables.cob(lhs).render(), "rhs-sum": tables.cob(rhs).render()}
+    return None
 
 
 def verify_homotopy(
@@ -388,15 +427,10 @@ def verify_homotopy(
     """Whether delta H + H delta = id + psi phi on every chained string over
     `base` with total length within the bound.
 
-    The sweep is serial, in enumeration order, and stops at the first string
-    on which the identity fails.
+    Only the strings entered at node 1, one per rotation orbit, are checked
+    (see `homotopy_failure`); rotation equivariance covers the rest.
     """
-    tables = _tables(base, n, max(max_total_len, 0))
-    for ts in enumerate_strings(base, max_total_len, n):
-        lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)
-        if lhs != rhs:
-            return False
-    return True
+    return homotopy_failure(max_total_len, n, base, fault) is None
 
 
 def phi_psi_failures(max_total_len: int, n: int, base: str = "A") -> list[Word]:
@@ -417,6 +451,7 @@ __all__ = [
     "psi",
     "homotopy_h",
     "enumerate_strings",
+    "homotopy_failure",
     "verify_homotopy",
     "phi_psi_failures",
 ]

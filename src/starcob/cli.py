@@ -27,7 +27,7 @@ import sys
 from typing import Optional
 
 from .ainfty import check_ainfty, higher_arity, op_grading_check, parse_fault
-from .barcobar import enumerate_strings, phi_psi_failures, verify_homotopy
+from .barcobar import enumerate_strings, homotopy_failure, phi_psi_failures, verify_homotopy
 from .gradegroup import admissible_arities, check_multiplicativity
 from .hochschild import cohomology_table, witness_cocycle
 from .staralg import enumerate_basis, special_element, var_grading
@@ -150,7 +150,8 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
 
 def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
     n = args.n
-    max_len = args.max_len if args.max_len is not None else 8
+    # the default window holds B's full loops, of length 2N
+    max_len = args.max_len if args.max_len is not None else max(8, 2 * n)
     if max_len < 1:
         raise ConfigError(f"--max-len {max_len} checks no string: verify homotopy needs --max-len >= 1")
     violations = []
@@ -158,8 +159,11 @@ def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
         failures = phi_psi_failures(max_len, n, base)
         for w in failures:
             violations.append({"base": base, "reason": f"phi(psi({w.render()})) != {w.render()}"})
+        # the verdict comes from verify_homotopy, the sweep perfbench traces;
+        # only a failing sweep is run again, up to its first failing string
         if not verify_homotopy(max_len, n, base, fault=fault):
-            violations.append({"base": base, "reason": "homotopy certificate fails"})
+            failure = homotopy_failure(max_len, n, base, fault)
+            violations.append({"base": base, "reason": "homotopy certificate fails", **failure})
         if failures:
             violations.append({"base": base, "reason": "phi-psi identity fails"})
     extra = {"max-len": max_len, "fault": args.inject_fault}

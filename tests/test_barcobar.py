@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from starcob.barcobar import (
     cobar_mul,
     dict_image,
     enumerate_strings,
+    homotopy_failure,
     homotopy_h,
     phi,
     phi_psi_failures,
@@ -254,9 +256,10 @@ def _brute_strings(algebra, max_len, n):
 
 
 def test_enumerate_strings_order():
-    # test_cobar_leibniz_random samples strings by position and
-    # verify_homotopy stops at the first failing string, so the enumeration
-    # order is part of the behaviour; this digest pins it.
+    # test_cobar_leibniz_random samples strings by position, and the homotopy
+    # sweep checks the strings entered at node 1, which come first, and
+    # reports the first that fails, so the enumeration order is part of the
+    # behaviour; this digest pins it.
     digest = hashlib.sha256()
     for algebra in ("A", "B"):
         for n in (3, 4):
@@ -394,3 +397,121 @@ def test_phi_psi_check_names_a_corrupted_psi_entry(base):
     tables.psi[last] = tables.psi[last - 1]
     assert tables.phi_psi_failures() == [other.words[last]]
     assert _tables(base, 3, 4).phi_psi_failures() == []
+
+
+# Rotation equivariance: the Z/N rotation i -> i+1 of the cyclic quiver
+# commutes with every column the certificate reads, so checking the strings
+# entered at node 1, one per orbit, checks them all.
+
+
+def _rotation(tables):
+    """The rotation i -> i+1 as a permutation of the table's ids."""
+    n = tables.n
+    return [tables.ids[replace(w, start=w.start % n + 1)] for w in tables.words]
+
+
+def _equivariance_mismatches(tables):
+    """The columns and strings (up to the table's bound) on which rotating
+    the input and rotating the output disagree."""
+    n, other = tables.n, tables.other
+    rot, rot_o = _rotation(tables), _rotation(other)
+
+    def rotate(s):
+        return tuple(rot[a] for a in s)
+
+    bad = []
+    for a in range(len(tables.words)):
+        if {rot[b]: rot[m] for b, m in tables.mul[a].items()} != tables.mul[rot[a]]:
+            bad.append(("mul", a))
+        if tuple((rot[c], rot[d]) for c, d in tables.splits[a]) != tables.splits[rot[a]]:
+            bad.append(("splits", a))
+    for a in range(n, 3 * n):
+        if rot_o[tables.image[a - n]] != tables.image[rot[a] - n]:
+            bad.append(("image", a))
+        if {rot[b] for b in tables.block_next[a - n]} != tables.block_next[rot[a] - n]:
+            bad.append(("block_next", a))
+    for o in range(n, len(other.words)):
+        if rotate(tables.psi[o]) != tables.psi[rot_o[o]]:
+            bad.append(("psi", o))
+    for s in tables.chains(tables.max_len):
+        p = tables.phi_word(s)
+        if (None if p is None else rot_o[p]) != tables.phi_word(rotate(s)):
+            bad.append(("phi_word", s))
+        for fault in (None, ("break-h",)):
+            lhs, rhs = tables.homotopy_sides(s, fault)
+            if tables.homotopy_sides(rotate(s), fault) != ({rotate(t) for t in lhs}, {rotate(t) for t in rhs}):
+                bad.append(("homotopy_sides", s, fault))
+    return bad
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_rotation_commutes_with_the_certificate(algebra, n):
+    # Every column, and phi and both sides of the certificate (with and
+    # without break-h) on every string of total length <= 6.
+    tables = _tables(algebra, n, 6)
+    assert sum(1 for _ in tables.chains(6)) == 728 * n
+    assert _equivariance_mismatches(tables) == []
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+def test_equivariance_check_names_a_column_corrupted_at_one_node(algebra):
+    # A fresh table, not the cached one, whose leading-block rule forgets one
+    # follower of a letter at node 2 only: the check above must see it.
+    n = 3
+    tables = _WordTables(algebra, n, 4)
+    a = next(a for a in range(n, 3 * n) if tables.words[a].start == 2 and tables.block_next[a - n])
+    tables.block_next[a - n] = frozenset(sorted(tables.block_next[a - n])[1:])
+    assert ("block_next", a) in _equivariance_mismatches(tables)
+    assert _equivariance_mismatches(_tables(algebra, n, 4)) == []
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_entry_nodes_partition_the_strings_into_rotated_copies(algebra, n):
+    # The strings entered at nodes 1..N, in that order, are the full
+    # enumeration, and rotation maps the node-1 strings one-to-one onto the
+    # strings entered at each later node.
+    tables = _tables(algebra, n, 6)
+    rot = _rotation(tables)
+    full = [tables.intern(ts) for ts in enumerate_strings(algebra, 6, n)]
+    by_entry = [[tables.intern(ts) for ts in enumerate_strings(algebra, 6, n, i)] for i in range(1, n + 1)]
+    assert [s for strings in by_entry for s in strings] == full
+    orbit = by_entry[0]
+    for strings in by_entry[1:]:
+        orbit = [tuple(rot[a] for a in s) for s in orbit]
+        assert len(set(orbit)) == len(orbit)
+        assert set(orbit) == set(strings)
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_sweep_agrees_with_the_full_sweep(algebra, n):
+    # The reduced sweep against homotopy_sides on every string, at every
+    # bound <= 6, with and without break-h: the same verdict and the same
+    # first failing string, with both sides as the full sweep finds them.
+    tables = _tables(algebra, n, 6)
+    rot = _rotation(tables)
+    failed_somewhere = False
+    for fault in (None, ("break-h",)):
+        for max_len in range(1, 7):
+            failing = []
+            for ts in enumerate_strings(algebra, max_len, n):
+                lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)
+                if lhs != rhs:
+                    failing.append((ts, lhs, rhs))
+            failure = homotopy_failure(max_len, n, algebra, fault)
+            assert verify_homotopy(max_len, n, algebra, fault) == (failure is None) == (not failing)
+            if not failing:
+                continue
+            failed_somewhere = True
+            ts, lhs, rhs = failing[0]
+            assert failure == {
+                "string": ts.render(),
+                "lhs-sum": tables.cob(lhs).render(),
+                "rhs-sum": tables.cob(rhs).render(),
+            }
+            # the failing strings are a union of whole rotation orbits
+            strings = {tables.intern(ts) for ts, _, _ in failing}
+            assert {tuple(rot[a] for a in s) for s in strings} == strings
+    assert failed_somewhere

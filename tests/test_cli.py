@@ -309,3 +309,32 @@ def test_homotopy_builds_one_table_per_algebra(capsys):
     code, _, _ = _run(["verify", "homotopy", "--n", "3", "--max-len", "5"], capsys)
     assert code == 0
     assert _tables.cache_info().misses == 2
+
+
+def test_homotopy_failure_names_the_string_and_both_sides(capsys):
+    args = ["verify", "homotopy", "--n", "3", "--max-len", "4", "--inject-fault", "break-h"]
+    code, out, _ = _run(args, capsys)
+    assert code == 1
+    first = json.loads(out)["violations"][0]
+    # with h replaced by zero the left side vanishes, while psi(phi(U1*.U1*))
+    # is zero too, so the right side is the string itself
+    assert first == {
+        "base": "A",
+        "reason": "homotopy certificate fails",
+        "string": "U1*.U1*",
+        "lhs-sum": "0",
+        "rhs-sum": "U1*.U1*",
+    }
+
+
+def test_homotopy_default_window_holds_the_full_loops(capsys, monkeypatch):
+    # The default --max-len is max(8, 2N): 8 at N = 3, 4, then 2N.
+    # The sweeps are stubbed out, so this reads the window only.
+    seen = []
+    monkeypatch.setattr("starcob.cli.phi_psi_failures", lambda max_len, n, base: [])
+    monkeypatch.setattr("starcob.cli.verify_homotopy", lambda max_len, n, base, fault: seen.append(max_len) or True)
+    for n, max_len in ((3, 8), (4, 8), (5, 10), (6, 12)):
+        code, out, _ = _run(["verify", "homotopy", "--n", str(n)], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["max-len"] == max_len
+        assert seen[-2:] == [max_len, max_len]

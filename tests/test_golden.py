@@ -37,10 +37,11 @@ GOLDEN = [
         0,
         "13a6122b1d66d1d87957ea0be64259d1b111b578164e02a272645527193f4bed",
     ),
+    # The failure names the first failing string and both sides.
     (
         "verify homotopy --n 3 --max-len 6 --inject-fault break-h",
         1,
-        "e012e911501913052971528b9e037ec177813af059a9ceae4996536313a7e56f",
+        "1018ac14ba021e565e4f13684ac9daddde916d218fd9e4d2504992603be3fcc6",
     ),
     (
         "cohomology --algebra A --n 5 --format csv",
@@ -52,6 +53,18 @@ GOLDEN = [
         "verify homotopy --n 4 --max-len 7",
         0,
         "148012380972180d9ea7ac774ecbe56978840507423873ce0acef921e181da54",
+    ),
+    # Recorded while the homotopy sweep still checked every string, before it
+    # checked one string per rotation orbit.
+    (
+        "verify homotopy --n 4 --max-len 8",
+        0,
+        "3b53033062655962150130cd2d60bab1857d2cfdacac9f4f483bd0787b9d0cda",
+    ),
+    (
+        "verify homotopy --n 5 --max-len 8",
+        0,
+        "7cbcaf59b11f11c6d2526e7a03ebd4ca0f67b6801c2cf5321e23dd723fb8e24c",
     ),
     # The first A windows past arity 4N - 2.  They gave 396 violations (exit
     # 1), and at length 13 a "both left- and right-extended" error, while A
