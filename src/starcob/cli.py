@@ -6,12 +6,12 @@ configuration errors (N <= 2, a fault spec that the verify kind cannot
 inject, --max-arity or --max-len given to a verify kind that does not read
 it, and a bound that leaves nothing to check: --max-arity < 3 for the
 ainfty kinds, --max-len < 0 for the ainfty kinds and grading, --max-len < 1
-for homotopy, --n-max < 3 for cohomology).  Any
-other exception is an internal error and propagates.  JSON reports carry a
-versioned "schema" field and record the full configuration including the
-seed, so equal configurations produce byte-identical output.  Every command
-also prints text; cohomology tables print CSV too.  Every sweep runs
-serially.
+for homotopy, --n-max < 3 for cohomology; and for cohomology a --trunc below
+0 or a --j given twice).  Any other exception is an internal error and
+propagates.  JSON reports carry a versioned "schema" field and record the
+full configuration including the seed, so equal configurations produce
+byte-identical output.  Every command also prints text; cohomology tables
+print CSV too.  Every sweep runs serially.
 
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
@@ -250,6 +250,11 @@ def cmd_cohomology(args, out) -> int:
     if n_max < 3:
         raise ConfigError(f"--n-max {n_max} gives an empty table: cohomology needs --n-max >= 3")
     j_values = tuple(args.j) if args.j else (-1, -2)
+    repeated = sorted({j for j in j_values if j_values.count(j) > 1})
+    if repeated:
+        raise ConfigError(f"--j {', '.join(map(str, repeated))} given more than once: each j is one table column")
+    if args.trunc is not None and args.trunc < 0:
+        raise ConfigError(f"--trunc {args.trunc} admits no coefficient power: cohomology needs --trunc >= 0")
     rows = cohomology_table(model, n, n_max, j_values, args.trunc)
     doc = {
         "schema": SCHEMA,

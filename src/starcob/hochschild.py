@@ -14,14 +14,21 @@ left multiplication by the image:
 
     delta(l (x) r) = sum_x [ x.l (x) r.x^ + l.x (x) x^.r ]
 
-using each algebra's own product on its side.  It preserves the coefficient
+using each algebra's own product on its side.  A product of words vanishes
+unless the left factor's exit is the right factor's entry, so each monomial
+visits only the letters that chain at its left word's ends: two per end
+(`_letter_buckets`), whatever N.  The differential preserves the coefficient
 power p, raises the homological degree n = len(right) by one, and lowers the
 internal degree j by one; p is determined by (n, j), so each bidegree is a
-finite slice and cohomology is exact linear algebra over GF(2).
+finite slice and cohomology is exact linear algebra over GF(2).  A table walk
+asks for each slice several times and builds it once (`_slice`, a small
+cache behind `slice_basis`).
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Union
 
 from .barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
@@ -78,10 +85,8 @@ class TwistedMono:
             raise ValueError("coefficient power must be >= 0")
         if self.left.init != self.right.init or self.left.fin != self.right.fin:
             raise ValueError("left and right words must share both endpoints")
-        var_vec = var_grading(coeff_var(model, n), n).alexander
-        lhs = tuple(
-            self.p * v + a for v, a in zip(var_vec, grading(self.left).alexander)
-        )
+        coeff_vec = mono_grading(self.p, model, n).alexander
+        lhs = tuple(map(add, coeff_vec, grading(self.left).alexander))
         if lhs != grading(self.right).alexander:
             raise ValueError(
                 "weight balance fails: "
@@ -129,8 +134,31 @@ class TwistedElem(F2Sum):
         return degs.pop()
 
 
+_LetterPairs = tuple[tuple[Word, Word], ...]
+
+
+@functools.lru_cache(maxsize=4)
+def _letter_buckets(model: str, n: int) -> tuple[tuple[_LetterPairs, ...], tuple[_LetterPairs, ...]]:
+    """The (letter, dictionary image) pairs of the model's algebra, bucketed
+    by the letter's exit node and by its entry node: (by_exit, by_entry),
+    each indexed by node - 1."""
+    by_exit: list[list] = [[] for _ in range(n)]
+    by_entry: list[list] = [[] for _ in range(n)]
+    for xl in words_of_length(model, 1, n):
+        pair = (xl, dict_image(xl))
+        by_exit[xl.exit - 1].append(pair)
+        by_entry[xl.entry - 1].append(pair)
+    return (tuple(map(tuple, by_exit)), tuple(map(tuple, by_entry)))
+
+
 def twisted_diff(x: Union[TwistedElem, TwistedMono]) -> TwistedElem:
     """The twisted differential.
+
+    A product of words is nonzero only across a chained seam (the left
+    factor's exit is the right factor's entry), so x.l needs the letters
+    whose exit is l's entry and l.x the letters whose entry is l's exit:
+    each monomial visits the few letters that chain at its left word's ends
+    (two per end), not all 2N.
 
     >>> n = 3
     >>> tm = TwistedMono(0, AWord("i", 1, 0, n), BWord("i", 1, "", 0, n))
@@ -138,15 +166,15 @@ def twisted_diff(x: Union[TwistedElem, TwistedMono]) -> TwistedElem:
     's[1,2] (x) s1 + s[3,4] (x) s3'
     """
     model, n = x.algebra, x.n
-    letters = words_of_length(model, 1, n)
+    by_exit, by_entry = _letter_buckets(model, n)
     out: set = set()
     for tm in terms_of(x):
-        for xl in letters:
-            xh = dict_image(xl)
+        for xl, xh in by_exit[tm.left.entry - 1]:
             left = mul_word(xl, tm.left)
             right = mul_word(tm.right, xh)
             if left is not None and right is not None:
                 out ^= {TwistedMono(tm.p, left, right)}
+        for xl, xh in by_entry[tm.left.exit - 1]:
             left = mul_word(tm.left, xl)
             right = mul_word(xh, tm.right)
             if left is not None and right is not None:
@@ -174,7 +202,7 @@ def slice_params(model: str, n_deg: int, j: int, big_n: int) -> Optional[tuple[i
 
 def slice_basis(
     model: str, n_deg: int, j: int, big_n: int, trunc: Optional[int] = None
-) -> list[TwistedMono]:
+) -> tuple[TwistedMono, ...]:
     """Admissible monomials of bidegree (n, j), canonically ordered.
 
     Raises InsufficientTruncation when the slice needs coefficient power
@@ -182,30 +210,41 @@ def slice_basis(
     """
     params = slice_params(model, n_deg, j, big_n)
     if params is None:
-        return []
+        return ()
     p, ell_left = params
     if trunc is not None and p > trunc:
         raise InsufficientTruncation(
             f"bidegree ({n_deg}, {j}) of model {model} needs coefficient power "
             f"{p} > truncation {trunc}"
         )
-    lefts = words_of_length(model, ell_left, big_n)
+    return _slice(model, n_deg, p, ell_left, big_n)
+
+
+# A table cell asks for its own slice twice and for its two neighbours once.
+# Nonempty slices are sparse: to build each slice once, the walk over the
+# default j = -1, -2 needs two kept, and every walk over j = 0..-16 at
+# N = 3..16 needs at most eight.
+@functools.lru_cache(maxsize=8)
+def _slice(model: str, n_deg: int, p: int, ell_left: int, big_n: int) -> tuple[TwistedMono, ...]:
+    """The admissible monomials with right length n_deg, coefficient power p
+    and left length ell_left, canonically ordered."""
+    lefts: dict[tuple[int, int], list[Word]] = {}
+    for left in words_of_length(model, ell_left, big_n):
+        lefts.setdefault((left.init, left.fin), []).append(left)
     out = []
     for right in words_of_length(dual_algebra(model), n_deg, big_n):
-        for left in lefts:
-            if left.init != right.init or left.fin != right.fin:
-                continue
+        for left in lefts.get((right.init, right.fin), ()):
             try:
                 out.append(TwistedMono(p, left, right))
             except ValueError:
                 continue
     out.sort(key=mono_sort_key)
-    return out
+    return tuple(out)
 
 
 def diff_matrix(
     model: str, n_deg: int, j: int, big_n: int, trunc: Optional[int] = None
-) -> tuple[SparseMatF2, list[TwistedMono], list[TwistedMono]]:
+) -> tuple[SparseMatF2, tuple[TwistedMono, ...], tuple[TwistedMono, ...]]:
     """Matrix of the differential from slice (n, j) to slice (n+1, j-1).
 
     Returns (matrix, source basis, target basis); columns index the source.
@@ -220,7 +259,7 @@ def diff_matrix(
     return (SparseMatF2.from_entries(len(dst), len(src), entries), src, dst)
 
 
-def _vec_to_elem(vec: int, basis: list[TwistedMono], model: str, n: int) -> TwistedElem:
+def _vec_to_elem(vec: int, basis: tuple[TwistedMono, ...], model: str, n: int) -> TwistedElem:
     terms = {basis[i] for i in range(len(basis)) if (vec >> i) & 1}
     return TwistedElem(model, n, frozenset(terms))
 

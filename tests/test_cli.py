@@ -260,6 +260,7 @@ def test_csv_format_only_on_cohomology(argv, capsys):
         (["verify", "ainfty-b", "--max-len", "-1"], "--max-len"),
         (["verify", "grading", "--max-len", "-1"], "--max-len"),
         (["verify", "ainfty-a", "--max-arity", "3", "--max-len", "-5"], "--max-len"),
+        (["cohomology", "--trunc", "-1"], "--trunc"),
     ],
 )
 def test_empty_sweep_is_config_error(argv, option, capsys):
@@ -280,12 +281,33 @@ def test_empty_sweep_is_config_error(argv, option, capsys):
         ["verify", "ainfty-a", "--max-len", "0"],
         ["verify", "ainfty-b", "--max-len", "0"],
         ["verify", "grading", "--max-len", "0"],
+        ["cohomology", "--trunc", "0"],
     ],
 )
 def test_smallest_sweep_is_accepted(argv, capsys):
     code, out, _ = _run(argv + ["--n", "3"], capsys)
     assert code == 0
     assert json.loads(out)["schema"] == "starcob/1"
+
+
+@pytest.mark.parametrize("js", [["-1", "-1"], ["-1", "-2", "-1"], ["0", "-2", "-2", "0"]])
+def test_repeated_j_is_config_error(js, capsys):
+    # A repeated j would print its cells twice.
+    argv = ["cohomology", "--n", "3"]
+    for j in js:
+        argv += ["--j", j]
+    code, out, err = _run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert "--j" in err
+
+
+def test_distinct_j_values_make_one_column_each(capsys):
+    code, out, _ = _run(["cohomology", "--n", "3", "--n-max", "4", "--j", "-2", "--j", "-1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["j"] == [-2, -1]
+    assert [(r["n"], r["j"]) for r in doc["rows"]] == [(3, -2), (3, -1), (4, -2), (4, -1)]
 
 
 def test_grading_report_records_its_window(capsys):

@@ -105,6 +105,23 @@ GOLDEN = [
         "a679a4469813366513218e33ce15f058f427502c868429ab9c67251157fae624",
     ),
     ("verify ainfty-b --n 5", 0, "988ec0a414647b6de92b299bda4700861cc083b87372596934b323e349715d0d"),
+    # Larger cohomology tables, recorded while the differential still tried
+    # all 2N letters per term and B-words were graded letter by letter.
+    (
+        "cohomology --algebra A --n 32",
+        0,
+        "a4f62ec28dafbeb5e0c695886dd710feab657f6221426f6d64ea917bec45aecf",
+    ),
+    (
+        "cohomology --algebra B --n 32",
+        0,
+        "834d1ea2a201b4a50a20dd81b192c6a4fce7994f0ebc6fab0f8ffdfb033b1b01",
+    ),
+    (
+        "cohomology --algebra B --n 128 --format text",
+        0,
+        "77059bd86d99498ad96a90e58b83faaa6f8fb9e94f229c92c0e4a3ccbff4bf2a",
+    ),
 ]
 
 

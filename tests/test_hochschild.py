@@ -1,10 +1,14 @@
 """Tests for the twisted two-sided complex and its cohomology."""
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 
 import pytest
 
+from starcob import hochschild
+from starcob.barcobar import dict_image
 from starcob.hochschild import (
     InsufficientTruncation,
     TwistedElem,
@@ -19,7 +23,7 @@ from starcob.hochschild import (
     witness_cocycle,
     witness_components,
 )
-from starcob.staralg import AWord, BWord, idempotent, letter, loop_word
+from starcob.staralg import AWord, BWord, idempotent, letter, loop_word, mul_word, words_of_length
 
 
 def _i_a(i, n=3):
@@ -199,3 +203,86 @@ def test_cohomology_table_shape():
     assert len(hit) == 1
     assert hit[0]["n"] == 6 and hit[0]["j"] == -2
     assert hit[0]["witnesses"]
+
+
+def _all_letters_diff(x):
+    """The twisted differential as first written: every monomial tries all 2N
+    letters on both sides; the reference for the bucketed twisted_diff."""
+    model, n = x.algebra, x.n
+    letters = words_of_length(model, 1, n)
+    out: set = set()
+    for tm in x.terms:
+        for xl in letters:
+            xh = dict_image(xl)
+            left = mul_word(xl, tm.left)
+            right = mul_word(tm.right, xh)
+            if left is not None and right is not None:
+                out ^= {TwistedMono(tm.p, left, right)}
+            left = mul_word(tm.left, xl)
+            right = mul_word(xh, tm.right)
+            if left is not None and right is not None:
+                out ^= {TwistedMono(tm.p, left, right)}
+    return TwistedElem(model, n, out)
+
+
+def _nonempty_slices(model, big_n, n_max):
+    """Every nonempty slice (n, j) with n <= n_max, from its (n, p) parameters."""
+    den, var_len = (2 * big_n - 2, 2 * big_n) if model == "A" else (big_n - 2, big_n)
+    for n_deg in range(n_max + 1):
+        for p in range(n_deg // var_len + 1):
+            j = p * den - n_deg
+            assert slice_params(model, n_deg, j, big_n) == (p, n_deg - var_len * p)
+            basis = slice_basis(model, n_deg, j, big_n)
+            if basis:
+                yield (n_deg, j), basis
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("big_n", [3, 4, 5, 6])
+def test_bucketed_diff_matches_all_letters(model, big_n):
+    terms = 0
+    for _, basis in _nonempty_slices(model, big_n, 3 * big_n):
+        for tm in basis:
+            x = TwistedElem.of(tm)
+            assert twisted_diff(x) == _all_letters_diff(x), tm.render()
+            terms += 1
+    assert terms > 0
+
+
+def _counting(fn, counts):
+    @functools.wraps(fn)
+    def wrapper(*args):
+        counts[args] += 1
+        return fn(*args)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("j_values", [(-1, -2), tuple(range(0, -9, -1))])
+def test_table_builds_each_slice_once(model, j_values, monkeypatch):
+    builds: collections.Counter = collections.Counter()
+    fresh = functools.lru_cache(maxsize=hochschild._slice.cache_parameters()["maxsize"])(
+        _counting(hochschild._slice.__wrapped__, builds)
+    )
+    monkeypatch.setattr(hochschild, "_slice", fresh)
+    cohomology_table(model, 8, 24, j_values)
+    assert builds and max(builds.values()) == 1
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_mul_word_calls_per_term_do_not_grow_with_n(model, monkeypatch):
+    def calls_per_term(big_n):
+        calls: collections.Counter = collections.Counter()
+        monkeypatch.setattr(hochschild, "mul_word", _counting(mul_word, calls))
+        per_term = set()
+        for _, basis in _nonempty_slices(model, big_n, 3 * big_n):
+            for tm in basis:
+                calls.clear()
+                twisted_diff(tm)
+                per_term.add(sum(calls.values()))
+        return per_term
+
+    at_8 = calls_per_term(8)
+    assert len(at_8) == 1
+    assert calls_per_term(32) == at_8

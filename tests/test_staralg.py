@@ -337,6 +337,23 @@ def test_gradings_of_words_and_variables():
     assert mono_grading(2, "A", n).m == 8
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_grading_counts_the_letters(n):
+    # The weight vector read off in closed form equals the letter-by-letter
+    # count, through more than two full turns of the cycle.
+    for algebra in ("A", "B"):
+        for w in enumerate_basis(algebra, 4 * n + 2, n):
+            vec = [0] * (2 * n)
+            if algebra == "B":
+                for typ, i in w.letters():
+                    vec[2 * i - 2 if typ == "r" else 2 * i - 1] += 1
+            else:
+                for x in word_letters(w):
+                    vec[2 * x.start - 2 if x.kind == "u" else 2 * x.start - 1] += 1
+            m = 0 if algebra == "A" else -w.ell
+            assert grading(w) == Grading(m, tuple(vec), w.ell), w.render()
+
+
 def test_length_equals_total_weight():
     for algebra in ("A", "B"):
         for w in enumerate_basis(algebra, 8, 3):
