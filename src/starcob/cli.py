@@ -4,14 +4,14 @@ tables, and diagnostic dumps, with machine-readable deterministic reports.
 Exit codes: 0 for a clean run, 1 when a verification finds violations, 2 for
 configuration errors (N <= 2, a fault spec that the verify kind cannot
 inject, --max-arity or --max-len given to a verify kind that does not read
-it, and a bound that leaves nothing to check: --max-arity < 3 for the
-ainfty kinds, --max-len < 0 for the ainfty kinds and grading, --max-len < 1
-for homotopy, --n-max < 3 for cohomology; and for cohomology a --trunc below
-0 or a --j given twice).  Any other exception is an internal error and
-propagates.  JSON reports carry a versioned "schema" field and record the
-full configuration including the seed, so equal configurations produce
-byte-identical output.  Every command also prints text; cohomology tables
-print CSV too.  Every sweep runs serially.
+it, and a bound that leaves nothing to check or list: --max-arity < 3 for
+the ainfty kinds, --max-len < 0 for the ainfty kinds, grading, build and
+dump basis|special, --max-len < 1 for homotopy and dump strings, --n-max < 3
+for cohomology; and for cohomology a --trunc below 0 or a --j given twice).
+Any other exception is an internal error and propagates.  JSON reports carry
+a versioned "schema" field and record the full configuration including the
+seed, so equal configurations produce byte-identical output.  Every command
+also prints text; cohomology tables print CSV too.  Every sweep runs serially.
 
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
@@ -76,10 +76,10 @@ def _window(args, algebra: str) -> tuple[int, int]:
     return max_arity, max_len
 
 
-def _check_max_len(args) -> None:
-    # --max-len 0 still sweeps the idempotent tuples; below 0 no word is left
-    if args.max_len is not None and args.max_len < 0:
-        raise ConfigError(f"--max-len {args.max_len} checks no tuple: verify {args.kind} needs --max-len >= 0")
+def _check_max_len(args, least: int, empty: str, command: str) -> None:
+    # a bound below `least` leaves nothing (--max-len 0 still holds the idempotents)
+    if args.max_len is not None and args.max_len < least:
+        raise ConfigError(f"--max-len {args.max_len} {empty}: {command} needs --max-len >= {least}")
 
 
 def _check_n(n: int) -> None:
@@ -102,6 +102,7 @@ def _config_doc(args, n: int, extra: Optional[dict] = None) -> dict:
 def cmd_build(args, out) -> int:
     n = args.n
     _check_n(n)
+    _check_max_len(args, 0, "lists no word", "build")
     max_len = args.max_len if args.max_len is not None else 4 * n
     counts = {}
     generators = {}
@@ -142,7 +143,7 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
     max_arity, max_len = _window(args, algebra)
     if max_arity < 3:
         raise ConfigError(f"--max-arity {max_arity} checks no relation: verify {args.kind} needs --max-arity >= 3")
-    _check_max_len(args)
+    _check_max_len(args, 0, "checks no tuple", f"verify {args.kind}")
     violations = check_ainfty(algebra, max_arity, max_len, args.n, fault=fault)
     extra = {"max-arity": max_arity, "max-len": max_len, "fault": args.inject_fault}
     return violations, extra
@@ -150,10 +151,9 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
 
 def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
     n = args.n
+    _check_max_len(args, 1, "checks no string", "verify homotopy")
     # the default window holds B's full loops, of length 2N
     max_len = args.max_len if args.max_len is not None else max(8, 2 * n)
-    if max_len < 1:
-        raise ConfigError(f"--max-len {max_len} checks no string: verify homotopy needs --max-len >= 1")
     violations = []
     for base in ("A", "B"):
         failures = phi_psi_failures(max_len, n, base)
@@ -172,7 +172,7 @@ def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
 
 def _verify_grading(args) -> tuple[list[dict], dict]:
     n = args.n
-    _check_max_len(args)
+    _check_max_len(args, 0, "checks no tuple", f"verify {args.kind}")
     violations = []
     windows = {}
     for algebra in ("A", "B"):
@@ -293,6 +293,7 @@ def cmd_dump(args, out) -> int:
     n = args.n
     _check_n(n)
     what = args.what
+    _check_max_len(args, 1 if what == "strings" else 0, "lists nothing", f"dump {what}")
     max_len = args.max_len if args.max_len is not None else 2 * n
     if what == "basis":
         items = [w.render() for w in enumerate_basis(args.algebra, max_len, n)]

@@ -102,6 +102,9 @@ def assign_grading(w: Word) -> GroupElem:
     """Grading of a basis word: the product of letter gradings in written
     order; words of algebra A carry the identity grading.
 
+    On a B-word that product is -1 per letter times the g_i of its loop
+    letters r_i, last-applied first, read off the word's run of slots.
+
     >>> n = 3
     >>> assign_grading(BWord("c", 2, "r", 1, n)).render()
     '(-1; g2)'
@@ -110,13 +113,7 @@ def assign_grading(w: Word) -> GroupElem:
     """
     if isinstance(w, AWord):
         return GP_E
-    acc = GP_E
-    for typ, i in reversed(w.letters()):
-        if typ == "r":
-            acc = gp_mul(acc, GroupElem(-1, ((i, 1),)))
-        else:
-            acc = gp_mul(acc, GroupElem(-1, ()))
-    return acc
+    return GroupElem(-w.length, free_reduce((i, 1) for t, i in reversed(w.letters()) if t == "r"))
 
 
 def var_group_grading(var: int, n: int) -> GroupElem:

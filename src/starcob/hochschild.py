@@ -4,7 +4,9 @@ A monomial of the model for algebra A is V0^p * (A-word) tensor (B-word) with
 matching path endpoints on both sides and a weight balance: p copies of the
 full weight vector plus the weight of the left word must equal the weight of
 the right word.  The model for algebra B mirrors this with V_{N+1}^p, a B-word
-on the left, an A-word on the right, and the edge-slot weight vector.  A
+on the left, an A-word on the right, and the edge-slot weight vector.  So the
+right word and p fix the left word's weight (`_left_weight`): `TwistedMono`
+checks the balance with it, and `_slice` selects the left words by it.  A
 monomial's `algebra` is that of its left word, and a TwistedElem is a
 gf2la.F2Sum of monomials of one model.
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import add
+from operator import sub
 from typing import Optional, Union
 
 from .barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
@@ -77,21 +79,16 @@ class TwistedMono:
     right: Word
 
     def __post_init__(self) -> None:
-        model = _model_of(self.left, self.right)
-        n = self.left.n
-        if self.right.n != n:
+        _model_of(self.left, self.right)
+        if self.right.n != self.left.n:
             raise ValueError("mixed parameters")
         if self.p < 0:
             raise ValueError("coefficient power must be >= 0")
         if self.left.init != self.right.init or self.left.fin != self.right.fin:
             raise ValueError("left and right words must share both endpoints")
-        coeff_vec = mono_grading(self.p, model, n).alexander
-        lhs = tuple(map(add, coeff_vec, grading(self.left).alexander))
-        if lhs != grading(self.right).alexander:
-            raise ValueError(
-                "weight balance fails: "
-                f"p*var + A(left) = {lhs}, A(right) = {grading(self.right).alexander}"
-            )
+        have, need = grading(self.left).alexander, _left_weight(self.p, self.right)
+        if have != need:
+            raise ValueError(f"weight balance fails: A(left) = {have}, A(right) - p*A(var) = {need}")
 
     @property
     def algebra(self) -> str:
@@ -112,6 +109,15 @@ class TwistedMono:
         if self.p:
             head = f"{mono_str(self.p, coeff_var(self.algebra, self.n))}*{head}"
         return f"{head} (x) {self.right.render()}"
+
+
+def _left_weight(p: int, right: Word) -> tuple:
+    """The weight vector A(right) - p*A(var) that the weight balance asks of
+    the left word of a monomial with coefficient power p and right word
+    `right`, where var is the left (model) algebra's coefficient variable."""
+    model = dual_algebra(right.algebra)
+    coeff_vec = mono_grading(p, model, right.n).alexander
+    return tuple(map(sub, grading(right).alexander, coeff_vec))
 
 
 def mono_sort_key(tm: TwistedMono) -> tuple:
@@ -227,17 +233,16 @@ def slice_basis(
 @functools.lru_cache(maxsize=8)
 def _slice(model: str, n_deg: int, p: int, ell_left: int, big_n: int) -> tuple[TwistedMono, ...]:
     """The admissible monomials with right length n_deg, coefficient power p
-    and left length ell_left, canonically ordered."""
-    lefts: dict[tuple[int, int], list[Word]] = {}
+    and left length ell_left, canonically ordered: each right word pairs
+    with the left words that share its endpoints and have its `_left_weight`."""
+    lefts: dict[tuple, list[Word]] = {}
     for left in words_of_length(model, ell_left, big_n):
-        lefts.setdefault((left.init, left.fin), []).append(left)
-    out = []
-    for right in words_of_length(dual_algebra(model), n_deg, big_n):
-        for left in lefts.get((right.init, right.fin), ()):
-            try:
-                out.append(TwistedMono(p, left, right))
-            except ValueError:
-                continue
+        lefts.setdefault((left.init, left.fin, grading(left).alexander), []).append(left)
+    out = [
+        TwistedMono(p, left, right)
+        for right in words_of_length(dual_algebra(model), n_deg, big_n)
+        for left in lefts.get((right.init, right.fin, _left_weight(p, right)), ())
+    ]
     out.sort(key=mono_sort_key)
     return tuple(out)
 
@@ -370,25 +375,17 @@ def string_model_check(model: str, big_n: int, max_len: int) -> bool:
     whose right word has length 1..max_len."""
     var_len = var_grading(coeff_var(model, big_n), big_n).ell
     for ell_r in range(1, max_len + 1):
-        for right in words_of_length(dual_algebra(model), ell_r, big_n):
-            weight_total = sum(grading(right).alexander)
-            for p in range(0, ell_r + 1):
-                ell_left = weight_total - p * var_len
-                if ell_left < 0:
-                    continue
-                for left in words_of_length(model, ell_left, big_n):
-                    try:
-                        tm = TwistedMono(p, left, right)
-                    except ValueError:
-                        continue
-                    transported: set = set()
-                    for q, lw, ts in string_diff(p, left, psi(right)):
-                        for exp, word in phi(ts).monomial_pairs():
-                            if exp != 0:
-                                raise AssertionError("string fold produced a coefficient")
-                            transported ^= {TwistedMono(q, lw, word)}
-                    if twisted_diff(tm) != TwistedElem(model, big_n, transported):
-                        return False
+        # every letter carries weight one, so len(left) = ell_r - p*var_len
+        for p in range(0, ell_r // var_len + 1):
+            for tm in _slice(model, ell_r, p, ell_r - p * var_len, big_n):
+                transported: set = set()
+                for q, lw, ts in string_diff(p, tm.left, psi(tm.right)):
+                    for exp, word in phi(ts).monomial_pairs():
+                        if exp != 0:
+                            raise AssertionError("string fold produced a coefficient")
+                        transported ^= {TwistedMono(q, lw, word)}
+                if twisted_diff(tm) != TwistedElem(model, big_n, transported):
+                    return False
     return True
 
 

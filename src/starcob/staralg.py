@@ -10,6 +10,9 @@ Algebra B carries, at each node i, an idempotent I_i, a loop letter r_i, and an
 edge letter s_i from i to i+1; words are alternating strings of r/s letters
 applied right-to-left (the written word x*y applies y first), and two adjacent
 letters of the same type multiply to zero.  Coefficients live in GF(2)[V_{N+1}].
+A B-word is one run of weight slots (r_i at slot 2i-2, s_i at 2i-1, the next
+letter at the next slot mod 2N), and `BWord.first_slot` with the length is its
+one description: letters, endpoints, products, splits and gradings read it.
 
 Chaining: every tuple the package checks (the inputs of an operation, the
 factors of a dual tensor string) is a tensor product over the idempotents, so
@@ -43,10 +46,6 @@ ALGEBRAS = ("A", "B")
 def _check_node(i: int, n: int) -> None:
     if not 1 <= i <= n:
         raise ValueError(f"node index {i} out of range 1..{n}")
-
-
-def _next_node(i: int, n: int) -> int:
-    return i % n + 1
 
 
 def advance(i: int, steps: int, n: int) -> int:
@@ -124,6 +123,9 @@ class BWord:
     Letters are listed in application order (first-applied first); the written
     word runs in the opposite order.
 
+    The letters are the run of `length` weight slots from `first_slot`
+    (2i-2 for r_i and for I_i, 2i-1 for s_i), mod 2N.
+
     >>> BWord("c", 1, "r", 3, 3).render()
     'r1.s1.r2'
     >>> BWord("c", 1, "r", 3, 3).fin
@@ -135,6 +137,7 @@ class BWord:
     first: str
     length: int
     n: int
+    first_slot: int = field(init=False, repr=False, compare=False)
     entry: int = field(init=False, repr=False, compare=False)
     exit: int = field(init=False, repr=False, compare=False)
 
@@ -150,8 +153,10 @@ class BWord:
                 raise ValueError("first letter type must be 'r' or 's'")
         else:
             raise ValueError(f"unknown B-word kind {self.kind!r}")
-        edge_count = self.length // 2 if self.first == "r" else (self.length + 1) // 2
-        object.__setattr__(self, "entry", advance(self.start, edge_count, self.n))
+        first_slot = 2 * self.start - (1 if self.first == "s" else 2)
+        object.__setattr__(self, "first_slot", first_slot)
+        # the path ends at the node of the slot right after the run
+        object.__setattr__(self, "entry", _slot_node(first_slot + self.length, self.n))
         object.__setattr__(self, "exit", self.start)
 
     @property
@@ -175,26 +180,15 @@ class BWord:
         """Type of the last-applied letter."""
         if self.kind == "i":
             return ""
-        if self.length % 2 == 1:
-            return self.first
-        return "s" if self.first == "r" else "r"
+        return "rs"[(self.first_slot + self.length - 1) % 2]
 
     def is_idempotent(self) -> bool:
         return self.kind == "i"
 
     def letters(self) -> list[tuple[str, int]]:
         """Letters as (type, node) pairs in application order."""
-        out: list[tuple[str, int]] = []
-        cur = self.start
-        typ = self.first
-        for _ in range(self.length):
-            out.append((typ, cur))
-            if typ == "s":
-                cur = _next_node(cur, self.n)
-                typ = "r"
-            else:
-                typ = "s"
-        return out
+        run, n = range(self.first_slot, self.first_slot + self.length), self.n
+        return [("rs"[k % 2], k // 2 % n + 1) for k in run]
 
     @classmethod
     def from_letters(cls, letters: list[tuple[str, int]], n: int) -> "BWord":
@@ -210,6 +204,11 @@ class BWord:
         if self.kind == "i":
             return f"I{self.start}"
         return ".".join(f"{t}{i}" for t, i in self.letters())
+
+
+def _slot_node(slot: int, n: int) -> int:
+    """The node of a weight slot (any integer, read mod 2N)."""
+    return slot // 2 % n + 1
 
 
 Word = Union[AWord, BWord]
@@ -269,8 +268,8 @@ def mul_word_b(x: BWord, y: BWord) -> Optional[BWord]:
         return y if y.fin == x.start else None
     if y.kind == "i":
         return x if x.init == y.start else None
-    if y.fin != x.init or y.last == x.first:
-        return None
+    if (y.first_slot + y.length - x.first_slot) % (2 * x.n):
+        return None  # x's run of slots does not continue y's
     return BWord("c", y.start, y.first, x.length + y.length, x.n)
 
 
@@ -298,9 +297,9 @@ def split_b_word(w: BWord, first_len: int) -> Optional[tuple[BWord, BWord]]:
     """Factor a B-word into (later, first) parts; `first` gets first_len letters."""
     if w.kind == "i" or not 1 <= first_len <= w.length - 1:
         return None
-    first = BWord("c", w.start, w.first, first_len, w.n)
-    later_type = "r" if first.last == "s" else "s"
-    return (BWord("c", first.fin, later_type, w.length - first_len, w.n), first)
+    k = w.first_slot + first_len  # the slot where the later part's run starts
+    later = BWord("c", _slot_node(k, w.n), "rs"[k % 2], w.length - first_len, w.n)
+    return (later, BWord("c", w.start, w.first, first_len, w.n))
 
 
 @functools.cache
@@ -362,8 +361,12 @@ def var_grading(var: int, n: int) -> Grading:
     raise ValueError(f"variable V{var} is not graded (it annihilates both algebras)")
 
 
+@functools.lru_cache(maxsize=64)
 def mono_grading(exp: Monomial, algebra: str, n: int) -> Grading:
-    """Grading of the coefficient monomial V^exp in the algebra's own variable."""
+    """Grading of the coefficient monomial V^exp in the algebra's own variable.
+
+    Memoized: the weight balance of each twisted-model monomial asks for one
+    of a few powers, whose 2N-slot vector is otherwise rebuilt every time."""
     g = var_grading(coeff_var(algebra, n), n)
     return Grading(exp * g.m, tuple(map(mul, g.alexander, repeat(exp))), exp * g.ell)
 
@@ -375,7 +378,7 @@ def grading(w: Word) -> Grading:
     The letters of an s-chain (A) or an r/s chain (B) occupy consecutive
     edge slots (A) or consecutive slots (B) of the weight vector, cyclically
     from the slot of the first letter, so the vector is read off in closed
-    form from the start, first letter and length, without walking the word.
+    form from the first slot and the length, without walking the word.
 
     Memoized, with a bound: `verify grading --n 6` grades its 516 words
     about 24,000 times, and 256 entries make 97% of those calls hits.  A
@@ -396,8 +399,7 @@ def grading(w: Word) -> Grading:
         elif w.kind == "s":
             vec[1::2] = _laid_round(w.n, w.start - 1, w.length)
         return Grading(0, tuple(vec), w.length)
-    first_slot = 2 * w.start - (2 if w.first == "r" else 1)
-    return Grading(-w.length, tuple(_laid_round(2 * w.n, first_slot, w.length)), w.length)
+    return Grading(-w.length, tuple(_laid_round(2 * w.n, w.first_slot, w.length)), w.length)
 
 
 def _laid_round(slots: int, first: int, count: int) -> list[int]:
@@ -655,26 +657,17 @@ def special_element(algebra: str, name: str, n: int) -> AlgElem:
     if algebra == "A":
         if name not in (f"U{n + 1}", "U_top"):
             raise ValueError(f"unknown special element {name!r} for algebra A")
-        out = AlgElem.zero("A", n)
-        for i in range(1, n + 1):
-            out = out + AlgElem.from_word(full_cycle_chain(i, n))
-        return out
+        return AlgElem("A", n, {full_cycle_chain(i, n): POLY_ONE for i in range(1, n + 1)})
     if algebra == "B":
         if name != "U0":
             raise ValueError(f"unknown special element {name!r} for algebra B")
-        out = AlgElem.zero("B", n)
-        for i in range(1, n + 1):
-            out = out + AlgElem.from_word(loop_word(i, "r", 2 * n, n))
-            out = out + AlgElem.from_word(loop_word(i, "s", 2 * n, n))
-        return out
+        loops = (loop_word(i, first, 2 * n, n) for i in range(1, n + 1) for first in ("r", "s"))
+        return AlgElem("B", n, {w: POLY_ONE for w in loops})
     raise ValueError(f"unknown algebra {algebra!r}")
 
 
 def unit(algebra: str, n: int) -> AlgElem:
-    out = AlgElem.zero(algebra, n)
-    for i in range(1, n + 1):
-        out = out + AlgElem.from_word(idempotent(algebra, i, n))
-    return out
+    return AlgElem(algebra, n, {idempotent(algebra, i, n): POLY_ONE for i in range(1, n + 1)})
 
 
 __all__ = [

@@ -261,10 +261,16 @@ def test_csv_format_only_on_cohomology(argv, capsys):
         (["verify", "grading", "--max-len", "-1"], "--max-len"),
         (["verify", "ainfty-a", "--max-arity", "3", "--max-len", "-5"], "--max-len"),
         (["cohomology", "--trunc", "-1"], "--trunc"),
+        (["build", "--max-len", "-1"], "--max-len"),
+        (["dump", "basis", "--max-len", "-1"], "--max-len"),
+        (["dump", "special", "--max-len", "-1"], "--max-len"),
+        (["dump", "strings", "--max-len", "0"], "--max-len"),
+        (["dump", "strings", "--max-len", "-1"], "--max-len"),
     ],
 )
 def test_empty_sweep_is_config_error(argv, option, capsys):
-    # A bound that leaves nothing to check must not report "0 violations".
+    # A bound that leaves nothing to check must not report "0 violations",
+    # nor one that leaves nothing to list an empty list.
     code, out, err = _run(argv + ["--n", "3"], capsys)
     assert code == 2
     assert out == ""
@@ -282,6 +288,10 @@ def test_empty_sweep_is_config_error(argv, option, capsys):
         ["verify", "ainfty-b", "--max-len", "0"],
         ["verify", "grading", "--max-len", "0"],
         ["cohomology", "--trunc", "0"],
+        ["build", "--max-len", "0"],
+        ["dump", "basis", "--max-len", "0"],
+        ["dump", "special", "--max-len", "0"],
+        ["dump", "strings", "--max-len", "1"],
     ],
 )
 def test_smallest_sweep_is_accepted(argv, capsys):

@@ -122,6 +122,24 @@ GOLDEN = [
         0,
         "77059bd86d99498ad96a90e58b83faaa6f8fb9e94f229c92c0e4a3ccbff4bf2a",
     ),
+    # B-word renderings and the special elements, recorded while a B-word's
+    # letters were walked node by node, before they were read off its run of
+    # weight slots.
+    (
+        "dump basis --algebra B --n 4",
+        0,
+        "d5b131263bf444676fb20e1d6cb90afdde5720086f2f897362f12fe4c9ae478a",
+    ),
+    (
+        "dump special --algebra A --n 4",
+        0,
+        "63eeca35f12a51b0590f0b121fe7328fd6866b9900128f023208b32156106f20",
+    ),
+    (
+        "dump special --algebra B --n 4",
+        0,
+        "4ca5b590c3c21739ced294d24b9e1c0ddc0deb032a34d3e601195728f774507e",
+    ),
 ]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+from operator import add
 
 import pytest
 
@@ -16,6 +17,7 @@ from starcob.hochschild import (
     cohomology_dim,
     cohomology_table,
     is_coboundary,
+    mono_sort_key,
     slice_basis,
     slice_params,
     string_model_check,
@@ -23,7 +25,18 @@ from starcob.hochschild import (
     witness_cocycle,
     witness_components,
 )
-from starcob.staralg import AWord, BWord, idempotent, letter, loop_word, mul_word, words_of_length
+from starcob.staralg import (
+    AWord,
+    BWord,
+    dual_algebra,
+    grading,
+    idempotent,
+    letter,
+    loop_word,
+    mono_grading,
+    mul_word,
+    words_of_length,
+)
 
 
 def _i_a(i, n=3):
@@ -247,6 +260,50 @@ def test_bucketed_diff_matches_all_letters(model, big_n):
             assert twisted_diff(x) == _all_letters_diff(x), tm.render()
             terms += 1
     assert terms > 0
+
+
+def _construct_and_catch_slice(model, n_deg, p, ell_left, big_n):
+    """Reference: build a monomial for every pair of words with equal
+    endpoints and keep those whose construction passes the weight balance,
+    which must hold exactly when p*A(var) + A(left) = A(right)."""
+    coeff_vec = mono_grading(p, model, big_n).alexander
+    lefts = {}
+    for left in words_of_length(model, ell_left, big_n):
+        lefts.setdefault((left.init, left.fin), []).append(left)
+    out = []
+    for right in words_of_length(dual_algebra(model), n_deg, big_n):
+        for left in lefts.get((right.init, right.fin), ()):
+            balanced = tuple(map(add, coeff_vec, grading(left).alexander)) == grading(right).alexander
+            try:
+                out.append(TwistedMono(p, left, right))
+            except ValueError:
+                assert not balanced
+                continue
+            assert balanced
+    out.sort(key=mono_sort_key)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("big_n", [3, 4, 5])
+def test_slice_selects_by_left_weight(model, big_n):
+    # Selecting left words by the weight the balance asks of them gives the
+    # monomials that constructing every endpoint-matched pair kept.
+    nonempty = 0
+    for n_deg in range(3 * big_n + 1):
+        for j in (0, -1, -2, -3):
+            params = slice_params(model, n_deg, j, big_n)
+            if params is None:
+                assert slice_basis(model, n_deg, j, big_n) == ()
+                continue
+            expect = _construct_and_catch_slice(model, n_deg, *params, big_n)
+            assert slice_basis(model, n_deg, j, big_n) == expect, (n_deg, j)
+            nonempty += bool(expect)
+    assert nonempty > 0
+    # The balance is still checked where a monomial is built.
+    loop = letter(dual_algebra(model), "r" if model == "A" else "u", 1, big_n)
+    with pytest.raises(ValueError, match="weight balance"):
+        TwistedMono(0, idempotent(model, 1, big_n), loop)
 
 
 def _counting(fn, counts):

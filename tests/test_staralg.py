@@ -7,6 +7,7 @@ import itertools
 import pytest
 from chained import chained_tuples
 
+from starcob.gradegroup import GP_E, GroupElem, assign_grading, gp_mul
 from starcob.ring import POLY_ONE, poly_from_monos
 from starcob.staralg import (
     AlgElem,
@@ -204,6 +205,65 @@ def test_entry_exit_nodes():
     assert chain_ok(AWord("s", 1, 1, 3), AWord("u", 2, 1, 3))
     assert chain_ok(BWord("c", 3, "s", 1, 3), BWord("c", 2, "s", 1, 3))
     assert not chain_ok(BWord("c", 2, "s", 1, 3), BWord("c", 3, "s", 1, 3))
+
+
+def _walk_letters(w):
+    # Reference: the letters walked node by node from the start.
+    out, cur, typ = [], w.start, w.first
+    for _ in range(w.length):
+        out.append((typ, cur))
+        if typ == "s":
+            cur, typ = cur % w.n + 1, "r"
+        else:
+            typ = "s"
+    return out
+
+
+def _edge_count_entry(w):
+    # Reference: the path ends one node on per edge letter s.
+    edges = w.length // 2 if w.first == "r" else (w.length + 1) // 2
+    return (w.start - 1 + edges) % w.n + 1
+
+
+def _parity_last(w):
+    # Reference: an odd-length chain ends on its first type, an even one not.
+    if w.kind == "i":
+        return ""
+    if w.length % 2 == 1:
+        return w.first
+    return "s" if w.first == "r" else "r"
+
+
+def _letter_product_grading(w):
+    # Reference: the group product of the letter gradings in written order.
+    acc = GP_E
+    for typ, i in reversed(_walk_letters(w)):
+        acc = gp_mul(acc, GroupElem(-1, ((i, 1),) if typ == "r" else ()))
+    return acc
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_slot_run_against_letter_walk(n):
+    # Every fact read off a B-word's run of weight slots equals the parent
+    # letter-by-letter reading, through more than one full turn of the cycle.
+    words = enumerate_basis("B", 4 * n, n)
+    for w in words:
+        assert w.first_slot == 2 * w.start - (1 if w.first == "s" else 2)
+        assert w.letters() == _walk_letters(w), w.render()
+        assert (w.entry, w.fin, w.exit) == (_edge_count_entry(w), _edge_count_entry(w), w.start)
+        assert w.last == _parity_last(w)
+        assert assign_grading(w) == _letter_product_grading(w), w.render()
+    # Products: nonzero exactly across a seam where the letter types alternate.
+    for x in words[: 3 * n]:
+        for y in words:
+            xy = mul_word(x, y)
+            if x.is_idempotent() or y.is_idempotent():
+                continue
+            if y.fin != x.init or y.last == x.first:
+                assert xy is None
+            else:
+                assert xy.letters() == _walk_letters(y) + _walk_letters(x)
+    assert not any(f.compare or f.repr for f in dataclasses.fields(BWord) if f.name == "first_slot")
 
 
 def _seam(algebra, a, b):
