@@ -33,6 +33,32 @@ and `homotopy_failure` checks only those: a failure anywhere has a rotated
 copy among them.  The equivariance tests in tests/test_barcobar.py are what
 make this sweep complete; a fault injected into the homotopy must be
 rotation-invariant too, as `break-h` is, or the sweep can miss it.
+
+Of those strings only the reduced ones are checked, 2L^2 of them at bound L
+against about 3^L.  Write D(s) for the sum of the two sides on s, and
+s = A.t.T, where A is the maximal leading block, t the next factor and T the
+rest.  Then D(P.R) = D(P).R, where P ends at t, except in one case: when t
+splits into two letters that continue the block, H of that split reaches
+into T, and P follows the block's continuation there up to the first factor
+u that does not continue it (or to the end of s).  A string is reduced when
+R is empty, so the certificate holds on every string of length <= L if and
+only if it holds on the reduced ones.  The lemma rests on four facts:
+
+- delta is a derivation over concatenation, and letters do not split;
+- H is fixed by the last letter of A and by t, so H(A.t.delta T) =
+  H(A.t).delta T, which cancels the splits of T in delta H(s);
+- psi phi(s) is zero unless all of s is one block;
+- `block_next` has exactly one follower per letter, so a block and its
+  continuation are one path, and there are 2L^2 reduced strings.
+
+On A and B no two-letter word splits into letters that continue a block, so
+the non-local case does not occur there; the reduction still follows it.  A
+failing string's reduced prefix fails too and is enumerated before it, so
+the first failure is unchanged.  tests/test_barcobar.py checks D(P.R) =
+D(P).R on every string up to length 8, under seeded corruptions of the
+product and psi and under a widened block rule that makes the non-local case
+occur.  A fault injected into the homotopy must respect the lemma as well,
+as `break-h` does, or the reduced sweep can miss it.
 """
 from __future__ import annotations
 
@@ -205,6 +231,38 @@ class _WordTables(WordTable):
             m = mul[s[k]].get(s[k + 1])
             if m is not None:
                 yield s[:k] + (m,) + s[k + 2 :]
+
+    def reduced_chains(self, budget: int, entry: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+        """The strings of `chains(budget, entry)` that are their own reduced
+        prefix P (see the module docstring), in the same order.
+
+        A prefix grows while it is one leading block, or while it follows
+        the block's continuation into the tail after a factor t that splits
+        into two letters continuing the block.  Any other factor ends P.
+        """
+        n, ell, exit_, by_entry = self.n, self.ell, self.exit, self.by_entry
+        block_next, splits = self.block_next, self.splits
+
+        def grow(s: tuple, budget: int, node: int, follow: frozenset, in_block: bool) -> Iterator[tuple]:
+            # follow: the letters that continue the block s ends in (every
+            # letter while s is empty); in_block: s is all leading block
+            for a in by_entry[node][1:]:  # past the bucket's idempotent
+                if ell[a] > budget:
+                    break
+                sa = s + (a,)
+                yield sa
+                if a in follow:
+                    yield from grow(sa, budget - ell[a], exit_[a], block_next[a - n], in_block)
+                elif in_block:
+                    # a is t: only a split into two letters that continue
+                    # the block makes H reach into the tail
+                    for c, d in splits[a]:
+                        if c in follow and d in block_next[c - n]:
+                            yield from grow(sa, budget - ell[a], exit_[a], block_next[d - n], False)
+
+        letters = frozenset(range(n, 3 * n))
+        for i in range(1, n + 1) if entry is None else (entry,):
+            yield from grow((), budget, i, letters, True)
 
     def block_length(self, s: tuple) -> int:
         """Length of the maximal leading block: single-letter factors whose
@@ -383,12 +441,16 @@ def homotopy_h(x: Union[CobElem, TString]) -> CobElem:
     return tables.cob(out)
 
 
-def enumerate_strings(algebra: str, max_total_len: int, n: int, entry: Optional[int] = None) -> Iterator[TString]:
+def enumerate_strings(
+    algebra: str, max_total_len: int, n: int, entry: Optional[int] = None, reduced: bool = False
+) -> Iterator[TString]:
     """All chained tensor strings with total length <= max_total_len, or only
     those whose first factor is entered at node `entry`.  The strings entered
-    at node 1 come first, then node 2, and so on."""
+    at node 1 come first, then node 2, and so on.  With `reduced`, only the
+    reduced strings (see the module docstring), in the same order."""
     tables = _tables(algebra, n, max_total_len)
-    for s in tables.chains(max_total_len, entry):
+    strings = tables.reduced_chains if reduced else tables.chains
+    for s in strings(max_total_len, entry):
         yield TString(tuple(map(tables.words.__getitem__, s)))
 
 
@@ -402,16 +464,18 @@ def homotopy_failure(
     bound on which delta H + H delta != id + psi phi, with both sides
     rendered, or None when the certificate holds on every string.
 
-    The sweep is serial and checks one string per rotation orbit, those
-    entered at node 1 (see the module docstring).  They come first in
-    `enumerate_strings` order, so the first failure is the one a sweep over
-    every string would meet first.
+    The sweep is serial and checks only the reduced strings entered at node
+    1, 2L^2 of them at bound L (see the module docstring): one string per
+    rotation orbit, and of those only the ones that are their own reduced
+    prefix.  A failing string's reduced prefix fails too and comes no later
+    in `enumerate_strings` order, where the node-1 strings come first, so
+    the first failure is the one a sweep over every string would meet first.
 
     >>> homotopy_failure(2, 3, "A", ("break-h",))
     {'string': 'U1*.U1*', 'lhs-sum': '0', 'rhs-sum': 'U1*.U1*'}
     """
     tables = _tables(base, n, max(max_total_len, 0))
-    for ts in enumerate_strings(base, max_total_len, n, 1):
+    for ts in enumerate_strings(base, max_total_len, n, 1, reduced=True):
         lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)
         if lhs != rhs:
             return {"string": ts.render(), "lhs-sum": tables.cob(lhs).render(), "rhs-sum": tables.cob(rhs).render()}
@@ -427,8 +491,9 @@ def verify_homotopy(
     """Whether delta H + H delta = id + psi phi on every chained string over
     `base` with total length within the bound.
 
-    Only the strings entered at node 1, one per rotation orbit, are checked
-    (see `homotopy_failure`); rotation equivariance covers the rest.
+    Only the reduced strings entered at node 1 are checked (see
+    `homotopy_failure`): rotation equivariance covers the other entry nodes,
+    and the prefix lemma of the module docstring the longer strings.
     """
     return homotopy_failure(max_total_len, n, base, fault) is None
 

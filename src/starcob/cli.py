@@ -4,9 +4,10 @@ tables, and diagnostic dumps, with machine-readable deterministic reports.
 Exit codes: 0 for a clean run, 1 when a verification finds violations, 2 for
 configuration errors (N <= 2, a fault spec that the verify kind cannot
 inject, --max-arity or --max-len given to a verify kind that does not read
-it, and a bound that leaves nothing to check or list: --max-arity < 3 for
-the ainfty kinds, --max-len < 0 for the ainfty kinds, grading, build and
-dump basis|special, --max-len < 1 for homotopy and dump strings, --n-max < 3
+it, --max-len given to dump special, and a bound that leaves nothing to
+check or list: --max-arity < 3 for the ainfty kinds, --max-len < 0 for the
+ainfty kinds, grading, build and dump basis, --max-len < 1 for homotopy and
+dump strings, --n-max < 3
 for cohomology; and for cohomology a --trunc below 0 or a --j given twice).
 Any other exception is an internal error and propagates.  JSON reports carry
 a versioned "schema" field and record the full configuration including the
@@ -293,6 +294,8 @@ def cmd_dump(args, out) -> int:
     n = args.n
     _check_n(n)
     what = args.what
+    if what == "special" and args.max_len is not None:
+        raise ConfigError("option --max-len does not apply to dump special")
     _check_max_len(args, 1 if what == "strings" else 0, "lists nothing", f"dump {what}")
     max_len = args.max_len if args.max_len is not None else 2 * n
     if what == "basis":

@@ -487,31 +487,139 @@ def test_entry_nodes_partition_the_strings_into_rotated_copies(algebra, n):
 @pytest.mark.parametrize("algebra", ["A", "B"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_orbit_sweep_agrees_with_the_full_sweep(algebra, n):
-    # The reduced sweep against homotopy_sides on every string, at every
-    # bound <= 6, with and without break-h: the same verdict and the same
-    # first failing string, with both sides as the full sweep finds them.
-    tables = _tables(algebra, n, 6)
-    rot = _rotation(tables)
+    # The reduced sweep against homotopy_sides on every string entered at
+    # node 1, at every bound <= 10 (N=3) or <= 8 (N=4), with and without
+    # break-h: the same verdict and the same first failing string, with both
+    # sides as the full sweep finds them.  The node-1 strings of a bound are
+    # those of max_bound's table in the same order, filtered by total length.
+    max_bound = {3: 10, 4: 8}[n]
+    tables = _tables(algebra, n, max_bound)
     failed_somewhere = False
     for fault in (None, ("break-h",)):
-        for max_len in range(1, 7):
-            failing = []
-            for ts in enumerate_strings(algebra, max_len, n):
-                lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)
-                if lhs != rhs:
-                    failing.append((ts, lhs, rhs))
-            failure = homotopy_failure(max_len, n, algebra, fault)
-            assert verify_homotopy(max_len, n, algebra, fault) == (failure is None) == (not failing)
-            if not failing:
+        first = {}  # bound -> the first failing string and its two sides
+        for s in tables.chains(max_bound, 1):
+            lhs, rhs = tables.homotopy_sides(s, fault)
+            if lhs != rhs:
+                for bound in range(sum(tables.ell[a] for a in s), max_bound + 1):
+                    first.setdefault(bound, (s, lhs, rhs))
+        for bound in range(1, max_bound + 1):
+            failure = homotopy_failure(bound, n, algebra, fault)
+            assert verify_homotopy(bound, n, algebra, fault) == (failure is None) == (bound not in first)
+            if bound not in first:
                 continue
             failed_somewhere = True
-            ts, lhs, rhs = failing[0]
+            s, lhs, rhs = first[bound]
             assert failure == {
-                "string": ts.render(),
+                "string": tables.cob({s}).render(),
                 "lhs-sum": tables.cob(lhs).render(),
                 "rhs-sum": tables.cob(rhs).render(),
             }
-            # the failing strings are a union of whole rotation orbits
-            strings = {tables.intern(ts) for ts, _, _ in failing}
-            assert {tuple(rot[a] for a in s) for s in strings} == strings
     assert failed_somewhere
+    # Over every entry node, up to bound 6: the failing strings are a union
+    # of whole rotation orbits, so the node-1 strings, which come first,
+    # hold the first failure of a sweep over every string.
+    small = _tables(algebra, n, 6)
+    rot = _rotation(small)
+    failing = set()
+    for s in small.chains(6):
+        lhs, rhs = small.homotopy_sides(s, ("break-h",))
+        if lhs != rhs:
+            failing.add(s)
+    assert failing
+    assert {tuple(rot[a] for a in s) for s in failing} == failing
+
+
+# The prefix lemma: D(P.R) = D(P).R, where D is the sum of the two sides of
+# the certificate and P the longest prefix of a string that `reduced_chains`
+# yields, so checking the reduced strings checks them all.
+
+
+def _corrupted(base, n, max_len, seed):
+    """A fresh table, not the cached one, with one to three `mul` entries
+    changed to another word or dropped, and at about a third of the seeds
+    one `psi` entry reversed.  The entries are taken from the rows of the
+    letters, the only rows H reads: it merges a block letter into t."""
+    rng = random.Random(seed)
+    tables = _WordTables(base, n, max_len)
+    entries = [(a, b) for a in range(n, 3 * n) for b in tables.mul[a]]
+    for a, b in rng.sample(entries, rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            del tables.mul[a][b]
+        else:
+            tables.mul[a][b] = rng.randrange(n, len(tables.words))
+    if rng.random() < 0.3:
+        o = rng.choice([o for o, p in enumerate(tables.psi) if len(p) > 1])
+        tables.psi[o] = tables.psi[o][::-1]
+    return tables
+
+
+def _widened(base, n, max_len):
+    """A fresh table whose leading-block rule also lets the second letter of
+    each two-letter word follow its first, so that the non-local case of
+    the lemma occurs: a factor t that splits into two letters continuing
+    the block."""
+    tables = _WordTables(base, n, max_len)
+    widened = [set(follow) for follow in tables.block_next]
+    for a in range(len(tables.words)):
+        if tables.ell[a] == 2:
+            for c, d in tables.splits[a]:
+                widened[c - n].add(d)
+    tables.block_next = [frozenset(follow) for follow in widened]
+    return tables
+
+
+def _two_letter_splits_continuing_the_block(tables):
+    """The splits (c, d) of two-letter words whose d may follow c in a block."""
+    n = tables.n
+    two_letter = (a for a in range(len(tables.words)) if tables.ell[a] == 2)
+    return [(c, d) for a in two_letter for c, d in tables.splits[a] if d in tables.block_next[c - n]]
+
+
+@pytest.mark.parametrize("base", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_certificate_factors_through_the_reduced_prefix(base, n):
+    # On every node-1 string of length <= 8, clean, under 12 seeded
+    # corruptions of mul and psi, and with the widened block rule:
+    # D(s) = D(P).R, the reduced strings are the node-1 strings that are
+    # their own P, in the same order, and the reduced sweep meets the full
+    # sweep's first failure first.
+    max_len = 8
+    clean = _tables(base, n, max_len)
+    assert all(len(follow) == 1 for follow in clean.block_next)
+    # the non-local case does not occur on A or B; only the widened rule
+    # makes the reduction follow a block into the tail
+    assert _two_letter_splits_continuing_the_block(clean) == []
+    widened = _widened(base, n, max_len)
+    assert _two_letter_splits_continuing_the_block(widened)
+    broken = 0
+    for seed in (None, *range(12), "widened"):
+        if seed is None:
+            tables = clean
+        elif seed == "widened":
+            tables = widened
+        else:
+            tables = _corrupted(base, n, max_len, seed)
+        reduced = list(tables.reduced_chains(max_len, 1))
+        is_reduced = set(reduced)
+        defect, prefix = {}, {}
+        for s in tables.chains(max_len, 1):
+            lhs, rhs = tables.homotopy_sides(s)
+            defect[s] = lhs ^ rhs
+            # P: s if reduced, else the longest reduced prefix, that of s[:-1]
+            p = prefix[s] = s if s in is_reduced else s[:-1] if s[:-1] in is_reduced else prefix[s[:-1]]
+            # P comes before s, so its defect is known
+            assert defect[s] == {d + s[len(p) :] for d in defect[p]}, (seed, s)
+        assert reduced == [s for s in defect if s in is_reduced]
+        failing = [s for s in defect if defect[s]]
+        assert [s for s in reduced if defect[s]][:1] == failing[:1]
+        assert seed is not None or not failing
+        broken += bool(failing)
+    # a zero D means something only if some corruption makes it nonzero
+    assert broken >= 2
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 5])
+def test_reduced_strings_number_2l_squared(algebra, n):
+    for max_len in (4, 10, 20):
+        assert sum(1 for _ in enumerate_strings(algebra, max_len, n, 1, reduced=True)) == 2 * max_len**2

@@ -226,6 +226,16 @@ def test_unread_option_is_config_error(kind, option, capsys):
     assert option in err and f"verify {kind}" in err
 
 
+@pytest.mark.parametrize("max_len", ["0", "9"])
+def test_dump_special_rejects_max_len(max_len, capsys):
+    # The special elements do not depend on a length bound, so the option
+    # is rejected as verify rejects an option its kind does not read.
+    code, out, err = _run(["dump", "special", "--n", "3", "--max-len", max_len], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--max-len" in err and "dump special" in err
+
+
 def test_internal_value_error_propagates(monkeypatch):
     # Only configuration errors exit 2; an internal ValueError is a bug.
     def broken(*args, **kwargs):
@@ -263,7 +273,6 @@ def test_csv_format_only_on_cohomology(argv, capsys):
         (["cohomology", "--trunc", "-1"], "--trunc"),
         (["build", "--max-len", "-1"], "--max-len"),
         (["dump", "basis", "--max-len", "-1"], "--max-len"),
-        (["dump", "special", "--max-len", "-1"], "--max-len"),
         (["dump", "strings", "--max-len", "0"], "--max-len"),
         (["dump", "strings", "--max-len", "-1"], "--max-len"),
     ],
@@ -290,7 +299,6 @@ def test_empty_sweep_is_config_error(argv, option, capsys):
         ["cohomology", "--trunc", "0"],
         ["build", "--max-len", "0"],
         ["dump", "basis", "--max-len", "0"],
-        ["dump", "special", "--max-len", "0"],
         ["dump", "strings", "--max-len", "1"],
     ],
 )
@@ -357,6 +365,26 @@ def test_homotopy_failure_names_the_string_and_both_sides(capsys):
         "lhs-sum": "0",
         "rhs-sum": "U1*.U1*",
     }
+
+
+def test_homotopy_frontier_window(capsys):
+    # Length 24 is out of reach of a sweep over every string (about 3^24 per
+    # side); the reduced sweep checks 2 * 24^2 strings per side.
+    code, out, _ = _run(["verify", "homotopy", "--n", "3", "--max-len", "24"], capsys)
+    assert code == 0
+    assert json.loads(out)["violation-count"] == 0
+    firsts = {}
+    for max_len in (4, 24):
+        args = ["verify", "homotopy", "--n", "3", "--max-len", str(max_len), "--inject-fault", "break-h"]
+        code, out, _ = _run(args, capsys)
+        assert code == 1
+        firsts[max_len] = [v["string"] for v in json.loads(out)["violations"]]
+    # Under break-h, A fails first on the same string at both bounds.  B's
+    # enumeration runs down the block r1*.r1*... before it tries s3* after
+    # the first r1*, so its first failure is the longest such block that
+    # fits, then s3*, as in a sweep over every string.
+    assert firsts[4] == ["U1*.U1*", ".".join(["r1*"] * 3 + ["s3*"])]
+    assert firsts[24] == ["U1*.U1*", ".".join(["r1*"] * 23 + ["s3*"])]
 
 
 def test_homotopy_default_window_holds_the_full_loops(capsys, monkeypatch):

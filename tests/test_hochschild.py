@@ -205,8 +205,10 @@ def test_insufficient_truncation():
 
 
 def test_string_model_cross_check():
-    assert string_model_check("A", 3, 4)
-    assert string_model_check("B", 3, 4)
+    assert string_model_check("A", 3, 8)
+    assert string_model_check("B", 3, 8)
+    assert string_model_check("A", 4, 6)
+    assert string_model_check("B", 4, 6)
 
 
 def test_cohomology_table_shape():
