@@ -24,13 +24,42 @@ nonzero_operations and relation_value intern their inputs and call it.
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
 that has a nonzero term, read off the nonzero operations themselves; the
 sweep runs on id tuples and renders words only for violations.
+
+The Z/N rotation rho of the cyclic quiver, node i to node i+1, commutes with
+every column the classifier reads: the product, the splits, the initial
+unit, the B edge columns, and the packed weights once their slots are
+shifted by 2 (rho moves a letter at slot k to slot k+2).  The all-ones
+weight the classifier compares sums against, and every length, are
+rotation-invariant, so mu(rho W) = rho mu(W), and relation_sum(rho t) =
+rho relation_sum(t).  Rotation moves the node where a tuple's first word is
+entered, so the tuples entered at node 1 are exactly one per rotation
+orbit.  check_ainfty evaluates only those, and reports each violation
+together with its N-1 rotated copies.
+
+A fault must be rotation-covariant for this sweep to be complete.
+drop-mu2N:k is: the centered component of a first word u_i or s_i is
+2(i-1) or 2(i-1)+1, so rho takes component k to k+2 mod 2N, and t violates
+under drop k exactly when rho t violates under drop k+2.  So the violations
+V(k) under drop k are the union over j of rho^j V1(k-2j), V1 being the
+node-1 sweep: one node-1 pass per rotation of the fault, N passes in all,
+which is what a sweep over every node costs.  Unfaulted, the N rotations
+share one pass.
+
+The grading laws are equivariant too: rho shifts the weight slots of every
+input and output by 2 and relabels the free generators g_i -> g_{i+1},
+while lambda and the gradings of V0 and V_{N+1} are fixed.  So
+`operation_violations` checks the nonzero operations whose first input is
+entered at node 1, and reports a failing one with its N-1 rotated copies,
+each checked in turn, in the order `nonzero_operations` would list them.
+The equivariance tests in tests/test_ainfty.py are what make both sweeps
+complete.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product as iter_product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .ring import Monomial
 from .staralg import (
@@ -43,9 +72,6 @@ from .staralg import (
     advance,
     grading,
     mono_grading,
-    mul_word,
-    word_sort_key,
-    words_of_length,
     zero_grading,
 )
 
@@ -111,6 +137,24 @@ class _OpTables(WordTable):
             self.edge_letters = frozenset(ids[w] for w in words if w.ell == 1 and w.first == "s")
             self.rest_after_first = [sp[0][0] if sp and w.first == "s" else None for w, sp in zip(words, self.splits)]
             self.rest_before_last = [sp[-1][1] if sp and w.last == "s" else None for w, sp in zip(words, self.splits)]
+
+    @functools.cached_property
+    def rotations(self) -> list[list[int]]:
+        """rotations[j][a]: the id of word a turned j nodes on (node i to
+        node i+j), for j = 0..N-1."""
+        n = self.n
+        step = [self.ids[replace(w, start=w.start % n + 1)] for w in self.words]
+        out = [list(range(len(step)))]
+        for _ in range(1, n):
+            out.append([step[a] for a in out[-1]])
+        return out
+
+    @functools.cached_property
+    def windows(self) -> list[tuple[int, ...]]:
+        """The passing windows within the table's bound, as id tuples, in
+        passing_windows order."""
+        ids = self.ids
+        return [tuple(ids[w] for w in t) for t in passing_windows(self.algebra, self.max_len, self.n)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -286,61 +330,67 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
 def _centered_tuples(algebra: str, n: int) -> list[tuple[Word, ...]]:
     """All centered tuples of the higher operation, each a tuple of
     higher_arity(algebra, n) letters."""
-    arity = higher_arity(algebra, n)
     if algebra == "B":
-        out: list[tuple[Word, ...]] = []
-        for i in range(1, n + 1):
-            tup = tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, arity + 1))
-            out.append(tup)
-        return out
-    # the 2N rotations of u1 s1 u2 s2 ... uN sN, in word order
+        return [tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, n + 1)) for i in range(1, n + 1)]
+    # the 2N rotations of u1 s1 u2 s2 ... uN sN
     cycle = [AWord(kind, i, 1, n) for i in range(1, n + 1) for kind in ("u", "s")]
-    return sorted((tuple(cycle[k:] + cycle[:k]) for k in range(arity)), key=lambda t: tuple(map(word_sort_key, t)))
+    return [tuple(cycle[k:] + cycle[:k]) for k in range(2 * n)]
 
 
 def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
     """All tuples within the length bound on which the higher operation is
-    nonzero."""
-    # Every centered tuple is higher_arity(algebra, n) letters long, and every
-    # other passing window extends one by `extra` letters at one end.
-    centered_len = higher_arity(algebra, n)
-    if centered_len > max_total_len:
+    nonzero, in word order.
+
+    Every centered tuple is higher_arity(algebra, n) letters long, and every
+    other passing window extends one by a word multiplied onto one end.  The
+    windows are built on the ids of the table of (algebra, N, bound), whose
+    id order is word order.
+    """
+    budget = max_total_len - higher_arity(algebra, n)
+    if budget < 0:
         return []
-    windows: set[tuple[Word, ...]] = set()
+    table = _op_tables(algebra, n, max_total_len)
+    ids, ell, mul = table.ids, table.ell, table.mul
+    windows: set[tuple[int, ...]] = set()
     for tup in _centered_tuples(algebra, n):
-        windows.add(tup)
-        first, last = tup[0], tup[-1]
-        for extra in range(1, max_total_len - centered_len + 1):
-            for ext in words_of_length(algebra, extra, n):
-                merged_first = mul_word(ext, first)
-                if merged_first is not None:
-                    windows.add((merged_first,) + tup[1:])
-                merged_last = mul_word(last, ext)
-                if merged_last is not None:
-                    windows.add(tup[:-1] + (merged_last,))
-    return sorted(windows, key=lambda t: tuple(word_sort_key(w) for w in t))
+        t = tuple(ids[w] for w in tup)
+        windows.add(t)
+        first, last = t[0], t[-1]
+        for c in table.by_exit[table.entry[first]][1:]:  # past the bucket's idempotent
+            if ell[c] > budget:
+                break
+            if first in mul[c]:
+                windows.add((mul[c][first],) + t[1:])
+        for c in table.by_entry[table.exit[last]][1:]:
+            if ell[c] > budget:
+                break
+            if c in mul[last]:
+                windows.add(t[:-1] + (mul[last][c],))
+    words = table.words
+    return [tuple(words[a] for a in t) for t in sorted(windows)]
 
 
-def _nonzero(ops: _OpTables, max_arity: int) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """Every nonzero operation of arity <= max_arity on the table's words,
-    as (input ids, exponent, output id): first the binary products of
-    chained pairs, then the higher operation on its passing windows."""
-    for i in range(1, ops.n + 1):
+def _nonzero(ops: _OpTables, max_arity: int, entry: Optional[int] = None) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """Every nonzero operation of arity <= max_arity on the table's words
+    whose first input is entered at `entry` (any node if None), as (input
+    ids, exponent, output id): first the binary products of chained pairs,
+    by entry node, then the higher operation on its passing windows."""
+    for i in range(1, ops.n + 1) if entry is None else (entry,):
         for a in ops.by_entry[i]:
             for b, p in ops.mul[a].items():
                 yield (a, b), 0, p
     if ops.higher_arity > max_arity:
         return
-    ids = ops.ids
-    for window in passing_windows(ops.algebra, ops.max_len, ops.n):
-        t = tuple(ids[w] for w in window)
-        res = _classify(ops, [(0, a) for a in t])
-        if res is not None:
-            yield t, res[1], res[2]
+    for t in ops.windows:
+        if entry is None or ops.entry[t[0]] == entry:
+            res = _classify(ops, [(0, a) for a in t])
+            if res is not None:
+                yield t, res[1], res[2]
 
 
-def _relation_tuples(ops: _OpTables, max_arity: int) -> set[tuple[int, ...]]:
-    """Every id tuple within bounds that can have a nonzero relation term.
+def _relation_tuples(ops: _OpTables, max_arity: int, entry: int) -> set[tuple[int, ...]]:
+    """Every id tuple within bounds whose first word is entered at node
+    `entry` and that can have a nonzero relation term.
 
     A term mu_s(.., mu_r(W), ..) needs a nonzero operation W -> V^e*p, so the
     tuples are read off the nonzero operations: W with a word c on either side
@@ -349,26 +399,42 @@ def _relation_tuples(ops: _OpTables, max_arity: int) -> set[tuple[int, ...]]:
     drops the coefficient V^e; that is complete because an operation that is
     nonzero on V^e*p is nonzero on p: for B it multiplies V^e into its value,
     and for A it vanishes on every entry with a coefficient (see _classify).
+
+    The node restriction is applied as each tuple is built: c on the left
+    must be entered at `entry`, and W with c on its right, or put into a
+    window, must start there.  An operation keeps the endpoints of its
+    inputs' path, so p is entered where W is, and a window with W in place
+    of its first entry starts where the window does.
     """
-    ell, mul, max_len = ops.ell, ops.mul, ops.max_len
+    ell, mul, max_len, node = ops.ell, ops.mul, ops.max_len, ops.entry
     nonzero = [(t, sum(ell[a] for a in t), p) for t, _, p in _nonzero(ops, max_arity - 1) if len(t) < max_arity]
+    # the words entered at `entry`, by the node where a chain leaves them,
+    # each list ascending in length
+    lefts: dict[int, list[int]] = {i: [] for i in range(1, ops.n + 1)}
+    for c in ops.by_entry[entry]:
+        lefts[ops.exit[c]].append(c)
     windows_at: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
     for window, length, _ in nonzero:
-        if len(window) > 2:
+        if len(window) > 2 and node[window[0]] == entry:
             for k, a in enumerate(window):
                 windows_at.setdefault(a, []).append((window, length, k))
     out: set[tuple[int, ...]] = set()
     for t, length, p in nonzero:
         budget = max_len - length
-        for c in ops.by_exit[ops.entry[p]]:
-            if ell[c] <= budget and p in mul[c]:
+        for c in lefts[node[p]]:
+            if ell[c] > budget:
+                break
+            if p in mul[c]:
                 out.add((c,) + t)
-        for c in ops.by_entry[ops.exit[p]]:
-            if ell[c] <= budget and c in mul[p]:
-                out.add(t + (c,))
         for window, window_len, k in windows_at.get(p, ()):
             if len(window) + len(t) - 1 <= max_arity and window_len - ell[p] + length <= max_len:
                 out.add(window[:k] + t + window[k + 1 :])
+        if node[t[0]] == entry:
+            for c in ops.by_entry[ops.exit[p]]:
+                if ell[c] > budget:
+                    break
+                if c in mul[p]:
+                    out.add(t + (c,))
     return out
 
 
@@ -391,20 +457,31 @@ def check_ainfty(
 ) -> list[dict]:
     """Violations of the A-infinity relations within the given bounds.
 
-    The relation is evaluated on every tuple that has a nonzero term (see
-    _relation_tuples).  Those tuples are read off the unfaulted operations and
-    a fault only deletes values, so injected faults cannot hide violations.
-    The sweep is serial; violations are sorted by arity, then inputs.
+    The relation is evaluated on every tuple entered at node 1 that has a
+    nonzero term (see _relation_tuples), and each violation is reported with
+    its rotated copies (see the module docstring); under drop-mu2N:k the
+    node-1 tuples are swept once per rotation of the fault.  The tuples are
+    read off the unfaulted operations and a fault only deletes values, so
+    injected faults cannot hide violations.  The sweep is serial; violations
+    are sorted by arity, then inputs.
     """
     if n <= 2:
         raise ValueError("the construction needs N > 2")
     ops = _op_tables(algebra, n, max_total_len)
     drop = _dropped(fault)
+    tuples = _relation_tuples(ops, max_arity, 1)
+    passes: dict[Optional[int], list[tuple[tuple, dict[int, int]]]] = {}
     violations: list[dict] = []
-    for ids in _relation_tuples(ops, max_arity):
-        total = relation_sum(ops, ids, drop)
-        if total:
-            violations.append(_violation(ops, ids, total))
+    for j in range(n):
+        # rho^j maps the violations of the node-1 sweep under drop k - 2j to
+        # those entered at node 1 + j under drop k
+        d = None if drop is None else (drop - 2 * j) % (2 * n)
+        if d not in passes:
+            passes[d] = [(ids, total) for ids in tuples if (total := relation_sum(ops, ids, d))]
+        if passes[d]:
+            turn = ops.rotations[j]
+            for ids, total in passes[d]:
+                violations.append(_violation(ops, tuple(turn[a] for a in ids), {turn[q]: c for q, c in total.items()}))
     violations.sort(key=lambda v: (v["arity"], v["inputs"]))
     return violations
 
@@ -424,30 +501,65 @@ def nonzero_operations(
         yield tuple(words[a] for a in t), e, words[p]
 
 
+Residual = Callable[[tuple[Word, ...], Monomial, Word], Optional[str]]
+
+
+def operation_violations(algebra: str, max_arity: int, max_total_len: int, n: int, residual: Residual) -> list[dict]:
+    """Violations of a grading law over all nonzero operations within bounds.
+
+    `residual(inputs, exponent, output word)` gives the reason an operation
+    breaks the law, or None.  Only the operations whose first input is
+    entered at node 1 are checked; a failing one is reported with its
+    rotated copies, each checked in turn (see the module docstring), in the
+    order of nonzero_operations.
+    """
+    ops = _op_tables(algebra, n, max_total_len)
+    words = ops.words
+
+    def reason(t: tuple, e: Monomial, p: int) -> Optional[str]:
+        return residual(tuple(words[a] for a in t), e, words[p])
+
+    failing = []
+    for t, e, p in _nonzero(ops, max_arity, 1):
+        if reason(t, e, p) is not None:
+            for turn in ops.rotations:
+                rt = tuple(turn[a] for a in t)
+                why = reason(rt, e, turn[p])
+                if why is not None:
+                    # nonzero_operations lists the products by entry node,
+                    # then the windows in id order
+                    failing.append(((0, ops.entry[rt[0]], rt) if len(rt) == 2 else (1, rt), why))
+    failing.sort()
+    return [
+        {"algebra": algebra, "arity": len(t), "inputs": [words[a].render() for a in t], "reason": why}
+        for (*_, t), why in failing
+    ]
+
+
+def _grading_sides(algebra: str, n: int, inputs: tuple[Word, ...], exp: Monomial, word: Word) -> tuple[Grading, Grading]:
+    """The grading of an operation's value V^exp * word, and the one the
+    grading law asks for: the sum over the inputs, with r - 2 added to the
+    Maslov degree of an arity-r operation."""
+    total = zero_grading(n)
+    for w in inputs:
+        total = total + grading(w)
+    return _entry_grading(algebra, exp, word, n), Grading(total.m + len(inputs) - 2, total.alexander, total.ell)
+
+
 def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
     """Grading-law violations over all nonzero operations within bounds.
 
     Binary products must add gradings; an arity-r operation must add r - 2 to
     the Maslov degree and preserve the weight vector (hence total length).
     """
-    violations: list[dict] = []
-    for inputs, exp, word in nonzero_operations(algebra, max_arity, max_total_len, n):
-        r = len(inputs)
-        total = zero_grading(n)
-        for w in inputs:
-            total = total + grading(w)
-        expect = Grading(total.m + r - 2, total.alexander, total.ell)
-        got = _entry_grading(algebra, exp, word, n)
-        if got != expect:
-            violations.append(
-                {
-                    "algebra": algebra,
-                    "arity": r,
-                    "inputs": [w.render() for w in inputs],
-                    "reason": f"{'binary' if r == 2 else 'operation'} grading {got} != {expect}",
-                }
-            )
-    return violations
+
+    def residual(inputs: tuple[Word, ...], exp: Monomial, word: Word) -> Optional[str]:
+        got, expect = _grading_sides(algebra, n, inputs, exp, word)
+        if got == expect:
+            return None
+        return f"{'binary' if len(inputs) == 2 else 'operation'} grading {got} != {expect}"
+
+    return operation_violations(algebra, max_arity, max_total_len, n, residual)
 
 
 def parse_fault(text: Optional[str]) -> Optional[tuple]:
@@ -478,6 +590,7 @@ __all__ = [
     "higher_arity",
     "passing_windows",
     "nonzero_operations",
+    "operation_violations",
     "check_ainfty",
     "op_grading_check",
     "parse_fault",

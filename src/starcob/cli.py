@@ -315,12 +315,15 @@ def cmd_dump(args, out) -> int:
         ]
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown dump target {what!r}")
+    config = {"algebra": args.algebra}
+    if what != "special":  # the special elements do not depend on a length bound
+        config["max-len"] = max_len
     if args.format == "json":
         doc = {
             "schema": SCHEMA,
             "command": "dump",
             "what": what,
-            "config": _config_doc(args, n, {"algebra": args.algebra, "max-len": max_len}),
+            "config": _config_doc(args, n, config),
             "items": items,
         }
         _emit_json(doc, out)

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Optional
 
-from .ainfty import nonzero_operations
+from .ainfty import operation_violations
 from .ring import Monomial
 from .staralg import AWord, BWord, Word, coeff_var
 
@@ -130,26 +131,26 @@ def mono_group_grading(exp: Monomial, algebra: str, n: int) -> GroupElem:
     return gp_pow(var_group_grading(coeff_var(algebra, n), n), exp)
 
 
+def _group_sides(algebra: str, n: int, inputs: tuple, exp: Monomial, word: Word, grade) -> tuple[GroupElem, GroupElem]:
+    """gr(V^exp * word) of an operation's value, and lambda^(arity-2) times
+    the product of its input gradings, with words graded by `grade`."""
+    expect = gp_pow(GP_LAMBDA, len(inputs) - 2)
+    for w in inputs:
+        expect = gp_mul(expect, grade(w))
+    return gp_mul(mono_group_grading(exp, algebra, n), grade(word)), expect
+
+
 def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
     """Violations of gr(output) = lambda^(arity-2) * product of input gradings
-    over all nonzero binary products and higher-operation windows in range."""
-    violations: list[dict] = []
+    over all nonzero binary products and higher-operation windows in range,
+    checked one operation per rotation orbit (see ainfty)."""
     grade = functools.cache(assign_grading)  # each distinct word graded once per call
-    for inputs, exp, word in nonzero_operations(algebra, max_arity, max_total_len, n):
-        expect = gp_pow(GP_LAMBDA, len(inputs) - 2)
-        for w in inputs:
-            expect = gp_mul(expect, grade(w))
-        got = gp_mul(mono_group_grading(exp, algebra, n), grade(word))
-        if got != expect:
-            violations.append(
-                {
-                    "algebra": algebra,
-                    "arity": len(inputs),
-                    "inputs": [w.render() for w in inputs],
-                    "reason": f"grading {got.render()} != {expect.render()}",
-                }
-            )
-    return violations
+
+    def residual(inputs: tuple, exp: Monomial, word: Word) -> Optional[str]:
+        got, expect = _group_sides(algebra, n, inputs, exp, word, grade)
+        return None if got == expect else f"grading {got.render()} != {expect.render()}"
+
+    return operation_violations(algebra, max_arity, max_total_len, n, residual)
 
 
 def admissible_arities(side: str, big_n: int, n_lo: int, n_hi: int) -> set[int]:

@@ -3,11 +3,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+from dataclasses import replace
 
 import pytest
 from chained import chained_tuples
 
-from starcob import ainfty
+from starcob import ainfty, gradegroup
 from starcob.ainfty import (
     TAG_BINARY,
     TAG_CENTERED,
@@ -15,22 +16,29 @@ from starcob.ainfty import (
     TAG_RIGHT,
     TAG_ZERO,
     _entry_grading,
+    _nonzero,
     _op_tables,
+    _OpTables,
     _relation_tuples,
     check_ainfty,
     mu_a,
     mu_b,
+    nonzero_operations,
     op_grading_check,
     parse_fault,
     passing_windows,
     higher_arity,
+    relation_sum,
     relation_value,
 )
+from starcob.gradegroup import GroupElem, check_multiplicativity
 from starcob.ring import mono_mul
 from starcob.staralg import (
     AlgElem,
     AWord,
     BWord,
+    Grading,
+    advance,
     chain_ok,
     coeff_var,
     grading,
@@ -40,6 +48,9 @@ from starcob.staralg import (
     split_a_word,
     split_b_word,
     var_grading,
+    word_sort_key,
+    words_of_length,
+    zero_grading,
 )
 
 
@@ -451,17 +462,33 @@ def _chained_words(algebra, arity, max_len, n=3):
     return [tuple(ops.words[a] for a in t) for t in chained_tuples(ops, arity, max_len)]
 
 
-def _swept(algebra, arity, max_len, n=3):
-    """The tuples of one arity that check_ainfty evaluates, as words."""
+def _swept(algebra, arity, max_len, n=3, entry=1):
+    """The tuples of one arity entered at one node that check_ainfty
+    evaluates, as words."""
     ops = _op_tables(algebra, n, max_len)
-    return {tuple(ops.words[a] for a in t) for t in _relation_tuples(ops, arity) if len(t) == arity}
+    return {tuple(ops.words[a] for a in t) for t in _relation_tuples(ops, arity, entry) if len(t) == arity}
+
+
+def _by_entry(tuples, n=3):
+    """Word tuples partitioned by the node where the first word is entered."""
+    parts = {i: set() for i in range(1, n + 1)}
+    for t in tuples:
+        parts[t[0].entry].add(t)
+    return parts
+
+
+def _rotated(t, j):
+    """A tuple of words turned j nodes on, node i to node i+j."""
+    return tuple(replace(w, start=advance(w.start, j, w.n)) for w in t)
 
 
 def test_candidate_set_complete_against_brute_force():
-    # In each arity the swept tuples are exactly the chained tuples
-    # (idempotents included) that have a nonzero relation term, over every
-    # split and unfaulted operation.  Arity 3 has only mu_2 o mu_2 terms; A
-    # arity 7 has mu_6 o mu_2 and mu_2 o mu_6; B arity 5 at N=3 has mu_3 o mu_3.
+    # In each arity the swept tuples entered at each node are exactly the
+    # chained tuples (idempotents included) entered there that have a
+    # nonzero relation term, over every split and unfaulted operation, and
+    # the rotations of the node-1 tuples are all of them.  Arity 3 has only
+    # mu_2 o mu_2 terms; A arity 7 has mu_6 o mu_2 and mu_2 o mu_6; B arity 5
+    # at N=3 has mu_3 o mu_3.
     for algebra, arity, max_len, count in (
         ("A", 3, 4, 387),
         ("B", 3, 4, 387),
@@ -471,16 +498,20 @@ def test_candidate_set_complete_against_brute_force():
     ):
         tuples = _chained_words(algebra, arity, max_len)
         assert len(tuples) == count
-        swept = _swept(algebra, arity, max_len)
-        assert swept
-        assert swept == set(filter(_term_oracle(algebra, 3), tuples))
+        complete = set(filter(_term_oracle(algebra, 3), tuples))
+        parts = _by_entry(complete)
+        for i, part in parts.items():
+            swept = _swept(algebra, arity, max_len, entry=i)
+            assert swept
+            assert swept == part
+        assert {_rotated(t, j) for t in parts[1] for j in range(3)} == complete
         if (algebra, arity) == ("A", 7):
             # A dropped centered component gives violations, and each lies
             # in the set built from the unfaulted operations.
             fault = ("drop-a-centered", 0)
             violating = {t for t in tuples if not relation_value("A", t, 3, fault).is_zero()}
             assert violating
-            assert violating <= swept
+            assert violating <= complete
 
 
 def test_relation_tuples_complete_when_relations_fail(monkeypatch):
@@ -489,8 +520,9 @@ def test_relation_tuples_complete_when_relations_fail(monkeypatch):
     # lost.  With the centered B value at node 1 dropped from the operation
     # itself (in the id classifier, and in the reference the oracle uses),
     # tuples with a single nonzero term occur for an outer mu_2 on either
-    # side and for an outer mu_3; the swept set must still equal the
-    # brute-force one.
+    # side and for an outer mu_3; the swept set at each entry node must
+    # still equal the brute-force one.  The drop is not rotation-covariant,
+    # so the sets of the three nodes differ.
     classify = ainfty._classify
 
     def dropped(ops, entries, drop=None):
@@ -507,7 +539,9 @@ def test_relation_tuples_complete_when_relations_fail(monkeypatch):
 
     monkeypatch.setattr(ainfty, "_classify", dropped)
     tuples = _chained_words("B", 4, 6)
-    assert _swept("B", 4, 6) == set(filter(_term_oracle("B", 3, ref_dropped), tuples))
+    parts = _by_entry(filter(_term_oracle("B", 3, ref_dropped), tuples))
+    for i, part in parts.items():
+        assert _swept("B", 4, 6, entry=i) == part
     assert sum(not relation_value("B", t, 3).is_zero() for t in tuples) == 12
 
 
@@ -517,7 +551,6 @@ def test_entry_splits_of_deep_windows_are_candidates():
     # length <= 10, the windows reach two letters past the centered length,
     # so an extended end entry splits in more than one place.
     n = 4
-    swept = _swept("A", 9, 10, n)
     table = _op_tables("A", n, 10)
     splits = set()
     for window in passing_windows("A", 10, n):
@@ -526,8 +559,383 @@ def test_entry_splits_of_deep_windows_are_candidates():
                 pair = tuple(table.words[a] for a in ids)
                 if len(pair) == 2 and mul_word(*pair) == w:
                     splits.add(window[:t] + pair + window[t + 1 :])
-    assert splits
-    assert splits <= swept
+    for i, part in _by_entry(splits, n).items():
+        assert part
+        assert part <= _swept("A", 9, 10, n, entry=i)
+
+
+# The sweep over every entry node, as check_ainfty ran it before it checked
+# one tuple per rotation orbit: the oracle of the orbit sweep.
+
+
+def _all_relation_tuples(ops, max_arity):
+    """Every id tuple within bounds that can have a nonzero relation term,
+    entered at any node."""
+    ell, mul, max_len = ops.ell, ops.mul, ops.max_len
+    nonzero = [(t, sum(ell[a] for a in t), p) for t, _, p in _nonzero(ops, max_arity - 1) if len(t) < max_arity]
+    windows_at = {}
+    for window, length, _ in nonzero:
+        if len(window) > 2:
+            for k, a in enumerate(window):
+                windows_at.setdefault(a, []).append((window, length, k))
+    out = set()
+    for t, length, p in nonzero:
+        budget = max_len - length
+        for c in ops.by_exit[ops.entry[p]]:
+            if ell[c] <= budget and p in mul[c]:
+                out.add((c,) + t)
+        for c in ops.by_entry[ops.exit[p]]:
+            if ell[c] <= budget and c in mul[p]:
+                out.add(t + (c,))
+        for window, window_len, k in windows_at.get(p, ()):
+            if len(window) + len(t) - 1 <= max_arity and window_len - ell[p] + length <= max_len:
+                out.add(window[:k] + t + window[k + 1 :])
+    return out
+
+
+def _full_check_ainfty(algebra, max_arity, max_len, n, fault=None):
+    ops = _op_tables(algebra, n, max_len)
+    drop = ainfty._dropped(fault)
+    violations = []
+    for ids in _all_relation_tuples(ops, max_arity):
+        total = relation_sum(ops, ids, drop)
+        if total:
+            violations.append(ainfty._violation(ops, ids, total))
+    violations.sort(key=lambda v: (v["arity"], v["inputs"]))
+    return violations
+
+
+@pytest.mark.parametrize(
+    "algebra, n, max_arity, max_len",
+    [("A", 3, 8, 12), ("A", 3, 11, 13), ("A", 4, 10, 16), ("A", 5, 12, 20), ("B", 3, 7, 12), ("B", 4, 6, 12), ("B", 6, 8, 18)],
+)
+def test_node_1_tuples_are_one_per_rotation_orbit(algebra, n, max_arity, max_len):
+    # The tuples entered at nodes 1..N partition the full sweep's set, and
+    # the rotations of the node-1 tuples, each turned j = 0..N-1 nodes on,
+    # are that set, N distinct copies of each.
+    ops = _op_tables(algebra, n, max_len)
+    full = _all_relation_tuples(ops, max_arity)
+    parts = [_relation_tuples(ops, max_arity, i) for i in range(1, n + 1)]
+    for i, part in enumerate(parts, 1):
+        assert part == {t for t in full if ops.entry[t[0]] == i}
+    orbit = [tuple(turn[a] for a in t) for t in parts[0] for turn in ops.rotations]
+    assert len(orbit) == len(set(orbit)) == len(full)
+    assert set(orbit) == full
+
+
+@pytest.mark.parametrize("n, windows", [(3, [(8, 12), (9, 10)]), (4, [(10, 16), (9, 12)])])
+def test_orbit_sweep_matches_the_full_sweep_under_every_fault(n, windows):
+    # Unfaulted and under every drop-mu2N:k, at two windows each, the orbit
+    # sweep reports exactly what the sweep over every entry node does.
+    # Under a fault the violations are not rotation-invariant; each pass of
+    # the node-1 tuples under drop k - 2j gives those entered at node 1 + j.
+    for max_arity, max_len in windows:
+        assert check_ainfty("A", max_arity, max_len, n) == _full_check_ainfty("A", max_arity, max_len, n) == []
+        for k in range(2 * n):
+            fault = ("drop-a-centered", k)
+            got = check_ainfty("A", max_arity, max_len, n, fault)
+            assert got
+            assert got == _full_check_ainfty("A", max_arity, max_len, n, fault)
+            # a violation at every entry node, not at node 1 only
+            entry_of = {w.render(): w.entry for w in _op_tables("A", n, max_len).words}
+            assert {entry_of[v["inputs"][0]] for v in got} == set(range(1, n + 1))
+
+
+@pytest.mark.parametrize("algebra, n", [("B", 3), ("B", 4), ("B", 5), ("A", 5)])
+def test_clean_orbit_sweep_matches_the_full_sweep(algebra, n):
+    max_arity, max_len = higher_arity(algebra, n) + 2, (4 if algebra == "A" else 3) * n
+    assert check_ainfty(algebra, max_arity, max_len, n) == _full_check_ainfty(algebra, max_arity, max_len, n) == []
+
+
+# Rotation equivariance: the Z/N rotation i -> i+1 of the cyclic quiver
+# commutes with every column the classifier reads, with relation_sum (under
+# drop k -> k+2) and with both grading laws, so checking the tuples entered
+# at node 1, one per orbit, checks them all.
+
+
+def _rotation(ops):
+    """The rotation i -> i+1 as a permutation of the table's ids."""
+    n = ops.n
+    return [ops.ids[replace(w, start=w.start % n + 1)] for w in ops.words]
+
+
+def _turned_weight(ops, packed):
+    """A packed weight vector with its slots shifted by 2 (mod 2N)."""
+    slots = 2 * ops.n
+    width = max(ops.max_len, 1).bit_length()
+    mask = (1 << width) - 1
+    vec = [(packed >> (width * k)) & mask for k in range(slots)]
+    return sum(v << (width * ((k + 2) % slots)) for k, v in enumerate(vec))
+
+
+def _turned_grading(g):
+    return Grading(g.m, g.alexander[-2:] + g.alexander[:-2], g.ell)
+
+
+def _turned_group(x, n):
+    return GroupElem(x.z, tuple((g % n + 1 if g else 0, e) for g, e in x.word))
+
+
+def _equivariance_mismatches(ops, max_arity):
+    """The columns, relation sums (on every chained tuple of the table's
+    bound in an arity that has terms) and grading sides (on every nonzero
+    operation of arity <= max_arity) on which rotating the input and
+    rotating the output disagree."""
+    n = ops.n
+    rot = _rotation(ops)
+
+    def turn(x):
+        return None if x is None else rot[x]
+
+    def turn_drop(d):
+        return None if d is None else (d + 2) % (2 * n)
+
+    bad = []
+    for a in range(len(ops.words)):
+        if {rot[b]: rot[m] for b, m in ops.mul[a].items()} != ops.mul[rot[a]]:
+            bad.append(("mul", a))
+        if tuple((rot[c], rot[d]) for c, d in ops.splits[a]) != ops.splits[rot[a]]:
+            bad.append(("splits", a))
+        if _turned_weight(ops, ops.weight[a]) != ops.weight[rot[a]]:
+            bad.append(("weight", a))
+        if rot[ops.init_unit[a]] != ops.init_unit[rot[a]]:
+            bad.append(("init_unit", a))
+        if ops.algebra == "A":
+            if (ops.component[a] + 2) % (2 * n) != ops.component[rot[a]]:
+                bad.append(("component", a))
+        else:
+            if (a in ops.edge_letters) != (rot[a] in ops.edge_letters):
+                bad.append(("edge_letters", a))
+            if turn(ops.rest_after_first[a]) != ops.rest_after_first[rot[a]]:
+                bad.append(("rest_after_first", a))
+            if turn(ops.rest_before_last[a]) != ops.rest_before_last[rot[a]]:
+                bad.append(("rest_before_last", a))
+    drops = [None] + (list(range(2 * n)) if ops.algebra == "A" else [])
+    h = ops.higher_arity
+    # relation_sum has terms only where an inner and an outer arity are each
+    # 2 or h
+    arities = {r + s - 1 for r in (2, h) for s in (2, h)}
+    for t in ops.chains(ops.max_len):
+        rt = tuple(rot[a] for a in t)
+        if len(t) == h:
+            # the classifier itself, bare and with V on the first entry
+            for e in (0, 1):
+                for d in drops:
+                    res = ainfty._classify(ops, [(e, t[0])] + [(0, a) for a in t[1:]], d)
+                    rres = ainfty._classify(ops, [(e, rt[0])] + [(0, a) for a in rt[1:]], turn_drop(d))
+                    if rres != (None if res is None else res[:2] + (rot[res[2]],)):
+                        bad.append(("classify", t, e, d))
+        if len(t) not in arities:
+            continue
+        for d in drops:
+            total = relation_sum(ops, t, d)
+            if relation_sum(ops, rt, turn_drop(d)) != {rot[q]: c for q, c in total.items()}:
+                bad.append(("relation_sum", t, d))
+    words = ops.words
+    for t, e, p in _nonzero(ops, max_arity):
+        inputs, rinputs = tuple(words[a] for a in t), tuple(words[rot[a]] for a in t)
+        got, expect = ainfty._grading_sides(ops.algebra, n, inputs, e, words[p])
+        if ainfty._grading_sides(ops.algebra, n, rinputs, e, words[rot[p]]) != (_turned_grading(got), _turned_grading(expect)):
+            bad.append(("grading", t))
+        got, expect = gradegroup._group_sides(ops.algebra, n, inputs, e, words[p], gradegroup.assign_grading)
+        if gradegroup._group_sides(ops.algebra, n, rinputs, e, words[rot[p]], gradegroup.assign_grading) != (
+            _turned_group(got, n),
+            _turned_group(expect, n),
+        ):
+            bad.append(("group grading", t))
+    return bad
+
+
+# A window per algebra and N whose chained tuples reach the composed terms
+# mu_h o mu_2 and mu_2 o mu_h (and for B also mu_h o mu_h).
+_EQUIVARIANCE_WINDOWS = {("A", 3): 7, ("A", 4): 9, ("B", 3): 6, ("B", 4): 8}
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_rotation_commutes_with_the_classifier(algebra, n):
+    max_len = _EQUIVARIANCE_WINDOWS[algebra, n]
+    ops = _op_tables(algebra, n, max_len)
+    assert _equivariance_mismatches(ops, higher_arity(algebra, n) + 2) == []
+    # the sweep's permutations are the powers of this rotation
+    rot = _rotation(ops)
+    assert ops.rotations[0] == list(range(len(ops.words)))
+    for j in range(1, n):
+        assert ops.rotations[j] == [rot[a] for a in ops.rotations[j - 1]]
+    # the window reaches the higher operation, and for A a relation that a
+    # dropped component breaks
+    h = higher_arity(algebra, n)
+    assert any(ainfty._classify(ops, [(0, a) for a in t]) for t in ops.chains(max_len) if len(t) == h)
+    if algebra == "A":
+        assert any(relation_sum(ops, t, 0) for t in ops.chains(max_len) if len(t) == h + 1)
+
+
+def _first_at_node(ops, node, rows):
+    return next(a for a in rows if ops.words[a].start == node)
+
+
+@pytest.mark.parametrize(
+    "algebra, column",
+    [("A", "mul"), ("A", "weight"), ("A", "component"), ("A", "splits"), ("B", "mul"), ("B", "init_unit"), ("B", "edge_letters"), ("B", "rest_before_last")],
+)
+def test_equivariance_check_names_a_table_corrupted_at_one_node(algebra, column):
+    # A fresh table, not the cached one, with one entry of one column
+    # changed at node 2 only: the check must name that column, and the
+    # classifier or relation_sum must show it too, except for the weight of
+    # a two-letter word, which the classifier reads only at a window's end,
+    # where it cancels.
+    n = 3
+    max_len = _EQUIVARIANCE_WINDOWS[algebra, n]
+    ops = _OpTables(algebra, n, max_len)
+    letters = range(n, 3 * n)
+    if column == "mul":
+        a = _first_at_node(ops, 2, letters)
+        del ops.mul[a][next(b for b in ops.mul[a] if b >= n)]
+    elif column == "weight":
+        # a two-letter word: every window holds each letter, so a letter's
+        # weight changed at one node would kill every window alike
+        a = _first_at_node(ops, 2, range(3 * n, len(ops.words)))
+        ops.weight[a] = ops.weight[a + 1]
+    elif column == "component":
+        a = _first_at_node(ops, 2, letters)
+        ops.component[a] = (ops.component[a] + 1) % (2 * n)
+    elif column == "splits":
+        a = next(a for a in range(3 * n, len(ops.words)) if ops.words[a].start == 2 and ops.ell[a] == 2)
+        ops.splits[a] = ()
+    elif column == "init_unit":
+        a = next(a for a in ops.edge_letters if ops.words[a].start == 2)
+        ops.init_unit[a] = 0
+    elif column == "edge_letters":
+        a = next(a for a in ops.edge_letters if ops.words[a].start == 2)
+        ops.edge_letters = ops.edge_letters - {a}
+    else:
+        a = next(a for a, r in enumerate(ops.rest_before_last) if r is not None and ops.words[a].start == 2)
+        ops.rest_before_last[a] = None
+    bad = _equivariance_mismatches(ops, 2 * n)
+    assert (column, a) in bad or (column, _rotation(ops).index(a)) in bad
+    assert any(entry[0] in ("classify", "relation_sum") for entry in bad) == (column != "weight")
+
+
+def test_equivariance_check_names_a_grading_corrupted_at_one_node(monkeypatch):
+    # Both grading laws read word gradings outside the table; mis-grading
+    # the words that start at node 2 must break the equivariance of both.
+    n = 3
+    ops = _op_tables("A", n, 7)
+    assert _equivariance_mismatches(ops, 8) == []
+    word_grading, group_grading = ainfty.grading, gradegroup.assign_grading
+    monkeypatch.setattr(ainfty, "grading", lambda w: _turned_grading(word_grading(w)) if w.start == 2 else word_grading(w))
+    bad = _equivariance_mismatches(ops, 8)
+    assert any(entry[0] == "grading" for entry in bad)
+    assert not any(entry[0] == "group grading" for entry in bad)
+    monkeypatch.setattr(ainfty, "grading", word_grading)
+    ops = _op_tables("B", n, 6)
+    monkeypatch.setattr(
+        gradegroup, "assign_grading", lambda w: GroupElem(group_grading(w).z + (w.start == 2), group_grading(w).word)
+    )
+    bad = _equivariance_mismatches(ops, 5)
+    assert any(entry[0] == "group grading" for entry in bad)
+    assert not any(entry[0] == "grading" for entry in bad)
+
+
+# The passing windows as they were built on Word objects, before they were
+# built on the table's ids: their oracle.
+
+
+def _word_passing_windows(algebra, max_total_len, n):
+    centered_len = higher_arity(algebra, n)
+    if centered_len > max_total_len:
+        return []
+    windows = set()
+    for tup in ainfty._centered_tuples(algebra, n):
+        windows.add(tup)
+        first, last = tup[0], tup[-1]
+        for extra in range(1, max_total_len - centered_len + 1):
+            for ext in words_of_length(algebra, extra, n):
+                merged_first = mul_word(ext, first)
+                if merged_first is not None:
+                    windows.add((merged_first,) + tup[1:])
+                merged_last = mul_word(last, ext)
+                if merged_last is not None:
+                    windows.add(tup[:-1] + (merged_last,))
+    return sorted(windows, key=lambda t: tuple(word_sort_key(w) for w in t))
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_passing_windows_match_the_word_oracle(algebra, n):
+    h = higher_arity(algebra, n)
+    for max_len in (h - 1, h, h + 1, 3 * n, 4 * n + 1):
+        assert passing_windows(algebra, max_len, n) == _word_passing_windows(algebra, max_len, n)
+    # a table holds them as ids, built once
+    ops = _op_tables(algebra, n, 3 * n)
+    assert ops.windows is ops.windows
+    assert [tuple(ops.words[a] for a in t) for t in ops.windows] == passing_windows(algebra, 3 * n, n)
+
+
+# The grading checks as they ran over every nonzero operation, before they
+# checked one operation per rotation orbit: their oracles.
+
+
+def _full_op_grading_check(algebra, max_arity, max_len, n):
+    violations = []
+    for inputs, exp, word in nonzero_operations(algebra, max_arity, max_len, n):
+        r = len(inputs)
+        total = zero_grading(n)
+        for w in inputs:
+            total = total + grading(w)
+        expect = Grading(total.m + r - 2, total.alexander, total.ell)
+        got = ainfty._entry_grading(algebra, exp, word, n)
+        if got != expect:
+            violations.append(
+                {
+                    "algebra": algebra,
+                    "arity": r,
+                    "inputs": [w.render() for w in inputs],
+                    "reason": f"{'binary' if r == 2 else 'operation'} grading {got} != {expect}",
+                }
+            )
+    return violations
+
+
+def _full_check_multiplicativity(algebra, max_arity, max_len, n):
+    violations = []
+    for inputs, exp, word in nonzero_operations(algebra, max_arity, max_len, n):
+        expect = gradegroup.gp_pow(gradegroup.GP_LAMBDA, len(inputs) - 2)
+        for w in inputs:
+            expect = gradegroup.gp_mul(expect, gradegroup.assign_grading(w))
+        got = gradegroup.gp_mul(gradegroup.mono_group_grading(exp, algebra, n), gradegroup.assign_grading(word))
+        if got != expect:
+            violations.append(
+                {
+                    "algebra": algebra,
+                    "arity": len(inputs),
+                    "inputs": [w.render() for w in inputs],
+                    "reason": f"grading {got.render()} != {expect.render()}",
+                }
+            )
+    return violations
+
+
+@pytest.mark.parametrize("algebra, n, max_arity, max_len", [("A", 3, 8, 9), ("A", 4, 10, 10), ("B", 3, 5, 7), ("B", 4, 6, 9)])
+def test_grading_checks_match_the_full_sweep_under_a_fault(algebra, n, max_arity, max_len, monkeypatch):
+    # A rotation-invariant mis-grading of every value of length 2 (binary
+    # products and extended windows alike), and of every coefficient in the
+    # group grading: the orbit sweeps list the same violations as a sweep
+    # over every operation, in the same order, at every entry node.
+    assert op_grading_check(algebra, max_arity, max_len, n) == _full_op_grading_check(algebra, max_arity, max_len, n) == []
+    entry_grading, mono = ainfty._entry_grading, gradegroup.mono_group_grading
+
+    def misgraded(alg, exp, word, n):
+        g = entry_grading(alg, exp, word, n)
+        return Grading(g.m + 1, g.alexander, g.ell) if word.ell == 2 else g
+
+    monkeypatch.setattr(ainfty, "_entry_grading", misgraded)
+    monkeypatch.setattr(gradegroup, "mono_group_grading", lambda exp, alg, n: GroupElem(mono(exp, alg, n).z + exp + 1, ()))
+    for check, oracle in ((op_grading_check, _full_op_grading_check), (check_multiplicativity, _full_check_multiplicativity)):
+        got = check(algebra, max_arity, max_len, n)
+        assert got == oracle(algebra, max_arity, max_len, n)
+        assert {v["arity"] for v in got} == {2, higher_arity(algebra, n)}
+        assert len(got) % n == 0
 
 
 def test_parse_fault():

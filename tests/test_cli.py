@@ -150,6 +150,12 @@ def test_dump_basis_and_special(capsys):
     code, out, _ = _run(["dump", "special", "--algebra", "B", "--n", "4", "--format", "text"], capsys)
     assert code == 0
     assert out.startswith("U0 = ")
+    # the special elements take no length bound, and their config records none
+    code, out, _ = _run(["dump", "special", "--algebra", "B", "--n", "4"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"] == {"N": 4, "algebra": "B", "seed": 0}
+    code, out, _ = _run(["dump", "basis", "--algebra", "B", "--n", "4"], capsys)
+    assert json.loads(out)["config"]["max-len"] == 8
 
 
 def test_threads_env(monkeypatch, capsys):

@@ -105,6 +105,28 @@ GOLDEN = [
         "a679a4469813366513218e33ce15f058f427502c868429ab9c67251157fae624",
     ),
     ("verify ainfty-b --n 5", 0, "988ec0a414647b6de92b299bda4700861cc083b87372596934b323e349715d0d"),
+    # The windows the relations benchmark runs, the frontier A window, and
+    # two drop-mu2N components of the N=3 control: recorded while every
+    # relation and grading sweep still checked tuples entered at every node,
+    # before they checked one tuple per rotation orbit.
+    ("verify ainfty-a --n 5", 0, "82a6f7f6d03a7ce352cf02e7f14c6f1a0d4d3eccd664a47d745a222cbac7dec8"),
+    ("verify ainfty-b --n 6", 0, "fc77c490bea63655206d3ef607c9ec5efc2681d38b795aa20b5d403ff36bef13"),
+    ("verify grading --n 6", 0, "b1aded67eaf115380a45a4ec707f756f27879d9604225c147daf95b086b5521a"),
+    (
+        "verify ainfty-a --n 3 --inject-fault drop-mu2N:0",
+        1,
+        "fdbdb30a2f3b42de35c40b2626feccf6ab833606cea0a23e52c7121dbbbd50b1",
+    ),
+    (
+        "verify ainfty-a --n 3 --inject-fault drop-mu2N:4",
+        1,
+        "b5136c03afe7238ee2195e0a8cc538e80158c56639efd648ff8b4088876fcd7b",
+    ),
+    (
+        "verify ainfty-a --n 8 --max-arity 31 --max-len 34",
+        0,
+        "f1f604bdb44e8e70552a123bf4fd78e9628d67643e39e3769c9620fdfc139d51",
+    ),
     # Larger cohomology tables, recorded while the differential still tried
     # all 2N letters per term and B-words were graded letter by letter.
     (
@@ -122,23 +144,24 @@ GOLDEN = [
         0,
         "77059bd86d99498ad96a90e58b83faaa6f8fb9e94f229c92c0e4a3ccbff4bf2a",
     ),
-    # B-word renderings and the special elements, recorded while a B-word's
-    # letters were walked node by node, before they were read off its run of
-    # weight slots.
+    # B-word renderings, recorded while a B-word's letters were walked node
+    # by node, before they were read off its run of weight slots.
     (
         "dump basis --algebra B --n 4",
         0,
         "d5b131263bf444676fb20e1d6cb90afdde5720086f2f897362f12fe4c9ae478a",
     ),
+    # The special elements, whose items are unchanged since that change.
+    # Their config no longer records a max-len: they never depended on one.
     (
         "dump special --algebra A --n 4",
         0,
-        "63eeca35f12a51b0590f0b121fe7328fd6866b9900128f023208b32156106f20",
+        "cd79a9e004919f7fb1aad2d5e96ca350c7e24e76db101be52d900c795f4c6940",
     ),
     (
         "dump special --algebra B --n 4",
         0,
-        "4ca5b590c3c21739ced294d24b9e1c0ddc0deb032a34d3e601195728f774507e",
+        "8f4d852eface0e360e630249d5116c42b7d66590be053715120375404fd04e28",
     ),
 ]
 
