@@ -57,7 +57,7 @@ complete.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -71,7 +71,10 @@ from .staralg import (
     WordTable,
     advance,
     grading,
+    letter_slots,
     mono_grading,
+    slot_letters,
+    word_slots,
     zero_grading,
 )
 
@@ -116,34 +119,41 @@ class _OpTables(WordTable):
 
     def __init__(self, algebra: str, n: int, max_len: int):
         super().__init__(algebra, n, max_len)
-        words, ids = self.words, self.ids
+        words, two_n = self.words, 2 * n
         self.higher_arity = higher_arity(algebra, n)
         # init_unit[a]: the idempotent at the initial node of a (ids 0..N-1 by node)
-        self.init_unit = [w.init - 1 for w in words]
+        self.init_unit = [i - 1 for i in (self.entry if algebra == "A" else self.exit)]
         width = max(max_len, 1).bit_length()
-
-        def pack(vec: tuple) -> int:
-            return sum(v << (width * k) for k, v in enumerate(vec))
-
-        self.weight = [pack(grading(w).alexander) for w in words]
-        self.ones = pack((1,) * (2 * n))
+        # weight[a]: a's weight vector, one count per slot of its letters
+        self.weight = [0] * n + [
+            sum(1 << (width * k) for k in word_slots(algebra, n, ell, o))
+            for ell in range(1, max_len + 1)
+            for o in range(two_n)
+        ]
+        self.ones = sum(1 << (width * k) for k in range(two_n))
         if algebra == "A":
-            # component[a]: the centered component drop-mu2N:k removes when a is first
-            self.component = [2 * (w.start - 1) + (0 if w.kind == "u" else 1) for w in words]
+            # component[a]: the centered component drop-mu2N:k removes when a is
+            # first, the slot of its first letter; I_i counts as the empty
+            # s-chain at node i, slot 2i-1
+            self.component = list(range(1, two_n, 2)) + letter_slots(algebra, n) * max_len
         else:
-            # the bare edge letters, and each word with its first- or
-            # last-applied edge letter taken off (None unless the word has
+            # the bare edge letters (odd slots), and each word with its first-
+            # or last-applied edge letter taken off (None unless the word has
             # one and two or more letters)
-            self.edge_letters = frozenset(ids[w] for w in words if w.ell == 1 and w.first == "s")
+            self.edge_letters = frozenset(range(n + 1, min(3 * n, len(words)), 2))
             self.rest_after_first = [sp[0][0] if sp and w.first == "s" else None for w, sp in zip(words, self.splits)]
             self.rest_before_last = [sp[-1][1] if sp and w.last == "s" else None for w, sp in zip(words, self.splits)]
 
     @functools.cached_property
     def rotations(self) -> list[list[int]]:
         """rotations[j][a]: the id of word a turned j nodes on (node i to
-        node i+j), for j = 0..N-1."""
-        n = self.n
-        step = [self.ids[replace(w, start=w.start % n + 1)] for w in self.words]
+        node i+j), for j = 0..N-1.  A turn moves every letter two slots on,
+        so it keeps a word's length and moves its offset to the offset of
+        the letter two slots past its first letter."""
+        n, two_n = self.n, 2 * self.n
+        at = slot_letters(self.algebra, n)
+        turn = dict(zip(at, at[2:] + at[:2]))
+        step = [(a + 1) % n for a in range(n)] + [self.word_id(ell, turn[o]) for ell in range(1, self.max_len + 1) for o in range(two_n)]
         out = [list(range(len(step)))]
         for _ in range(1, n):
             out.append([step[a] for a in out[-1]])

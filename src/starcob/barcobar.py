@@ -76,13 +76,13 @@ from .staralg import (
     WordTable,
     chain_ok,
     dual_algebra,
-    enumerate_basis,
     grading,
     letter,
-    mul_word,
+    letter_slots,
+    slot_letters,
     word_letters,
+    word_slots,
     word_sort_key,
-    words_of_length,
 )
 
 
@@ -188,21 +188,27 @@ class _WordTables(WordTable):
 
     def __init__(self, algebra: str, n: int, max_len: int):
         super().__init__(algebra, n, max_len)
-        dual = dual_algebra(algebra)
-        letters = words_of_length(algebra, 1, n)
-        other_letters = {w: n + i for i, w in enumerate(words_of_length(dual, 1, n))}
-        # image[a - N]: the dictionary image of letter a, as an id of the other algebra
-        self.image = [other_letters[dict_image(w)] for w in letters]
+        dual, two_n = dual_algebra(algebra), 2 * n
+        slots, at = letter_slots(algebra, n), slot_letters(algebra, n)
+        # image[a - N]: the dictionary image of letter a, the letter at the same
+        # slot, as an id of the other algebra
+        dual_at = slot_letters(dual, n)
+        self.image = [n + dual_at[k] for k in slots]
         # block_next[a - N]: the letters b that may follow letter a in a leading
-        # block, those whose images compose: image(b) * image(a) != 0
-        self.block_next = [
-            frozenset(n + b for b, y in enumerate(letters) if mul_word(dict_image(y), dict_image(x)) is not None)
-            for x in letters
-        ]
-        # psi[o]: the duals of the letters of the other algebra's word o,
-        # reversed (empty on the idempotents, where psi is undefined)
-        self.psi = [
-            tuple(self.ids[dict_image(l)] for l in reversed(word_letters(o))) for o in enumerate_basis(dual, max_len, n)
+        # block, those whose images compose: image(b) * image(a) != 0.  Over B
+        # images that is the letter at the next slot (the run goes on); over A
+        # images the U at the same slot, or for s_i the s_{i-1} two slots back
+        if algebra == "A":
+            follow = [(k + 1) % two_n for k in slots]
+        else:
+            follow = [k if k % 2 == 0 else (k - 2) % two_n for k in slots]
+        self.block_next = [frozenset({n + at[k]}) for k in follow]
+        # psi[o]: the duals of the letters of the other algebra's word o, last
+        # written first (empty on the idempotents, where psi is undefined)
+        self.psi = [()] * n + [
+            tuple(n + at[k] for k in reversed(word_slots(dual, n, ell, off)))
+            for ell in range(1, max_len + 1)
+            for off in range(two_n)
         ]
 
     @functools.cached_property
@@ -264,23 +270,25 @@ class _WordTables(WordTable):
         for i in range(1, n + 1) if entry is None else (entry,):
             yield from grow((), budget, i, letters, True)
 
-    def block_length(self, s: tuple) -> int:
+    def block_length(self, s: tuple, known: int = 1) -> int:
         """Length of the maximal leading block: single-letter factors whose
-        consecutive images compose to nonzero products in the other algebra."""
+        consecutive images compose to nonzero products in the other algebra.
+        The first `known` factors are taken to be a block when s[0] is a
+        letter."""
         n = self.n
         if s[0] >= 3 * n:
             return 0
         block_next = self.block_next
-        k = 1
+        k = known
         while k < len(s) and s[k] in block_next[s[k - 1] - n]:
             k += 1
         return k
 
-    def h_term(self, s: tuple) -> Optional[tuple]:
+    def h_term(self, s: tuple, known: int = 1) -> Optional[tuple]:
         """The homotopy of s: the last leading-block factor merged into the
         first tail factor, or None for an empty block, no tail or a zero
-        product."""
-        k = self.block_length(s)
+        product.  `known` is as in block_length."""
+        k = self.block_length(s, known)
         if k == 0 or k == len(s):
             return None
         m = self.mul[s[k - 1]].get(s[k])
@@ -306,14 +314,21 @@ class _WordTables(WordTable):
         """Both sides of the certificate on s: delta H + H delta, and id + psi phi."""
         lhs: set = set()
         if fault is None or fault[0] != "break-h":
-            h = self.h_term(s)
+            block = self.block_length(s)
+            h = self.h_term(s, block)
             if h is not None:
                 for t in self.d_terms(h):
                     lhs ^= {t}
-            for t in self.d_terms(s):
-                h = self.h_term(t)
-                if h is not None:
-                    lhs ^= {h}
+            h_term, splits = self.h_term, self.splits
+            for k, a in enumerate(s):
+                if not splits[a]:
+                    continue
+                # a split of factor k keeps the block s[:min(k, block)]
+                known, head, tail = max(min(k, block), 1), s[:k], s[k + 1 :]
+                for c, d in splits[a]:
+                    h = h_term(head + (c, d) + tail, known)
+                    if h is not None:
+                        lhs ^= {h}
         rhs = {s}
         p = self.phi_word(s)
         if p is not None:

@@ -5,10 +5,10 @@ Exit codes: 0 for a clean run, 1 when a verification finds violations, 2 for
 configuration errors (N <= 2, a fault spec that the verify kind cannot
 inject, --max-arity or --max-len given to a verify kind that does not read
 it, --max-len given to dump special, and a bound that leaves nothing to
-check or list: --max-arity < 3 for the ainfty kinds, --max-len < 0 for the
-ainfty kinds, grading, build and dump basis, --max-len < 1 for homotopy and
-dump strings, --n-max < 3
-for cohomology; and for cohomology a --trunc below 0 or a --j given twice).
+check or list: --max-arity < 3 for the ainfty kinds and < 2 for grading,
+--max-len < 0 for the ainfty kinds, grading, build and dump basis,
+--max-len < 1 for homotopy and dump strings, --n-max < 3 for cohomology;
+and for cohomology a --trunc below 0 or a --j given twice).
 Any other exception is an internal error and propagates.  JSON reports carry
 a versioned "schema" field and record the full configuration including the
 seed, so equal configurations produce byte-identical output.  Every command
@@ -173,6 +173,10 @@ def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
 
 def _verify_grading(args) -> tuple[list[dict], dict]:
     n = args.n
+    if args.max_arity is not None and args.max_arity < 2:
+        # the sweep checks the binary products whatever the bound, so a lower
+        # one would misstate its window
+        raise ConfigError(f"--max-arity {args.max_arity} is below the binary products: verify grading needs --max-arity >= 2")
     _check_max_len(args, 0, "checks no tuple", f"verify {args.kind}")
     violations = []
     windows = {}

@@ -302,7 +302,6 @@ def split_b_word(w: BWord, first_len: int) -> Optional[tuple[BWord, BWord]]:
     return (later, BWord("c", w.start, w.first, first_len, w.n))
 
 
-@functools.cache
 def word_splits(w: Word) -> tuple[tuple[Word, Word], ...]:
     """All factorizations w = mul_word(c, d) into two non-idempotent words.
 
@@ -311,6 +310,38 @@ def word_splits(w: Word) -> tuple[tuple[Word, Word], ...]:
     """
     split = split_a_word if isinstance(w, AWord) else split_b_word
     return tuple(split(w, k) for k in range(1, w.ell))
+
+
+def letter_slots(algebra: str, n: int) -> list[int]:
+    """The weight slot of each letter, by its `WordTable` offset (id - N):
+    U_i and r_i at slot 2i-2, s_i at 2i-1.
+
+    >>> letter_slots("A", 3)
+    [0, 2, 4, 1, 3, 5]
+    """
+    return [word_slots(algebra, n, 1, o)[0] for o in range(2 * n)]
+
+
+def slot_letters(algebra: str, n: int) -> list[int]:
+    """The `WordTable` offset of the letter at each weight slot (the inverse
+    of letter_slots)."""
+    slots = letter_slots(algebra, n)
+    return sorted(range(2 * n), key=slots.__getitem__)
+
+
+def word_slots(algebra: str, n: int, ell: int, off: int) -> list[int]:
+    """The weight slots of the letters of the `WordTable` word of length
+    ell >= 1 at offset off, in written order: one slot for a U-power, every
+    other slot for an s-chain, and a B-word's run of slots backwards.
+
+    >>> word_slots("A", 3, 2, 3 + 2), word_slots("B", 3, 2, 5)
+    ([5, 1], [0, 5])
+    """
+    if algebra == "B":
+        return [(off + k) % (2 * n) for k in reversed(range(ell))]
+    if off < n:
+        return [2 * off] * ell
+    return [(2 * (off - n + k) + 1) % (2 * n) for k in range(ell)]
 
 
 def word_letters(w: Word) -> list[Word]:
@@ -586,10 +617,31 @@ class WordTable:
     as small ints, with the product and split tables both id kernels share.
 
     Ids are canonical (`enumerate_basis` order): the N idempotents are ids
-    0..N-1, the 2N letters ids N..3N-1, then the longer words by length in
-    `words_of_length` order.  `by_entry`/`by_exit` bucket the ids by node in
-    id order, so each bucket starts with its idempotent and ascends in length.
+    0..N-1 (I_i at i-1), and the word of length l >= 1 at offset o in
+    0..2N-1 has id N + 2N(l-1) + o, so the 2N letters are ids N..3N-1.  In
+    A the offset is i-1 for U_i^l and N+i-1 for the s-chain from node i; in
+    B it is the word's first weight slot.  `by_entry`/`by_exit` bucket the
+    ids by node in id order, so each bucket starts with its idempotent and
+    ascends in length.
 
+    The product and the splits are integer arithmetic on (l, o), with no
+    word built.  A word (l, o) is continued by the words at offset
+    `continuation(l, o)`: o for a U-power, N + (o-N+l) mod N for an
+    s-chain (the chain from its end node), and (o+l) mod 2N in B (the slot
+    after its run).  In A, x*y is nonzero when y continues x, with x's
+    offset; in B (y applied first) when x continues y, with y's offset.  A
+    split is the reverse: (l, o) at k has the parts (k, o) and
+    (l-k, continuation(k, o)), as (head, tail) in A and as (later, first)
+    in B.
+
+    >>> table = WordTable("A", 3, 4)
+    >>> s = table.word_id(2, 3 + 1)  # s_2 s_3, offset N + 2 - 1
+    >>> table.words[s].render(), table.continuation(2, 3 + 1)
+    ('s[2,4]', 3)
+    >>> [[table.words[c].render() for c in pair] for pair in table.splits[s]]
+    [['s[2,3]', 's[3,4]']]
+    >>> table.words[table.mul[s][table.word_id(1, 3)]].render()
+    's[2,5]'
     >>> table = WordTable("B", 3, 1)
     >>> [[table.words[a].render() for a in t] for t in table.chains(2, entry=2)]
     [['s1'], ['s1', 'r1'], ['s1', 's3'], ['r2'], ['r2', 's1'], ['r2', 'r2']]
@@ -600,7 +652,7 @@ class WordTable:
         self.n = n
         self.max_len = max_len
         words = self.words = enumerate_basis(algebra, max_len, n)
-        ids = self.ids = {w: a for a, w in enumerate(words)}
+        self.ids = {w: a for a, w in enumerate(words)}
         self.ell = [w.ell for w in words]
         self.entry = [w.entry for w in words]
         self.exit = [w.exit for w in words]
@@ -608,18 +660,42 @@ class WordTable:
         self.by_exit = {i: [a for a, e in enumerate(self.exit) if e == i] for i in range(1, n + 1)}
         # mul[a][b]: the id of a*b, for the nonzero products of length <= max_len,
         # in id order of b; a product is nonzero only across a chained seam
-        self.mul: list[dict[int, int]] = [{} for _ in words]
-        for a, x in enumerate(words):
-            for b in self.by_entry[x.exit]:
-                y = words[b]
-                if x.ell + y.ell > max_len:
-                    break
-                xy = mul_word(x, y)
-                if xy is not None:
-                    self.mul[a][b] = ids[xy]
+        mul = self.mul = [{b: b for b in self.by_entry[i]} for i in range(1, n + 1)]
+        mul += ({self.exit[a] - 1: a} for a in range(n, len(words)))
         # splits[a][k - 1]: the factorization of a with a k-letter head (A) or
         # a k-letter first-applied part (B), as in word_splits
-        self.splits = [tuple((ids[c], ids[d]) for c, d in word_splits(w)) for w in words]
+        splits = self.splits = [()] * n
+        is_a, step = algebra == "A", 2 * n
+        conts = [[self.continuation(k, o) for k in range(max_len + 1)] for o in range(step)]
+        for ell in range(1, max_len + 1):
+            for o, cont in enumerate(conts):
+                a = self.word_id(ell, o)
+                # the parts (k, o) and (ell - k, cont[k]), which sit step * (ell - k)
+                # and step * k ids below a, at their offsets
+                parts = [(a - step * (ell - k), a - step * k + cont[k] - o) for k in range(1, ell)]
+                splits.append(tuple(parts) if is_a else tuple((d, c) for c, d in parts))
+                # the words continuing a, by length, and their products with a
+                # (a on the left in A, a applied first in B)
+                b, ab = self.word_id(1, cont[ell]), a + step
+                for _ in range(max_len - ell):
+                    if is_a:
+                        mul[a][b] = ab
+                    else:
+                        mul[b][a] = ab
+                    b, ab = b + step, ab + step
+
+    def word_id(self, ell: int, off: int) -> int:
+        """The id of the word of length ell >= 1 at offset off."""
+        return self.n * (2 * ell - 1) + off
+
+    def continuation(self, ell: int, off: int) -> int:
+        """The offset of the words that continue the word (ell, off): those
+        that follow it in a chained tuple (A) or are applied after it (B)
+        with a nonzero product."""
+        n = self.n
+        if self.algebra == "B":
+            return (off + ell) % (2 * n)
+        return off if off < n else n + (off - n + ell) % n
 
     def chains(self, budget: int, entry: Optional[int] = None) -> Iterator[tuple[int, ...]]:
         """Chained tuples of non-idempotent ids of every arity >= 1 and total
@@ -689,6 +765,9 @@ __all__ = [
     "split_b_word",
     "word_splits",
     "word_letters",
+    "letter_slots",
+    "slot_letters",
+    "word_slots",
     "mul_a",
     "mul_b",
     "grading",

@@ -49,6 +49,7 @@ from starcob.staralg import (
     split_b_word,
     var_grading,
     word_sort_key,
+    word_splits,
     words_of_length,
     zero_grading,
 )
@@ -657,6 +658,46 @@ def _rotation(ops):
     """The rotation i -> i+1 as a permutation of the table's ids."""
     n = ops.n
     return [ops.ids[replace(w, start=w.start % n + 1)] for w in ops.words]
+
+
+def _word_built_op_columns(ops):
+    """The classifier columns built from Word objects, as the tables once
+    built them: the oracle of the construction on the id layout."""
+    n, words, ids = ops.n, ops.words, ops.ids
+    width = max(ops.max_len, 1).bit_length()
+
+    def pack(vec):
+        return sum(v << (width * k) for k, v in enumerate(vec))
+
+    step = _rotation(ops)
+    rotations = [list(range(len(words)))]
+    for _ in range(1, n):
+        rotations.append([step[a] for a in rotations[-1]])
+    columns = {
+        "init_unit": [w.init - 1 for w in words],
+        "weight": [pack(grading(w).alexander) for w in words],
+        "ones": pack((1,) * (2 * n)),
+        "rotations": rotations,
+    }
+    if ops.algebra == "A":
+        columns["component"] = [2 * (w.start - 1) + (0 if w.kind == "u" else 1) for w in words]
+    else:
+        splits = [word_splits(w) for w in words]
+        columns["edge_letters"] = frozenset(ids[w] for w in words if w.ell == 1 and w.first == "s")
+        columns["rest_after_first"] = [ids[sp[0][0]] if sp and w.first == "s" else None for w, sp in zip(words, splits)]
+        columns["rest_before_last"] = [ids[sp[-1][1]] if sp and w.last == "s" else None for w, sp in zip(words, splits)]
+    return columns
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+def test_op_table_columns_against_word_oracle(algebra):
+    # Every column the classifier and the orbit sweeps read, read off the id
+    # layout, equals its construction from Word objects.
+    for n in range(3, 9):
+        for bound in (0, 1, 2 * n, 4 * n + 2):
+            ops = _OpTables(algebra, n, bound)
+            for name, want in _word_built_op_columns(ops).items():
+                assert getattr(ops, name) == want, (n, bound, name)
 
 
 def _turned_weight(ops, packed):

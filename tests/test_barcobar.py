@@ -38,6 +38,7 @@ from starcob.staralg import (
     mul_word,
     word_letters,
     word_splits,
+    words_of_length,
 )
 
 
@@ -340,6 +341,36 @@ def _ref_psi(word):
     return TString(tuple(dict_image(l) for l in reversed(word_letters(word))))
 
 
+def _word_built_string_columns(tables):
+    """The dictionary, block and psi columns built from Word objects, as the
+    tables once built them: the oracle of the construction on slots."""
+    n, dual = tables.n, dual_algebra(tables.algebra)
+    letters = words_of_length(tables.algebra, 1, n)
+    other_letters = {w: n + i for i, w in enumerate(words_of_length(dual, 1, n))}
+    return {
+        "image": [other_letters[dict_image(w)] for w in letters],
+        "block_next": [
+            frozenset(n + b for b, y in enumerate(letters) if mul_word(dict_image(y), dict_image(x)) is not None)
+            for x in letters
+        ],
+        "psi": [
+            tuple(tables.ids[dict_image(l)] for l in reversed(word_letters(o)))
+            for o in enumerate_basis(dual, tables.max_len, n)
+        ],
+    }
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+def test_string_table_columns_against_word_oracle(algebra):
+    # The dictionary images, the leading-block rule and psi, read off the
+    # letters' weight slots, equal their construction from Word objects.
+    for n in range(3, 9):
+        for bound in (0, 1, 2 * n, 4 * n + 2):
+            tables = _WordTables(algebra, n, bound)
+            for name, want in _word_built_string_columns(tables).items():
+                assert getattr(tables, name) == want, (n, bound, name)
+
+
 @pytest.mark.parametrize("algebra", ["A", "B"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_kernel_matches_object_oracle(algebra, n):
@@ -363,6 +394,9 @@ def test_kernel_matches_object_oracle(algebra, n):
         expected = AlgElem.zero(dual_algebra(algebra), n) if image is None else AlgElem.from_word(image)
         assert phi(ts) == expected
         assert tables.block_length(tables.intern(ts)) == _ref_block_length(ts)
+        # a known block prefix does not change the length
+        block = _ref_block_length(ts)
+        assert all(tables.block_length(tables.intern(ts), k) == block for k in range(1, block + 1))
     assert swept > 0
     for w in enumerate_basis(dual_algebra(algebra), 6, n):
         if not w.is_idempotent():

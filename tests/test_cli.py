@@ -281,6 +281,8 @@ def test_csv_format_only_on_cohomology(argv, capsys):
         (["dump", "basis", "--max-len", "-1"], "--max-len"),
         (["dump", "strings", "--max-len", "0"], "--max-len"),
         (["dump", "strings", "--max-len", "-1"], "--max-len"),
+        (["verify", "grading", "--max-arity", "1"], "--max-arity"),
+        (["verify", "grading", "--max-arity", "0"], "--max-arity"),
     ],
 )
 def test_empty_sweep_is_config_error(argv, option, capsys):
@@ -306,6 +308,7 @@ def test_empty_sweep_is_config_error(argv, option, capsys):
         ["build", "--max-len", "0"],
         ["dump", "basis", "--max-len", "0"],
         ["dump", "strings", "--max-len", "1"],
+        ["verify", "grading", "--max-arity", "2"],
     ],
 )
 def test_smallest_sweep_is_accepted(argv, capsys):

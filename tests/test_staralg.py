@@ -276,19 +276,37 @@ def _first_node(algebra, w):
     return w.init if algebra == "A" else w.fin
 
 
+def _layout_word(algebra, n, ell, off):
+    # the word the id layout puts at (length >= 1, offset), built from its
+    # description rather than from the table's arithmetic
+    if algebra == "A":
+        return AWord("u", off + 1, ell, n) if off < n else AWord("s", off - n + 1, ell, n)
+    return BWord("c", off // 2 + 1, "rs"[off % 2], ell, n)
+
+
+# (N, bound) windows of the table oracle: every id pair at bound <= 8, the
+# chained pairs above it
+_TABLE_WINDOWS = [(3, 8), (4, 8)] + [(n, bound) for n in range(5, 9) for bound in (0, 1, 2 * n, 4 * n + 2)]
+
+
 def test_word_table_columns():
     # The id layout, and every column against the object-level word
     # functions: the product on every pair of ids (so the products the table
     # leaves out, unchained or over the bound, are exactly the zero ones),
-    # the splits, and the entry/exit buckets.
-    bound = 8
+    # the splits, and the entry/exit buckets.  At the larger bounds the
+    # product is checked on every chained pair, and a row holds chained ids
+    # only.
     for algebra in ("A", "B"):
-        for n in (3, 4):
+        for n, bound in _TABLE_WINDOWS:
             table = WordTable(algebra, n, bound)
             words = table.words
             assert words == enumerate_basis(algebra, bound, n)
             assert words[:n] == [idempotent(algebra, i, n) for i in range(1, n + 1)]
-            assert words[n : 3 * n] == words_of_length(algebra, 1, n)
+            assert words[n : 3 * n] == (words_of_length(algebra, 1, n) if bound else [])
+            for a in range(n, len(words)):
+                ell, off = divmod(a - n, 2 * n)
+                assert table.word_id(ell + 1, off) == a
+                assert words[a] == _layout_word(algebra, n, ell + 1, off)
             assert table.ids == {w: a for a, w in enumerate(words)}
             assert table.ell == [w.ell for w in words]
             assert table.entry == [w.entry for w in words]
@@ -299,11 +317,35 @@ def test_word_table_columns():
                 assert table.by_exit[i] == [a for a in ids if table.exit[a] == i]
             for a, x in enumerate(words):
                 assert list(table.mul[a]) == sorted(table.mul[a])
-                for b, y in enumerate(words):
+                partners = ids if bound <= 8 else table.by_entry[table.exit[a]]
+                assert set(table.mul[a]) <= set(partners)
+                for b in partners:
+                    y = words[b]
                     xy = mul_word(x, y)
                     want = None if xy is None or xy.ell > bound else table.ids[xy]
                     assert table.mul[a].get(b) == want, (x.render(), y.render())
                 assert table.splits[a] == tuple((table.ids[c], table.ids[d]) for c, d in word_splits(x))
+
+
+def test_table_build_makes_no_word_per_product(monkeypatch):
+    # The tables fill their products and splits by arithmetic on the id
+    # layout: building them (and their lazy columns) never calls the
+    # object-level product or splitter.
+    from starcob import ainfty, barcobar, staralg
+
+    def refuse(*args):
+        raise AssertionError("a table was filled from Word objects")
+
+    for module in (staralg, ainfty, barcobar):
+        monkeypatch.setattr(module, "mul_word", refuse, raising=False)
+        monkeypatch.setattr(module, "word_splits", refuse, raising=False)
+    for algebra in ("A", "B"):
+        for n in (3, 4):
+            WordTable(algebra, n, 4 * n)
+            ops = ainfty._OpTables(algebra, n, 4 * n)
+            assert ops.rotations and ops.windows
+            tables = barcobar._WordTables(algebra, n, 4 * n)
+            assert tables.psi and tables.block_next
 
 
 def test_word_table_chains_against_brute_force():
