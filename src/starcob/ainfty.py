@@ -57,11 +57,10 @@ complete.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import product as iter_product
 from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .ring import Monomial
+from .ring import Frozen, Monomial
 from .staralg import (
     AlgElem,
     AWord,
@@ -88,12 +87,14 @@ TAG_RIGHT = "right-extended"
 TAG_MIXED = "mixed"
 
 
-@dataclass(frozen=True, slots=True)
-class OpResult:
+class OpResult(Frozen):
     """Value of a higher operation together with its classifier case."""
 
-    value: AlgElem
-    tag: str
+    __slots__ = _fields = ("value", "tag")
+
+    def __init__(self, value: AlgElem, tag: str) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "tag", tag)
 
 
 def higher_arity(algebra: str, n: int) -> int:

@@ -63,11 +63,10 @@ as `break-h` does, or the reduced sweep can miss it.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .gf2la import F2Sum, terms_of
-from .ring import POLY_ONE
+from .ring import POLY_ONE, Frozen
 from .staralg import (
     AlgElem,
     AWord,
@@ -111,8 +110,7 @@ def _dual_factor_str(w: Word) -> str:
     return f"({body})*"
 
 
-@dataclass(frozen=True, slots=True)
-class TString:
+class TString(Frozen):
     """A chained tensor string of duals of non-idempotent basis words.
 
     >>> n = 3
@@ -120,17 +118,17 @@ class TString:
     'U1*.(s1s2)*'
     """
 
-    factors: tuple
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, factors: tuple) -> None:
         # One pass: same algebra and N, no idempotent, and each factor chained
         # to the previous one (staralg.chain_ok, inlined: this runs per string).
-        if not self.factors:
+        if not factors:
             raise ValueError("tensor strings have at least one factor")
-        head = self.factors[0]
+        head = factors[0]
         cls, n = type(head), head.n
         prev = None
-        for w in self.factors:
+        for w in factors:
             if type(w) is not cls or w.n != n:
                 raise ValueError("mixed factors in a tensor string")
             if w.kind == "i":
@@ -138,6 +136,7 @@ class TString:
             if prev is not None and prev.exit != w.entry:
                 raise ValueError(f"factors {prev.render()} and {w.render()} are not chained")
             prev = w
+        object.__setattr__(self, "factors", factors)
 
     @property
     def algebra(self) -> str:

@@ -13,6 +13,9 @@ Any other exception is an internal error and propagates.  JSON reports carry
 a versioned "schema" field and record the full configuration including the
 seed, so equal configurations produce byte-identical output.  Every command
 also prints text; cohomology tables print CSV too.  Every sweep runs serially.
+Each command imports the modules it runs inside its own function, so start-up
+loads only the package's public core and a relation sweep never loads the
+cobar, cohomology or grading-group modules.
 
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
@@ -22,16 +25,9 @@ homotopy) for homotopy.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from typing import Optional
-
-from .ainfty import check_ainfty, higher_arity, op_grading_check, parse_fault
-from .barcobar import enumerate_strings, homotopy_failure, phi_psi_failures, verify_homotopy
-from .gradegroup import admissible_arities, check_multiplicativity
-from .hochschild import cohomology_table, witness_cocycle
-from .staralg import enumerate_basis, special_element, var_grading
 
 SCHEMA = "starcob/1"
 
@@ -49,6 +45,8 @@ UNREAD_OPTIONS = {"homotopy": ("--max-arity",), "arities": ("--max-arity", "--ma
 
 def _fault(args) -> Optional[tuple]:
     """The parsed --inject-fault spec, checked against the verify kind and N."""
+    from .ainfty import higher_arity, parse_fault
+
     spec = args.inject_fault
     try:
         fault = parse_fault(spec)
@@ -72,6 +70,8 @@ def _check_options(args) -> None:
 def _window(args, algebra: str) -> tuple[int, int]:
     """The (max-arity, max-len) of a sweep over the algebra: the options,
     else the higher arity + 2 and length 4N for A, 3N for B."""
+    from .ainfty import higher_arity
+
     max_arity = args.max_arity if args.max_arity is not None else higher_arity(algebra, args.n) + 2
     max_len = args.max_len if args.max_len is not None else (4 if algebra == "A" else 3) * args.n
     return max_arity, max_len
@@ -101,6 +101,8 @@ def _config_doc(args, n: int, extra: Optional[dict] = None) -> dict:
 
 
 def cmd_build(args, out) -> int:
+    from .staralg import enumerate_basis, var_grading
+
     n = args.n
     _check_n(n)
     _check_max_len(args, 0, "lists no word", "build")
@@ -141,6 +143,8 @@ def cmd_build(args, out) -> int:
 
 
 def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dict], dict]:
+    from .ainfty import check_ainfty
+
     max_arity, max_len = _window(args, algebra)
     if max_arity < 3:
         raise ConfigError(f"--max-arity {max_arity} checks no relation: verify {args.kind} needs --max-arity >= 3")
@@ -151,6 +155,8 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
 
 
 def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
+    from .barcobar import homotopy_failure, phi_psi_failures, verify_homotopy
+
     n = args.n
     _check_max_len(args, 1, "checks no string", "verify homotopy")
     # the default window holds B's full loops, of length 2N
@@ -172,6 +178,10 @@ def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
 
 
 def _verify_grading(args) -> tuple[list[dict], dict]:
+    from .ainfty import op_grading_check
+    from .gradegroup import check_multiplicativity
+    from .staralg import var_grading
+
     n = args.n
     if args.max_arity is not None and args.max_arity < 2:
         # the sweep checks the binary products whatever the bound, so a lower
@@ -194,6 +204,9 @@ def _verify_grading(args) -> tuple[list[dict], dict]:
 
 
 def _verify_arities(args) -> tuple[list[dict], dict]:
+    from .ainfty import higher_arity
+    from .gradegroup import admissible_arities
+
     n = args.n
     violations = []
     computed = {}
@@ -248,6 +261,8 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_cohomology(args, out) -> int:
+    from .hochschild import cohomology_table, witness_cocycle
+
     n = args.n
     _check_n(n)
     model = args.algebra
@@ -271,6 +286,8 @@ def cmd_cohomology(args, out) -> int:
     if args.format == "json":
         _emit_json(doc, out)
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["model", "N", "n", "j", "dim", "witnesses"])
         for cell in rows:
@@ -295,6 +312,8 @@ def cmd_cohomology(args, out) -> int:
 
 
 def cmd_dump(args, out) -> int:
+    from .staralg import enumerate_basis, special_element
+
     n = args.n
     _check_n(n)
     what = args.what
@@ -310,6 +329,8 @@ def cmd_dump(args, out) -> int:
         else:
             items = [f"U0 = {special_element('B', 'U0', n).render()}"]
     elif what == "strings":
+        from .barcobar import enumerate_strings
+
         items = [
             ts.render_with_block()
             for ts in sorted(

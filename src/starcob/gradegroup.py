@@ -12,11 +12,10 @@ not carried: A has a higher operation in arity 2N only (see ainfty).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 from .ainfty import operation_violations
-from .ring import Monomial
+from .ring import Frozen, Monomial
 from .staralg import AWord, BWord, Word, coeff_var
 
 
@@ -39,24 +38,24 @@ def free_reduce(runs) -> tuple:
     return tuple((g, e) for g, e in stack)
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElem:
+class GroupElem(Frozen):
     """An element (z, w) with central integer z and reduced free-group word w.
 
     >>> GroupElem(-2, ((1, 1),)).render()
     '(-2; g1)'
     """
 
-    z: int
-    word: tuple
+    __slots__ = _fields = ("z", "word")
 
-    def __post_init__(self) -> None:
+    def __init__(self, z: int, word: tuple) -> None:
         # Reduced means no zero exponent and no two adjacent runs of one generator.
         prev = None
-        for gen, exp in self.word:
+        for gen, exp in word:
             if exp == 0 or gen == prev:
                 raise ValueError("word is not freely reduced")
             prev = gen
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "word", word)
 
     def render(self) -> str:
         return f"({self.z}; {render_word(self.word)})"

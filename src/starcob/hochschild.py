@@ -29,14 +29,12 @@ cache behind `slice_basis`).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from operator import sub
 from typing import Optional, Union
 
-from .barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
+from .barcobar import dict_image
 from .gf2la import F2Sum, SparseMatF2, reduce_against, row_space_basis, terms_of
-from .gradegroup import assign_grading
-from .ring import mono_str
+from .ring import Frozen, mono_str
 from .staralg import (
     AWord,
     BWord,
@@ -49,7 +47,6 @@ from .staralg import (
     loop_word,
     mono_grading,
     mul_word,
-    var_grading,
     word_sort_key,
     words_of_length,
 )
@@ -65,8 +62,7 @@ def _model_of(left: Word, right: Word) -> str:
     return left.algebra
 
 
-@dataclass(frozen=True, slots=True)
-class TwistedMono:
+class TwistedMono(Frozen):
     """One admissible monomial p, left word, right word of the twisted model.
 
     >>> n = 3
@@ -74,21 +70,22 @@ class TwistedMono:
     'V0*I1 (x) r1.s1.r2.s2.r3.s3'
     """
 
-    p: int
-    left: Word
-    right: Word
+    __slots__ = _fields = ("p", "left", "right")
 
-    def __post_init__(self) -> None:
-        _model_of(self.left, self.right)
-        if self.right.n != self.left.n:
+    def __init__(self, p: int, left: Word, right: Word) -> None:
+        _model_of(left, right)
+        if right.n != left.n:
             raise ValueError("mixed parameters")
-        if self.p < 0:
+        if p < 0:
             raise ValueError("coefficient power must be >= 0")
-        if self.left.init != self.right.init or self.left.fin != self.right.fin:
+        if left.init != right.init or left.fin != right.fin:
             raise ValueError("left and right words must share both endpoints")
-        have, need = grading(self.left).alexander, _left_weight(self.p, self.right)
+        have, need = grading(left).alexander, _left_weight(p, right)
         if have != need:
             raise ValueError(f"weight balance fails: A(left) = {have}, A(right) - p*A(var) = {need}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def algebra(self) -> str:
@@ -337,58 +334,6 @@ def witness_cocycle(model: str, big_n: int) -> TwistedElem:
     return TwistedElem(model, big_n, out)
 
 
-def witness_components(model: str, big_n: int) -> list[tuple[str, tuple]]:
-    """(render, refined-grading key) per witness monomial; the keys separate
-    the monomials into distinct graded components."""
-    out = []
-    for tm in witness_cocycle(model, big_n).sorted_terms():
-        gr = assign_grading(tm.right)
-        out.append((tm.render(), (tm.right.init, gr.word)))
-    return out
-
-
-def string_diff(
-    p: int, left: Word, ts: TString
-) -> list[tuple[int, Word, TString]]:
-    """String-model differential of a monomial left (x) string: split a string
-    factor, or multiply by a letter on one side and concatenate its dual on
-    the other."""
-    out: list[tuple[int, Word, TString]] = []
-    for split in cobar_diff(ts).terms:
-        out.append((p, left, split))
-    for xl in words_of_length(left.algebra, 1, left.n):
-        dual = TString((xl,))
-        merged = mul_word(xl, left)
-        if merged is not None:
-            for s in cobar_mul(dual, ts).terms:
-                out.append((p, merged, s))
-        merged = mul_word(left, xl)
-        if merged is not None:
-            for s in cobar_mul(ts, dual).terms:
-                out.append((p, merged, s))
-    return out
-
-
-def string_model_check(model: str, big_n: int, max_len: int) -> bool:
-    """Whether the twisted differential agrees with the string-model
-    differential transported through psi and phi, on every admissible monomial
-    whose right word has length 1..max_len."""
-    var_len = var_grading(coeff_var(model, big_n), big_n).ell
-    for ell_r in range(1, max_len + 1):
-        # every letter carries weight one, so len(left) = ell_r - p*var_len
-        for p in range(0, ell_r // var_len + 1):
-            for tm in _slice(model, ell_r, p, ell_r - p * var_len, big_n):
-                transported: set = set()
-                for q, lw, ts in string_diff(p, tm.left, psi(tm.right)):
-                    for exp, word in phi(ts).monomial_pairs():
-                        if exp != 0:
-                            raise AssertionError("string fold produced a coefficient")
-                        transported ^= {TwistedMono(q, lw, word)}
-                if twisted_diff(tm) != TwistedElem(model, big_n, transported):
-                    return False
-    return True
-
-
 def cohomology_table(
     model: str,
     big_n: int,
@@ -428,8 +373,5 @@ __all__ = [
     "cohomology_dim",
     "is_coboundary",
     "witness_cocycle",
-    "witness_components",
-    "string_diff",
-    "string_model_check",
     "cohomology_table",
 ]

@@ -7,6 +7,9 @@ polynomial is an int bitmask whose bit e stands for V^e: over GF(2) addition
 is XOR and multiplication is the carry-less product.  The variable index is
 needed only to render.
 
+The module also holds `Frozen`, the base of the package's immutable value
+classes; it sits here, in the leaf module, so every other module can use it.
+
 >>> poly_str(poly_add(0b10, 0b10), 0)
 '0'
 >>> poly_str(poly_mul(0b11, 0b11), 4)
@@ -14,6 +17,7 @@ needed only to render.
 """
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 Monomial = int  # exponent of V
@@ -21,6 +25,48 @@ Poly = int  # bit e set <=> V^e present
 
 POLY_ZERO: Poly = 0
 POLY_ONE: Poly = 1
+
+
+class Frozen:
+    """Base of an immutable value class with `__slots__`.
+
+    A subclass lists its compared fields, in constructor order, in `_fields`,
+    and its `__init__` sets every slot through `object.__setattr__`.  Equality
+    holds between instances of the same class with equal fields, the hash is
+    that of the field tuple, the repr lists the fields by name, and any
+    assignment or deletion after `__init__` raises AttributeError.  Slots not
+    in `_fields` (values derived from the fields) take no part in any of it.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # rebuild through the constructor, which sets the derived slots
+        return (self.__class__, self._key(self))
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -91,6 +137,7 @@ def poly_str(p: Poly, var: int) -> str:
 
 
 __all__ = [
+    "Frozen",
     "Monomial",
     "Poly",
     "POLY_ZERO",

@@ -33,12 +33,11 @@ weight vector, V_{N+1} has m = -2 and the edge half of the weight vector.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import cycle, islice, repeat
 from operator import mul
 from typing import Iterable, Iterator, Optional, Union
 
-from .ring import POLY_ONE, Monomial, Poly, poly_monos, poly_mul, poly_str
+from .ring import POLY_ONE, Frozen, Monomial, Poly, poly_monos, poly_mul, poly_str
 
 ALGEBRAS = ("A", "B")
 
@@ -53,8 +52,10 @@ def advance(i: int, steps: int, n: int) -> int:
     return (i - 1 + steps) % n + 1
 
 
-@dataclass(frozen=True, slots=True)
-class AWord:
+_set = object.__setattr__
+
+
+class AWord(Frozen):
     """A basis word of algebra A: an idempotent, a U-power, or an s-chain.
 
     kind is "i" (idempotent I_start), "u" (U_start^length), or
@@ -66,26 +67,25 @@ class AWord:
     1
     """
 
-    kind: str
-    start: int
-    length: int
-    n: int
-    entry: int = field(init=False, repr=False, compare=False)
-    exit: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "start", "length", "n", "entry", "exit")
+    _fields = ("kind", "start", "length", "n")
 
-    def __post_init__(self) -> None:
-        _check_node(self.start, self.n)
-        if self.kind == "i":
-            if self.length != 0:
+    def __init__(self, kind: str, start: int, length: int, n: int) -> None:
+        _check_node(start, n)
+        if kind == "i":
+            if length != 0:
                 raise ValueError("idempotents have length 0")
-        elif self.kind in ("u", "s"):
-            if self.length < 1:
+        elif kind in ("u", "s"):
+            if length < 1:
                 raise ValueError("U-powers and s-chains need length >= 1")
         else:
-            raise ValueError(f"unknown A-word kind {self.kind!r}")
-        fin = advance(self.start, self.length, self.n) if self.kind == "s" else self.start
-        object.__setattr__(self, "entry", self.start)
-        object.__setattr__(self, "exit", fin)
+            raise ValueError(f"unknown A-word kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "start", start)
+        _set(self, "length", length)
+        _set(self, "n", n)
+        _set(self, "entry", start)
+        _set(self, "exit", advance(start, length, n) if kind == "s" else start)
 
     @property
     def algebra(self) -> str:
@@ -114,8 +114,7 @@ class AWord:
         return f"s[{self.start},{self.start + self.length}]"
 
 
-@dataclass(frozen=True, slots=True)
-class BWord:
+class BWord(Frozen):
     """A basis word of algebra B: an idempotent or an alternating r/s chain.
 
     kind is "i" or "c"; `start` is the initial node of the path, `first` the
@@ -132,32 +131,31 @@ class BWord:
     2
     """
 
-    kind: str
-    start: int
-    first: str
-    length: int
-    n: int
-    first_slot: int = field(init=False, repr=False, compare=False)
-    entry: int = field(init=False, repr=False, compare=False)
-    exit: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "start", "first", "length", "n", "first_slot", "entry", "exit")
+    _fields = ("kind", "start", "first", "length", "n")
 
-    def __post_init__(self) -> None:
-        _check_node(self.start, self.n)
-        if self.kind == "i":
-            if self.length != 0 or self.first != "":
+    def __init__(self, kind: str, start: int, first: str, length: int, n: int) -> None:
+        _check_node(start, n)
+        if kind == "i":
+            if length != 0 or first != "":
                 raise ValueError("idempotents have length 0 and no letters")
-        elif self.kind == "c":
-            if self.length < 1:
+        elif kind == "c":
+            if length < 1:
                 raise ValueError("chains need length >= 1")
-            if self.first not in ("r", "s"):
+            if first not in ("r", "s"):
                 raise ValueError("first letter type must be 'r' or 's'")
         else:
-            raise ValueError(f"unknown B-word kind {self.kind!r}")
-        first_slot = 2 * self.start - (1 if self.first == "s" else 2)
-        object.__setattr__(self, "first_slot", first_slot)
+            raise ValueError(f"unknown B-word kind {kind!r}")
+        first_slot = 2 * start - (1 if first == "s" else 2)
+        _set(self, "kind", kind)
+        _set(self, "start", start)
+        _set(self, "first", first)
+        _set(self, "length", length)
+        _set(self, "n", n)
+        _set(self, "first_slot", first_slot)
         # the path ends at the node of the slot right after the run
-        object.__setattr__(self, "entry", _slot_node(first_slot + self.length, self.n))
-        object.__setattr__(self, "exit", self.start)
+        _set(self, "entry", _slot_node(first_slot + length, n))
+        _set(self, "exit", start)
 
     @property
     def algebra(self) -> str:
@@ -203,7 +201,14 @@ class BWord:
     def render(self) -> str:
         if self.kind == "i":
             return f"I{self.start}"
-        return ".".join(f"{t}{i}" for t, i in self.letters())
+        # the names of the run of slots, read round the cycle of 2N
+        return ".".join(islice(cycle(_slot_names(self.n)), self.first_slot, self.first_slot + self.length))
+
+
+@functools.lru_cache(maxsize=8)
+def _slot_names(n: int) -> tuple[str, ...]:
+    """The name of the B-letter at each weight slot: r1, s1, r2, ..., sN."""
+    return tuple(f"{'rs'[k % 2]}{k // 2 + 1}" for k in range(2 * n))
 
 
 def _slot_node(slot: int, n: int) -> int:
@@ -353,13 +358,15 @@ def word_letters(w: Word) -> list[Word]:
     return [BWord("c", i, t, 1, w.n) for t, i in reversed(w.letters())]
 
 
-@dataclass(frozen=True, slots=True)
-class Grading:
+class Grading(Frozen):
     """Maslov degree, weight vector of length 2N, and total length."""
 
-    m: int
-    alexander: tuple
-    ell: int
+    __slots__ = _fields = ("m", "alexander", "ell")
+
+    def __init__(self, m: int, alexander: tuple, ell: int) -> None:
+        _set(self, "m", m)
+        _set(self, "alexander", alexander)
+        _set(self, "ell", ell)
 
     def __add__(self, other: "Grading") -> "Grading":
         return Grading(

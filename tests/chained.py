@@ -1,5 +1,15 @@
-"""Fixed-arity chained tuples over a word table, for the test oracles."""
+"""Fixed-arity chained tuples over a word table, and words moved along the
+cycle, for the test oracles."""
 from __future__ import annotations
+
+from starcob.staralg import AWord, BWord
+
+
+def started_at(w, start):
+    """The word w with its start node replaced by `start`, every other field kept."""
+    if isinstance(w, AWord):
+        return AWord(w.kind, start, w.length, w.n)
+    return BWord(w.kind, start, w.first, w.length, w.n)
 
 
 def chained_tuples(table, k, budget, entry=None):

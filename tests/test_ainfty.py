@@ -3,10 +3,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import replace
 
 import pytest
-from chained import chained_tuples
+from chained import chained_tuples, started_at
 
 from starcob import ainfty, gradegroup
 from starcob.ainfty import (
@@ -480,7 +479,7 @@ def _by_entry(tuples, n=3):
 
 def _rotated(t, j):
     """A tuple of words turned j nodes on, node i to node i+j."""
-    return tuple(replace(w, start=advance(w.start, j, w.n)) for w in t)
+    return tuple(started_at(w, advance(w.start, j, w.n)) for w in t)
 
 
 def test_candidate_set_complete_against_brute_force():
@@ -657,7 +656,7 @@ def test_clean_orbit_sweep_matches_the_full_sweep(algebra, n):
 def _rotation(ops):
     """The rotation i -> i+1 as a permutation of the table's ids."""
     n = ops.n
-    return [ops.ids[replace(w, start=w.start % n + 1)] for w in ops.words]
+    return [ops.ids[started_at(w, w.start % n + 1)] for w in ops.words]
 
 
 def _word_built_op_columns(ops):

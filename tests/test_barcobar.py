@@ -4,9 +4,9 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import replace
 
 import pytest
+from chained import started_at
 
 from starcob.barcobar import (
     CobElem,
@@ -441,7 +441,7 @@ def test_phi_psi_check_names_a_corrupted_psi_entry(base):
 def _rotation(tables):
     """The rotation i -> i+1 as a permutation of the table's ids."""
     n = tables.n
-    return [tables.ids[replace(w, start=w.start % n + 1)] for w in tables.words]
+    return [tables.ids[started_at(w, w.start % n + 1)] for w in tables.words]
 
 
 def _equivariance_mismatches(tables):

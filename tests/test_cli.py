@@ -247,7 +247,7 @@ def test_internal_value_error_propagates(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("internal failure")
 
-    monkeypatch.setattr("starcob.cli.check_ainfty", broken)
+    monkeypatch.setattr("starcob.ainfty.check_ainfty", broken)
     with pytest.raises(ValueError, match="internal failure"):
         main(["verify", "ainfty-b", "--n", "3"])
 
@@ -400,8 +400,8 @@ def test_homotopy_default_window_holds_the_full_loops(capsys, monkeypatch):
     # The default --max-len is max(8, 2N): 8 at N = 3, 4, then 2N.
     # The sweeps are stubbed out, so this reads the window only.
     seen = []
-    monkeypatch.setattr("starcob.cli.phi_psi_failures", lambda max_len, n, base: [])
-    monkeypatch.setattr("starcob.cli.verify_homotopy", lambda max_len, n, base, fault: seen.append(max_len) or True)
+    monkeypatch.setattr("starcob.barcobar.phi_psi_failures", lambda max_len, n, base: [])
+    monkeypatch.setattr("starcob.barcobar.verify_homotopy", lambda max_len, n, base, fault: seen.append(max_len) or True)
     for n, max_len in ((3, 8), (4, 8), (5, 10), (6, 12)):
         code, out, _ = _run(["verify", "homotopy", "--n", str(n)], capsys)
         assert code == 0

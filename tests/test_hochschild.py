@@ -9,7 +9,8 @@ from operator import add
 import pytest
 
 from starcob import hochschild
-from starcob.barcobar import dict_image
+from starcob.barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
+from starcob.gradegroup import assign_grading
 from starcob.hochschild import (
     InsufficientTruncation,
     TwistedElem,
@@ -20,14 +21,13 @@ from starcob.hochschild import (
     mono_sort_key,
     slice_basis,
     slice_params,
-    string_model_check,
     twisted_diff,
     witness_cocycle,
-    witness_components,
 )
 from starcob.staralg import (
     AWord,
     BWord,
+    coeff_var,
     dual_algebra,
     grading,
     idempotent,
@@ -35,6 +35,7 @@ from starcob.staralg import (
     loop_word,
     mono_grading,
     mul_word,
+    var_grading,
     words_of_length,
 )
 
@@ -115,11 +116,21 @@ def test_witness_cocycles_closed():
         assert len(wb.sorted_terms()) == big_n
 
 
+def _witness_components(model, big_n):
+    """(render, refined-grading key) per witness monomial; the keys separate
+    the monomials into distinct graded components."""
+    out = []
+    for tm in witness_cocycle(model, big_n).sorted_terms():
+        gr = assign_grading(tm.right)
+        out.append((tm.render(), (tm.right.init, gr.word)))
+    return out
+
+
 def test_witness_components_distinct():
-    comps = witness_components("A", 3)
+    comps = _witness_components("A", 3)
     assert len(comps) == 6
     assert len(set(key for _, key in comps)) == 6
-    comps_b = witness_components("B", 3)
+    comps_b = _witness_components("B", 3)
     assert len(comps_b) == 3
     assert len(set(key for _, key in comps_b)) == 3
 
@@ -204,11 +215,55 @@ def test_insufficient_truncation():
     assert all(r["dim"] == 0 for r in rows if "error" not in r)
 
 
+def _string_diff(p, left, ts):
+    """String-model differential of a monomial left (x) string: split a string
+    factor, or multiply by a letter on one side and concatenate its dual on
+    the other."""
+    out = []
+    for split in cobar_diff(ts).terms:
+        out.append((p, left, split))
+    for xl in words_of_length(left.algebra, 1, left.n):
+        dual = TString((xl,))
+        merged = mul_word(xl, left)
+        if merged is not None:
+            for s in cobar_mul(dual, ts).terms:
+                out.append((p, merged, s))
+        merged = mul_word(left, xl)
+        if merged is not None:
+            for s in cobar_mul(ts, dual).terms:
+                out.append((p, merged, s))
+    return out
+
+
+def _string_model_check(model, big_n, max_len):
+    """Whether the twisted differential agrees with the string-model
+    differential transported through psi and phi, on every admissible monomial
+    whose right word has length 1..max_len."""
+    var_len = var_grading(coeff_var(model, big_n), big_n).ell
+    for ell_r in range(1, max_len + 1):
+        # every letter carries weight one, so len(left) = ell_r - p*var_len
+        for p in range(0, ell_r // var_len + 1):
+            for tm in hochschild._slice(model, ell_r, p, ell_r - p * var_len, big_n):
+                transported: set = set()
+                for q, lw, ts in _string_diff(p, tm.left, psi(tm.right)):
+                    for exp, word in phi(ts).monomial_pairs():
+                        if exp != 0:
+                            raise AssertionError("string fold produced a coefficient")
+                        transported ^= {TwistedMono(q, lw, word)}
+                if twisted_diff(tm) != TwistedElem(model, big_n, transported):
+                    return False
+    return True
+
+
 def test_string_model_cross_check():
-    assert string_model_check("A", 3, 8)
-    assert string_model_check("B", 3, 8)
-    assert string_model_check("A", 4, 6)
-    assert string_model_check("B", 4, 6)
+    assert _string_model_check("A", 3, 8)
+    assert _string_model_check("B", 3, 8)
+    assert _string_model_check("A", 4, 6)
+    assert _string_model_check("B", 4, 6)
+    # wider windows: at N = 3, length 12 reaches coefficient power 2 in A and 4 in B
+    for big_n, max_len in ((3, 12), (4, 10), (5, 10)):
+        assert _string_model_check("A", big_n, max_len)
+        assert _string_model_check("B", big_n, max_len)
 
 
 def test_cohomology_table_shape():

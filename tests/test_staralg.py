@@ -1,11 +1,10 @@
 """Tests for the two path algebras: words, products, gradings, bases."""
 from __future__ import annotations
 
-import dataclasses
 import itertools
 
 import pytest
-from chained import chained_tuples
+from chained import chained_tuples, started_at
 
 from starcob.gradegroup import GP_E, GroupElem, assign_grading, gp_mul
 from starcob.ring import POLY_ONE, poly_from_monos
@@ -199,8 +198,9 @@ def test_entry_exit_nodes():
             end = i % 3 + 1 if typ == "s" else i
         assert (w.entry, w.exit) == (end, w.start)
     # The stored nodes take no part in equality, hashing or repr.
-    for cls in (AWord, BWord):
-        assert all(not f.compare and not f.repr for f in dataclasses.fields(cls) if f.name in ("entry", "exit"))
+    for w in (AWord("s", 2, 3, 3), BWord("c", 1, "s", 2, 3)):
+        _assert_derived_slot_inert(w, "entry")
+        _assert_derived_slot_inert(w, "exit")
     assert repr(AWord("s", 2, 3, 3)) == "AWord(kind='s', start=2, length=3, n=3)"
     assert chain_ok(AWord("s", 1, 1, 3), AWord("u", 2, 1, 3))
     assert chain_ok(BWord("c", 3, "s", 1, 3), BWord("c", 2, "s", 1, 3))
@@ -253,6 +253,9 @@ def test_slot_run_against_letter_walk(n):
         assert (w.entry, w.fin, w.exit) == (_edge_count_entry(w), _edge_count_entry(w), w.start)
         assert w.last == _parity_last(w)
         assert assign_grading(w) == _letter_product_grading(w), w.render()
+        # the rendering, from the slot run, spells the walked letters
+        walked = ".".join(f"{t}{i}" for t, i in _walk_letters(w))
+        assert w.render() == (walked if w.length else f"I{w.start}")
     # Products: nonzero exactly across a seam where the letter types alternate.
     for x in words[: 3 * n]:
         for y in words:
@@ -263,7 +266,18 @@ def test_slot_run_against_letter_walk(n):
                 assert xy is None
             else:
                 assert xy.letters() == _walk_letters(y) + _walk_letters(x)
-    assert not any(f.compare or f.repr for f in dataclasses.fields(BWord) if f.name == "first_slot")
+    _assert_derived_slot_inert(BWord("c", 2, "r", 3, 3), "first_slot")
+
+
+def _assert_derived_slot_inert(w, name):
+    """Overwriting the derived slot `name` of w leaves its equality with a
+    rebuilt copy, its hash and its repr as they were, and the repr never
+    names the slot."""
+    copy = started_at(w, w.start)
+    text = repr(w)
+    assert f"{name}=" not in text
+    object.__setattr__(w, name, -1)
+    assert w == copy and hash(w) == hash(copy) and repr(w) == text
 
 
 def _seam(algebra, a, b):
