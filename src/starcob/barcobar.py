@@ -75,7 +75,6 @@ from .staralg import (
     WordTable,
     chain_ok,
     dual_algebra,
-    grading,
     letter,
     letter_slots,
     slot_letters,
@@ -149,11 +148,6 @@ class TString(Frozen):
     @property
     def total_ell(self) -> int:
         return sum(w.ell for w in self.factors)
-
-    @property
-    def m_degree(self) -> int:
-        """Maslov degree of the string: each dual factor contributes -m-1."""
-        return sum(-grading(w).m - 1 for w in self.factors)
 
     def render(self) -> str:
         return ".".join(_dual_factor_str(w) for w in self.factors)

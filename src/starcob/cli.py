@@ -15,7 +15,8 @@ seed, so equal configurations produce byte-identical output.  Every command
 also prints text; cohomology tables print CSV too.  Every sweep runs serially.
 Each command imports the modules it runs inside its own function, so start-up
 loads only the package's public core and a relation sweep never loads the
-cobar, cohomology or grading-group modules.
+cobar, cohomology or grading-group modules; likewise only the command that
+runs gets its options added to the parser.
 
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from typing import Optional
 
 SCHEMA = "starcob/1"
@@ -89,7 +91,11 @@ def _check_n(n: int) -> None:
 
 
 def _emit_json(doc: dict, out) -> None:
-    out.write(json.dumps(doc, indent=2, sort_keys=True))
+    # the encoder json.dumps runs for an indented report, written in batches
+    # of chunks so that no copy of the whole report is held at once
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
+    while batch := list(islice(chunks, 4096)):
+        out.write("".join(batch))
     out.write("\n")
 
 
@@ -358,56 +364,76 @@ def cmd_dump(args, out) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common(p, formats=("json", "text")) -> None:
+    p.add_argument("--n", type=int, default=3, help="number of quiver nodes (N > 2)")
+    p.add_argument("--format", choices=formats, default="json")
+    p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
+
+
+def _build_options(p) -> None:
+    _common(p)
+    p.add_argument("--max-len", type=int, default=None)
+    p.set_defaults(func=cmd_build)
+
+
+def _verify_options(p) -> None:
+    p.add_argument("kind", choices=("ainfty-a", "ainfty-b", "homotopy", "grading", "arities"))
+    _common(p)
+    p.add_argument("--max-arity", type=int, default=None)
+    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument(
+        "--inject-fault", default=None, help="drop-mu2N[:k] (ainfty-a, 0 <= k < 2N) or break-h (homotopy)"
+    )
+    p.set_defaults(func=cmd_verify)
+
+
+def _cohomology_options(p) -> None:
+    _common(p, ("json", "csv", "text"))
+    p.add_argument("--algebra", choices=("A", "B"), default="A")
+    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--j", type=int, action="append", default=None)
+    p.add_argument("--trunc", type=int, default=None)
+    p.set_defaults(func=cmd_cohomology)
+
+
+def _dump_options(p) -> None:
+    p.add_argument("what", choices=("basis", "special", "strings"))
+    _common(p)
+    p.add_argument("--algebra", choices=("A", "B"), default="A")
+    p.add_argument("--max-len", type=int, default=None)
+    p.set_defaults(func=cmd_dump)
+
+
+# each command's help line and the function that adds its options
+COMMANDS = {
+    "build": ("print generators, gradings, and basis counts", _build_options),
+    "verify": ("run a verification sweep", _verify_options),
+    "cohomology": ("bigraded cohomology table", _cohomology_options),
+    "dump": ("dump bases, special elements, or strings", _dump_options),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: every command is listed, but only the one that
+    argv runs gets its options.  That is argv's first command name, since
+    the top level takes no option with a value; with none, argparse stops
+    at the top level (help, or a missing or unknown command)."""
     parser = argparse.ArgumentParser(
         prog="starcob",
         description="Exact verification toolkit for a dual pair of quiver algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, formats=("json", "text")) -> None:
-        p.add_argument("--n", type=int, default=3, help="number of quiver nodes (N > 2)")
-        p.add_argument("--format", choices=formats, default="json")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-
-    p_build = sub.add_parser("build", help="print generators, gradings, and basis counts")
-    common(p_build)
-    p_build.add_argument("--max-len", type=int, default=None)
-    p_build.set_defaults(func=cmd_build)
-
-    p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument(
-        "kind", choices=("ainfty-a", "ainfty-b", "homotopy", "grading", "arities")
-    )
-    common(p_verify)
-    p_verify.add_argument("--max-arity", type=int, default=None)
-    p_verify.add_argument("--max-len", type=int, default=None)
-    p_verify.add_argument(
-        "--inject-fault", default=None, help="drop-mu2N[:k] (ainfty-a, 0 <= k < 2N) or break-h (homotopy)"
-    )
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_coh = sub.add_parser("cohomology", help="bigraded cohomology table")
-    common(p_coh, ("json", "csv", "text"))
-    p_coh.add_argument("--algebra", choices=("A", "B"), default="A")
-    p_coh.add_argument("--n-max", type=int, default=None)
-    p_coh.add_argument("--j", type=int, action="append", default=None)
-    p_coh.add_argument("--trunc", type=int, default=None)
-    p_coh.set_defaults(func=cmd_cohomology)
-
-    p_dump = sub.add_parser("dump", help="dump bases, special elements, or strings")
-    p_dump.add_argument("what", choices=("basis", "special", "strings"))
-    common(p_dump)
-    p_dump.add_argument("--algebra", choices=("A", "B"), default="A")
-    p_dump.add_argument("--max-len", type=int, default=None)
-    p_dump.set_defaults(func=cmd_dump)
-
+    chosen = next((arg for arg in argv if arg in COMMANDS), None)
+    for name, (help_text, add_options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == chosen:
+            add_options(p)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args, sys.stdout)
     except ConfigError as exc:

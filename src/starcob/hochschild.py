@@ -5,10 +5,35 @@ matching path endpoints on both sides and a weight balance: p copies of the
 full weight vector plus the weight of the left word must equal the weight of
 the right word.  The model for algebra B mirrors this with V_{N+1}^p, a B-word
 on the left, an A-word on the right, and the edge-slot weight vector.  So the
-right word and p fix the left word's weight (`_left_weight`): `TwistedMono`
-checks the balance with it, and `_slice` selects the left words by it.  A
-monomial's `algebra` is that of its left word, and a TwistedElem is a
-gf2la.F2Sum of monomials of one model.
+right word and p fix the left word's weight (`_left_weight`), which
+`TwistedMono` checks.  A monomial's `algebra` is that of its left word, and a
+TwistedElem is a gf2la.F2Sum of monomials of one model.
+
+Slices in closed form.  In a slice with right length n and power p, the left
+word has length l = n - p*len(var), and at most one left word balances each
+right word, read off the right word's first slot (`first_slot`: that of its
+first written letter in A, first applied in B; slots as in
+`staralg.letter_slots`):
+
+* l >= 2: none;
+* l = 0: the idempotent at the right word's endpoint;
+* l = 1: the letter at the right word's first slot;
+* in model B with p > 0, only an s-chain on the right has one.
+
+The weights show why.  A right word's weight is its n letters laid round
+from its first slot: over all 2N slots for a B-word, over the N edge slots
+for an s-chain, all on one loop slot for a U-power.  Model A subtracts p
+from every slot, and model B p from every edge slot, which leaves l letters
+laid the same way from the same slot; a U-power on the right of model B
+would go negative on the edge slots unless p = 0.  An A-word's weight sits
+on one loop slot or on edge slots only, and a B-word of length >= 2 covers
+a run of consecutive slots.  So l >= 2 letters laid from one slot fill two
+neighbouring slots in model A, which no A-word does, and lie on slots of
+one parity in model B, which no B-word of length >= 2 does.  Weight 0 is
+an idempotent's, and the right word is then a whole number of loops, so
+its two endpoints agree.  A single 1 at a slot is the weight of the letter
+there, which starts at the slot's node and ends at the next slot's, as the
+right word does: that one letter and whole loops.
 
 The differential pairs left multiplication by each single letter x with right
 multiplication by its dictionary image, and right multiplication by x with
@@ -19,16 +44,23 @@ left multiplication by the image:
 using each algebra's own product on its side.  A product of words vanishes
 unless the left factor's exit is the right factor's entry, so each monomial
 visits only the letters that chain at its left word's ends: two per end
-(`_letter_buckets`), whatever N.  The differential preserves the coefficient
-power p, raises the homological degree n = len(right) by one, and lowers the
-internal degree j by one; p is determined by (n, j), so each bidegree is a
-finite slice and cohomology is exact linear algebra over GF(2).  A table walk
-asks for each slice several times and builds it once (`_slice`, a small
-cache behind `slice_basis`).
+(`_letter_buckets`), whatever N.  A letter and its image share a weight slot
+and both endpoints, so each term keeps the weight balance and the shared
+endpoints of the monomial it comes from.  The differential preserves the
+coefficient power p, raises the homological degree n = len(right) by one,
+and lowers the internal degree j by one; p is determined by (n, j), so each
+bidegree is a finite slice and cohomology is exact linear algebra over
+GF(2).  A table walk asks for each slice several times and builds it once
+(`_slice`, a small cache behind `slice_basis`).
+
+The monomials that the slices, the differential and the witness cocycles
+build are admissible by the arguments above, so they are made without the
+checks of `TwistedMono` (`_admissible`); the public constructor keeps them.
 """
 from __future__ import annotations
 
 import functools
+from itertools import repeat
 from operator import sub
 from typing import Optional, Union
 
@@ -47,6 +79,7 @@ from .staralg import (
     loop_word,
     mono_grading,
     mul_word,
+    slot_letters,
     word_sort_key,
     words_of_length,
 )
@@ -83,9 +116,7 @@ class TwistedMono(Frozen):
         have, need = grading(left).alexander, _left_weight(p, right)
         if have != need:
             raise ValueError(f"weight balance fails: A(left) = {have}, A(right) - p*A(var) = {need}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        _fill(self, p, left, right)
 
     @property
     def algebra(self) -> str:
@@ -106,6 +137,19 @@ class TwistedMono(Frozen):
         if self.p:
             head = f"{mono_str(self.p, coeff_var(self.algebra, self.n))}*{head}"
         return f"{head} (x) {self.right.render()}"
+
+
+def _fill(tm: TwistedMono, p: int, left: Word, right: Word) -> TwistedMono:
+    object.__setattr__(tm, "p", p)
+    object.__setattr__(tm, "left", left)
+    object.__setattr__(tm, "right", right)
+    return tm
+
+
+def _admissible(p: int, left: Word, right: Word) -> TwistedMono:
+    """The monomial of words that the caller built admissible, without the
+    checks of the constructor (see the module docstring for each caller)."""
+    return _fill(object.__new__(TwistedMono), p, left, right)
 
 
 def _left_weight(p: int, right: Word) -> tuple:
@@ -176,12 +220,12 @@ def twisted_diff(x: Union[TwistedElem, TwistedMono]) -> TwistedElem:
             left = mul_word(xl, tm.left)
             right = mul_word(tm.right, xh)
             if left is not None and right is not None:
-                out ^= {TwistedMono(tm.p, left, right)}
+                out ^= {_admissible(tm.p, left, right)}
         for xl, xh in by_entry[tm.left.exit - 1]:
             left = mul_word(tm.left, xl)
             right = mul_word(xh, tm.right)
             if left is not None and right is not None:
-                out ^= {TwistedMono(tm.p, left, right)}
+                out ^= {_admissible(tm.p, left, right)}
     return TwistedElem(model, n, out)
 
 
@@ -223,6 +267,13 @@ def slice_basis(
     return _slice(model, n_deg, p, ell_left, big_n)
 
 
+@functools.lru_cache(maxsize=4)
+def _letters_by_slot(model: str, n: int) -> tuple[Word, ...]:
+    """The model algebra's letters, indexed by weight slot."""
+    letters = words_of_length(model, 1, n)
+    return tuple(letters[o] for o in slot_letters(model, n))
+
+
 # A table cell asks for its own slice twice and for its two neighbours once.
 # Nonempty slices are sparse: to build each slice once, the walk over the
 # default j = -1, -2 needs two kept, and every walk over j = 0..-16 at
@@ -230,18 +281,21 @@ def slice_basis(
 @functools.lru_cache(maxsize=8)
 def _slice(model: str, n_deg: int, p: int, ell_left: int, big_n: int) -> tuple[TwistedMono, ...]:
     """The admissible monomials with right length n_deg, coefficient power p
-    and left length ell_left, canonically ordered: each right word pairs
-    with the left words that share its endpoints and have its `_left_weight`."""
-    lefts: dict[tuple, list[Word]] = {}
-    for left in words_of_length(model, ell_left, big_n):
-        lefts.setdefault((left.init, left.fin, grading(left).alexander), []).append(left)
-    out = [
-        TwistedMono(p, left, right)
-        for right in words_of_length(dual_algebra(model), n_deg, big_n)
-        for left in lefts.get((right.init, right.fin, _left_weight(p, right)), ())
-    ]
-    out.sort(key=mono_sort_key)
-    return tuple(out)
+    and left length ell_left, canonically ordered: the right words in their
+    own order, each with its one left word, by the rule of the module
+    docstring."""
+    if ell_left >= 2:
+        return ()
+    rights = words_of_length(dual_algebra(model), n_deg, big_n)
+    if model == "B" and p:
+        rights = [r for r in rights if r.kind == "s"]
+    if ell_left == 0:
+        idems = words_of_length(model, 0, big_n)
+        lefts = [idems[r.init - 1] for r in rights]
+    else:
+        by_slot = _letters_by_slot(model, big_n)
+        lefts = [by_slot[r.first_slot] for r in rights]
+    return tuple(map(_admissible, repeat(p), lefts, rights))
 
 
 def diff_matrix(
@@ -328,9 +382,9 @@ def witness_cocycle(model: str, big_n: int) -> TwistedElem:
     for i in range(1, big_n + 1):
         if model == "A":
             for first in ("r", "s"):
-                out ^= {TwistedMono(1, idempotent("A", i, big_n), loop_word(i, first, 2 * big_n, big_n))}
+                out ^= {_admissible(1, idempotent("A", i, big_n), loop_word(i, first, 2 * big_n, big_n))}
         else:
-            out ^= {TwistedMono(1, idempotent("B", i, big_n), full_cycle_chain(i, big_n))}
+            out ^= {_admissible(1, idempotent("B", i, big_n), full_cycle_chain(i, big_n))}
     return TwistedElem(model, big_n, out)
 
 

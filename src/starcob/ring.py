@@ -36,9 +36,10 @@ class Frozen:
     that of the field tuple, the repr lists the fields by name, and any
     assignment or deletion after `__init__` raises AttributeError.  Slots not
     in `_fields` (values derived from the fields) take no part in any of it.
+    The hash is computed on first use and kept in the `_hash` slot.
     """
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
     _fields: tuple = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -52,7 +53,12 @@ class Frozen:
         return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key(self))
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self._key(self))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self) -> str:
         args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

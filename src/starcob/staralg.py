@@ -103,6 +103,12 @@ class AWord(Frozen):
     def fin(self) -> int:
         return self.exit
 
+    @property
+    def first_slot(self) -> int:
+        """The weight slot of the first written letter (2i-2 for U_i and for
+        I_i, 2i-1 for s_i), as `BWord.first_slot` is for the first applied."""
+        return 2 * self.start - (1 if self.kind == "s" else 2)
+
     def is_idempotent(self) -> bool:
         return self.kind == "i"
 
@@ -187,16 +193,6 @@ class BWord(Frozen):
         """Letters as (type, node) pairs in application order."""
         run, n = range(self.first_slot, self.first_slot + self.length), self.n
         return [("rs"[k % 2], k // 2 % n + 1) for k in run]
-
-    @classmethod
-    def from_letters(cls, letters: list[tuple[str, int]], n: int) -> "BWord":
-        """Rebuild a chain from application-order letters, validating the path."""
-        if not letters:
-            raise ValueError("use an explicit idempotent for the empty chain")
-        word = cls("c", letters[0][1], letters[0][0], len(letters), n)
-        if word.letters() != list(letters):
-            raise ValueError(f"letters {letters} do not form an alternating path")
-        return word
 
     def render(self) -> str:
         if self.kind == "i":

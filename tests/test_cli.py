@@ -1,12 +1,14 @@
 """Tests for the command-line interface: exit codes, schemas, determinism."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import sys
 
 import pytest
 
+from starcob import cli
 from starcob.barcobar import _tables
 from starcob.cli import main
 
@@ -407,3 +409,46 @@ def test_homotopy_default_window_holds_the_full_loops(capsys, monkeypatch):
         assert code == 0
         assert json.loads(out)["config"]["max-len"] == max_len
         assert seen[-2:] == [max_len, max_len]
+
+
+# The sha256 of stdout, a NUL and stderr, and the exit code, with 80 columns:
+# recorded while the parser still built every command's options.
+PARSER_GOLDEN = [
+    ("--help", 0, "36e7cc8bbbff8ad465e8e4c81e8bed8f6f06e54f732295a3b2ac114f6509cc58"),
+    ("build --help", 0, "ff41cb6fd219c3d0fbe443157ba4eab6ec06aa283470b3227d258d7fb233e6c3"),
+    ("verify --help", 0, "b488c96b72ce50b4730c26a9385825a9e1bd1f6ab6862f0226207b68be63fc13"),
+    ("cohomology --help", 0, "73960f156557e1aad9b882c754d66d5f93f989a0997a520fa70e4697dd44ff30"),
+    ("dump --help", 0, "1699ce0da6a24aad3176088aa0e05a8e23f4ca3557a77daa992fa10d3bbbeeb5"),
+    ("", 2, "e1338646eaef080584a508f1b2bd257fc88aac9cfdaf941ae7880520e5f48681"),
+    ("frobnicate", 2, "21f7f5cf1ca01c4fbb214c25d18ca7f721a2ec13803decc74430e7ff390bfd05"),
+    ("verify", 2, "654890cb8bd2805e9f719a2027e1ff50f3a22ab8db4861d74feacb1d74488386"),
+    ("verify ainfty-c", 2, "c1f932b9684fd928bde66d6045610be9423ac81a1b09d47b63b9f5d5e4c8d943"),
+    ("cohomology --n x", 2, "0ad0f17822ef53dd6d8417c83e00d080e419fb14e92d2c8c43b63ee5bcdb10d1"),
+    ("dump basis --bogus", 2, "b0e6951664b31983fcb465f2c1c368f6655298a3611804686a39f8d5d3f24d7a"),
+    ("-x build", 2, "addc9eec2bde05eecc0bb257ff84bdb9f50a33451651d69dd17f8d5ea04b1b62"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", PARSER_GOLDEN, ids=[g[0] or "no-command" for g in PARSER_GOLDEN])
+def test_help_and_usage_errors_are_unchanged(argv, code, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    captured = capsys.readouterr()
+    got = hashlib.sha256((captured.out + "\0" + captured.err).encode()).hexdigest()
+    assert (exc.value.code, got) == (code, digest)
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("big_n", [16, 24, 32, 48, 64, 96, 128])
+def test_emit_json_matches_json_dumps(model, big_n, monkeypatch):
+    # The tables benchmark's reports, written in batches of chunks, are the
+    # bytes json.dumps gives.
+    docs = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda doc, out: docs.append(doc))
+    assert main(["cohomology", "--algebra", model, "--n", str(big_n)]) == 0
+    out = io.StringIO()
+    emit(docs[0], out)
+    expect = json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(out.getvalue().encode()).digest() == hashlib.sha256(expect.encode()).digest()

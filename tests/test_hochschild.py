@@ -342,13 +342,13 @@ def _construct_and_catch_slice(model, n_deg, p, ell_left, big_n):
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
-@pytest.mark.parametrize("big_n", [3, 4, 5])
+@pytest.mark.parametrize("big_n", range(3, 11))
 def test_slice_selects_by_left_weight(model, big_n):
-    # Selecting left words by the weight the balance asks of them gives the
-    # monomials that constructing every endpoint-matched pair kept.
+    # The closed-form slices give the monomials that constructing every
+    # endpoint-matched pair kept.
     nonempty = 0
-    for n_deg in range(3 * big_n + 1):
-        for j in (0, -1, -2, -3):
+    for n_deg in range(5 * big_n + 1):
+        for j in range(2, -13, -1):
             params = slice_params(model, n_deg, j, big_n)
             if params is None:
                 assert slice_basis(model, n_deg, j, big_n) == ()
@@ -361,6 +361,33 @@ def test_slice_selects_by_left_weight(model, big_n):
     loop = letter(dual_algebra(model), "r" if model == "A" else "u", 1, big_n)
     with pytest.raises(ValueError, match="weight balance"):
         TwistedMono(0, idempotent(model, 1, big_n), loop)
+
+
+def _checked(tm):
+    """The monomial rebuilt through the constructor, which checks it."""
+    return TwistedMono(tm.p, tm.left, tm.right)
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("big_n", range(3, 11))
+def test_kernel_monomials_pass_the_checked_constructor(model, big_n):
+    # The slices and the differential build their monomials unchecked; each
+    # must be one the constructor accepts, with the same hash.
+    built = 0
+    for _, basis in _nonempty_slices(model, big_n, 5 * big_n):
+        for tm in basis:
+            for out in (tm, *twisted_diff(tm).terms):
+                checked = _checked(out)
+                assert checked == out and hash(checked) == hash(out), out.render()
+                built += 1
+    assert built > 0
+
+
+@pytest.mark.parametrize("big_n", range(3, 17))
+def test_witness_monomials_pass_the_checked_constructor(big_n):
+    for model in ("A", "B"):
+        for tm in witness_cocycle(model, big_n).terms:
+            assert _checked(tm) == tm, tm.render()
 
 
 def _counting(fn, counts):

@@ -68,17 +68,25 @@ def test_b_word_endpoints_and_render():
     assert (w.init, w.fin, w.last) == (1, 2, "s")
     assert w.render() == "r1.s1"
     assert w.letters() == [("r", 1), ("s", 1)]
-    rebuilt = BWord.from_letters([("r", 1), ("s", 1)], 3)
+    rebuilt = _from_letters([("r", 1), ("s", 1)], 3)
     assert rebuilt == w
+
+
+def _from_letters(letters, n):
+    """Rebuild a chain from application-order letters, checking that they
+    form an alternating path."""
+    word = BWord("c", letters[0][1], letters[0][0], len(letters), n)
+    assert word.letters() == list(letters), letters
+    return word
 
 
 def test_word_splits_against_letter_slices():
     # B-splits are built directly; slicing letters() and rebuilding each part
-    # with from_letters is the reference.
+    # with _from_letters is the reference.
     for w in enumerate_basis("B", 7, 3):
         letters = w.letters()
         for k in range(1, w.ell):
-            expect = (BWord.from_letters(letters[k:], 3), BWord.from_letters(letters[:k], 3))
+            expect = (_from_letters(letters[k:], 3), _from_letters(letters[:k], 3))
             assert split_b_word(w, k) == expect
     for algebra in ("A", "B"):
         for w in enumerate_basis(algebra, 7, 3):
