@@ -13,6 +13,11 @@ Any other exception is an internal error and propagates.  JSON reports carry
 a versioned "schema" field and record the full configuration including the
 seed, so equal configurations produce byte-identical output.  Every command
 also prints text; cohomology tables print CSV too.  Every sweep runs serially.
+Every configuration error is raised before the first byte is written.
+Reports stream: a cohomology table is written cell by cell as each is
+computed, in every format, and every JSON report goes through one writer that
+gives json.dumps's bytes in bounded pieces.  So an internal error can leave a
+partial report on stdout before its traceback.
 Each command imports the modules it runs inside its own function, so start-up
 loads only the package's public core and a relation sweep never loads the
 cobar, cohomology or grading-group modules; likewise only the command that
@@ -28,7 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 SCHEMA = "starcob/1"
@@ -90,13 +95,89 @@ def _check_n(n: int) -> None:
         raise ConfigError(f"the construction needs N > 2, got N={n}")
 
 
+class _JsonWriter:
+    """Writes a report as json.dumps(doc, indent=2, sort_keys=True) does,
+    piece by piece into a buffer that goes out whenever it holds FLUSH
+    characters, so no copy of the whole report is made.
+
+    Values are dispatched on their exact type: str, int, bool, None, dicts
+    (with str keys, in sorted order), and lists or tuples.  Beyond json, an
+    iterator is written as the list of what it yields, and a GF(2) sum (any
+    value with `sorted_terms`, such as a gf2la.F2Sum) as the string its
+    `render()` gives, written term by term.
+    """
+
+    FLUSH = 1 << 13
+
+    def __init__(self, out) -> None:
+        self.out = out
+        self.parts: list[str] = []
+        self.size = 0
+
+    def put(self, piece: str) -> None:
+        self.parts.append(piece)
+        self.size += len(piece)
+        if self.size >= self.FLUSH:
+            self.flush()
+
+    def flush(self) -> None:
+        self.out.write("".join(self.parts))
+        self.parts = []
+        self.size = 0
+
+    def value(self, value, indent: str, head: str = "") -> None:
+        """Write `head` (the separator and key before the value), then the
+        value, at nesting `indent`."""
+        kind = type(value)
+        if kind is str:
+            self.put(head + encode_basestring_ascii(value))
+        elif kind is int:
+            self.put(head + int.__repr__(value))
+        elif kind is bool:
+            self.put(head + ("true" if value else "false"))
+        elif value is None:
+            self.put(head + "null")
+        elif kind is dict:
+            keyed = ((f"{encode_basestring_ascii(k)}: ", v) for k, v in sorted(value.items()))
+            self.items(keyed, indent, head + "{", "}")
+        elif kind is list or kind is tuple or hasattr(value, "__next__"):
+            self.items((("", v) for v in value), indent, head + "[", "]")
+        elif hasattr(value, "sorted_terms"):
+            self.f2sum(value, head)
+        else:
+            raise TypeError(f"{kind.__name__} is not written to a report")
+
+    def items(self, items, indent: str, opening: str, closing: str) -> None:
+        """Write the (key head, value) pairs `items` between `opening` and
+        `closing`; a list's key heads are empty."""
+        inner = indent + "  "
+        lead = f"{opening}\n{inner}"
+        empty = True
+        for key, item in items:
+            self.value(item, inner, lead + key)
+            lead = f",\n{inner}"
+            empty = False
+        self.put(opening + closing if empty else f"\n{indent}{closing}")
+
+    def f2sum(self, value, head: str) -> None:
+        # the JSON string of value.render(): its terms' renderings in
+        # sorted_terms() order joined by " + ", or "0" for the zero sum
+        terms = value.sorted_terms()
+        if not terms:
+            self.put(head + '"0"')
+            return
+        sep = head + '"'
+        for term in terms:
+            self.put(sep + encode_basestring_ascii(term.render())[1:-1])
+            sep = " + "
+        self.put('"')
+
+
 def _emit_json(doc: dict, out) -> None:
-    # the encoder json.dumps runs for an indented report, written in batches
-    # of chunks so that no copy of the whole report is held at once
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc)
-    while batch := list(islice(chunks, 4096)):
-        out.write("".join(batch))
-    out.write("\n")
+    writer = _JsonWriter(out)
+    writer.value(doc, "")
+    writer.put("\n")
+    writer.flush()
 
 
 def _config_doc(args, n: int, extra: Optional[dict] = None) -> dict:
@@ -281,38 +362,35 @@ def cmd_cohomology(args, out) -> int:
         raise ConfigError(f"--j {', '.join(map(str, repeated))} given more than once: each j is one table column")
     if args.trunc is not None and args.trunc < 0:
         raise ConfigError(f"--trunc {args.trunc} admits no coefficient power: cohomology needs --trunc >= 0")
-    rows = cohomology_table(model, n, n_max, j_values, args.trunc)
-    doc = {
-        "schema": SCHEMA,
-        "command": "cohomology",
-        "config": _config_doc(args, n, {"algebra": model, "n-max": n_max, "j": list(j_values), "trunc": args.trunc}),
-        "rows": rows,
-        "distinguished-cocycle": witness_cocycle(model, n).render(),
-    }
+    cells = cohomology_table(model, n, n_max, j_values, args.trunc)
     if args.format == "json":
+        config = {"algebra": model, "n-max": n_max, "j": list(j_values), "trunc": args.trunc}
+        doc = {
+            "schema": SCHEMA,
+            "command": "cohomology",
+            "config": _config_doc(args, n, config),
+            "rows": cells,
+            "distinguished-cocycle": witness_cocycle(model, n),
+        }
         _emit_json(doc, out)
     elif args.format == "csv":
         import csv
 
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["model", "N", "n", "j", "dim", "witnesses"])
-        for cell in rows:
-            writer.writerow(
-                [
-                    cell["model"],
-                    cell["N"],
-                    cell["n"],
-                    cell["j"],
-                    cell.get("dim", "error"),
-                    "; ".join(cell.get("witnesses", [cell.get("error", "")])),
-                ]
-            )
+        for cell in cells:
+            if "error" in cell:
+                dim, witnesses = "error", cell["error"]
+            else:
+                dim, witnesses = cell["dim"], "; ".join(w.render() for w in cell["witnesses"])
+            writer.writerow([cell["model"], cell["N"], cell["n"], cell["j"], dim, witnesses])
     else:
-        for cell in rows:
+        for cell in cells:
             if "error" in cell:
                 out.write(f"H^({cell['n']},{cell['j']}) [{model}]: error: {cell['error']}\n")
             else:
-                wit = f"  witnesses: {'; '.join(cell['witnesses'])}" if cell["witnesses"] else ""
+                wits = "; ".join(w.render() for w in cell["witnesses"])
+                wit = f"  witnesses: {wits}" if cell["witnesses"] else ""
                 out.write(f"H^({cell['n']},{cell['j']}) [{model}]: dim {cell['dim']}{wit}\n")
     return 0
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 import functools
 from itertools import repeat
 from operator import sub
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .barcobar import dict_image
 from .gf2la import F2Sum, SparseMatF2, reduce_against, row_space_basis, terms_of
@@ -394,25 +394,23 @@ def cohomology_table(
     n_max: int,
     j_values: tuple[int, ...] = (-1, -2),
     trunc: Optional[int] = None,
-) -> list[dict]:
-    """Cohomology dimensions and witnesses over 2 < n <= n_max, j in j_values.
+) -> Iterator[dict]:
+    """The cells of the cohomology table over 2 < n <= n_max, j in j_values,
+    yielded one at a time as each is computed, n by n and j by j.
 
-    A cell whose slices need a coefficient power above `trunc` carries an
-    "error" message in place of "dim" and "witnesses".
+    A cell holds "model", "N", "n" and "j", then "dim" and "witnesses", the
+    witness cocycles as TwistedElems (render them for their strings).  A cell
+    whose slices need a coefficient power above `trunc` carries an "error"
+    message in place of "dim" and "witnesses".
     """
-    rows = []
     for n_deg in range(3, n_max + 1):
         for j in j_values:
             cell = {"model": model, "N": big_n, "n": n_deg, "j": j}
             try:
-                dim, wits = cohomology_dim(model, n_deg, j, big_n, trunc)
+                cell["dim"], cell["witnesses"] = cohomology_dim(model, n_deg, j, big_n, trunc)
             except InsufficientTruncation as exc:
                 cell["error"] = str(exc)
-            else:
-                cell["dim"] = dim
-                cell["witnesses"] = [w.render() for w in wits]
-            rows.append(cell)
-    return rows
+            yield cell
 
 
 __all__ = [

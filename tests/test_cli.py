@@ -439,16 +439,131 @@ def test_help_and_usage_errors_are_unchanged(argv, code, digest, capsys, monkeyp
     assert (exc.value.code, got) == (code, digest)
 
 
+def _stdout_of(argv, capsys, code=0) -> str:
+    assert main(argv) == code
+    return capsys.readouterr().out
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _cohomology_report(model, big_n):
+    """The default cohomology report, rebuilt from the public API."""
+    from starcob.hochschild import cohomology_table, witness_cocycle
+
+    rows = []
+    for cell in cohomology_table(model, big_n, 3 * big_n):
+        if "witnesses" in cell:
+            cell["witnesses"] = [w.render() for w in cell["witnesses"]]
+        rows.append(cell)
+    return {
+        "schema": "starcob/1",
+        "command": "cohomology",
+        "config": {"N": big_n, "seed": 0, "algebra": model, "n-max": 3 * big_n, "j": [-1, -2], "trunc": None},
+        "rows": rows,
+        "distinguished-cocycle": witness_cocycle(model, big_n).render(),
+    }
+
+
 @pytest.mark.parametrize("model", ["A", "B"])
 @pytest.mark.parametrize("big_n", [16, 24, 32, 48, 64, 96, 128])
-def test_emit_json_matches_json_dumps(model, big_n, monkeypatch):
-    # The tables benchmark's reports, written in batches of chunks, are the
-    # bytes json.dumps gives.
-    docs = []
-    emit = cli._emit_json
-    monkeypatch.setattr(cli, "_emit_json", lambda doc, out: docs.append(doc))
-    assert main(["cohomology", "--algebra", model, "--n", str(big_n)]) == 0
+def test_emit_json_matches_json_dumps(model, big_n, capsys):
+    # The tables benchmark's reports, streamed cell by cell with the witness
+    # cocycles written term by term, are the bytes json.dumps gives for the
+    # report rebuilt from the public API.
+    out = _stdout_of(["cohomology", "--algebra", model, "--n", str(big_n)], capsys)
+    assert out == _dumps(_cohomology_report(model, big_n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "build --n 3",
+        "dump basis --n 3",
+        "dump special --n 3",
+        "dump strings --n 3",
+        "verify ainfty-a --n 3",
+        "verify ainfty-a --n 3 --inject-fault drop-mu2N:1",
+        "verify ainfty-b --n 3",
+        "verify homotopy --n 3",
+        "verify homotopy --n 3 --max-len 6 --inject-fault break-h",
+        "verify grading --n 3",
+        "verify arities --n 3",
+    ],
+)
+def test_every_report_is_json_dumps_of_itself(argv, capsys):
+    # Keys sorted, indented by two and escaped as json.dumps does: a report
+    # read back and dumped again gives its own bytes.
+    out = _stdout_of(argv.split(), capsys, 1 if "--inject-fault" in argv else 0)
+    assert out == _dumps(json.loads(out))
+
+
+class _Sum:
+    """A stand-in for a GF(2) sum: terms with `render`, in a sorted order."""
+
+    class Term:
+        def __init__(self, text):
+            self.text = text
+
+        def render(self):
+            return self.text
+
+    def __init__(self, *texts):
+        self.terms = [self.Term(t) for t in texts]
+
+    def sorted_terms(self):
+        return sorted(self.terms, key=lambda t: t.text)
+
+
+@pytest.mark.parametrize("flush", [1, 7, cli._JsonWriter.FLUSH])
+def test_writer_matches_json_dumps_on_every_value_kind(flush, monkeypatch):
+    monkeypatch.setattr(cli._JsonWriter, "FLUSH", flush)
+    doc = {
+        "z": [1, -2, 0, True, False, None, "", "tab\t \"quote\" \\ é \u2603 \U0001f600"],
+        "empty-dict": {},
+        "empty-list": [],
+        "empty-iter": iter(()),
+        "tuple": (1, ("a",), {"k": []}),
+        "iter": (x * x for x in range(3)),
+        "nested": {"b": {"c": [{}], "a": [[]]}, "a": -(10**30)},
+        "sums": [_Sum(), _Sum("x"), _Sum("s2 (x) r\u00e9", "s1 (x) \"q\"")],
+    }
+    expect = dict(doc, **{"empty-iter": [], "iter": [0, 1, 4]})
+    expect["sums"] = ["0", "x", "s1 (x) \"q\" + s2 (x) r\u00e9"]
     out = io.StringIO()
-    emit(docs[0], out)
-    expect = json.dumps(docs[0], indent=2, sort_keys=True) + "\n"
-    assert hashlib.sha256(out.getvalue().encode()).digest() == hashlib.sha256(expect.encode()).digest()
+    cli._emit_json(doc, out)
+    assert out.getvalue() == _dumps(expect)
+
+
+@pytest.mark.parametrize("value", [1.5, {1: "int key"}, {"set": {1}}, object()])
+def test_writer_rejects_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        cli._emit_json({"v": value}, io.StringIO())
+
+
+def test_cohomology_report_is_streamed(monkeypatch):
+    # No report-sized string is built: the traced peak of a report of
+    # 2,594,983 bytes (A at N = 256) stays below its own length.
+    import tracemalloc
+
+    class Sink:
+        def __init__(self):
+            self.digest = hashlib.sha256()
+            self.size = 0
+
+        def write(self, text):
+            self.digest.update(text.encode())
+            self.size += len(text)
+
+    sink = Sink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert main(["cohomology", "--algebra", "A", "--n", "256"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == 2_594_983
+    assert sink.digest.hexdigest() == "723e13c8d7018044ae80145ee1abd09ace1325e4f2852d7c86b78f7bf8fec870"
+    assert peak < sink.size

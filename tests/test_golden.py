@@ -144,6 +144,35 @@ GOLDEN = [
         0,
         "77059bd86d99498ad96a90e58b83faaa6f8fb9e94f229c92c0e4a3ccbff4bf2a",
     ),
+    # Every format that reads the table's cells, recorded while the table was
+    # a list of cells with rendered witnesses and the JSON report went
+    # through json's indented encoder.  The first three hold an error cell,
+    # which has no dim and no witnesses.
+    (
+        "cohomology --algebra A --n 3 --n-max 12 --j -4 --trunc 1",
+        0,
+        "949c0a37e2d932721a58357a89d01b4897ea83e0b5314b74eca2bb51a22991b6",
+    ),
+    (
+        "cohomology --algebra A --n 3 --n-max 12 --j -4 --trunc 1 --format text",
+        0,
+        "fda490f3f1b44eecedd9362aad889b9febc7131a15846d6582730692a573c46d",
+    ),
+    (
+        "cohomology --algebra A --n 3 --n-max 12 --j -4 --trunc 1 --format csv",
+        0,
+        "0ea78c6eaf628f9252081bfe105b2d5300390e3cb52b02ca2015fe19efc65273",
+    ),
+    (
+        "cohomology --algebra A --n 32 --format text",
+        0,
+        "8d61e4d666a437e3b84ddadaf095652e87553c87bc683ce0b76401f0c5892265",
+    ),
+    (
+        "cohomology --algebra B --n 4 --j 0 --j -1 --j -2 --j -3",
+        0,
+        "e6cef1b6d1c6cdeea2643674c96ca31c1d54267aeb8d7349952f8a308eb6a78f",
+    ),
     # B-word renderings, recorded while a B-word's letters were walked node
     # by node, before they were read off its run of weight slots.
     (

@@ -206,7 +206,7 @@ def test_insufficient_truncation():
     # A generous cap changes nothing.
     assert cohomology_dim("A", 6, -2, 3, trunc=5)[0] == 1
     # The table reports a too-small cap in the affected cell only.
-    rows = cohomology_table("A", 3, 12, (-4,), trunc=1)
+    rows = list(cohomology_table("A", 3, 12, (-4,), trunc=1))
     assert len(rows) == 10
     errored = [r for r in rows if "error" in r]
     assert [(r["n"], r["j"]) for r in errored] == [(12, -4)]
@@ -267,12 +267,20 @@ def test_string_model_cross_check():
 
 
 def test_cohomology_table_shape():
-    rows = cohomology_table("A", 3, 7)
+    rows = list(cohomology_table("A", 3, 7))
     assert len(rows) == 10  # n in 3..7, j in (-1, -2)
     hit = [r for r in rows if r["dim"] > 0]
     assert len(hit) == 1
     assert hit[0]["n"] == 6 and hit[0]["j"] == -2
     assert hit[0]["witnesses"]
+    for w in hit[0]["witnesses"]:
+        assert w.bidegree() == (6, -2) and twisted_diff(w).is_zero()
+
+
+def test_cohomology_table_yields_each_cell_as_computed():
+    # the first cell comes out before the rest of a table too large to build
+    cells = cohomology_table("A", 3, 10**9)
+    assert next(cells) == {"model": "A", "N": 3, "n": 3, "j": -1, "dim": 0, "witnesses": []}
 
 
 def _all_letters_diff(x):
@@ -407,7 +415,7 @@ def test_table_builds_each_slice_once(model, j_values, monkeypatch):
         _counting(hochschild._slice.__wrapped__, builds)
     )
     monkeypatch.setattr(hochschild, "_slice", fresh)
-    cohomology_table(model, 8, 24, j_values)
+    list(cohomology_table(model, 8, 24, j_values))
     assert builds and max(builds.values()) == 1
 
 
