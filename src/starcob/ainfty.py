@@ -1,13 +1,19 @@
 """Higher multiplications on the two quiver algebras and relation checking.
 
-Algebra A carries, besides its binary product, one higher operation, in
-arity 2N: a rotation of u1 s1 u2 s2 ... uN sN ("centered") maps to V0 times
-the idempotent at its first node; tuples exceeding it by a prefix of the first
-entry or a suffix of the last entry ("left-/right-extended") map to that
-margin times V0.  Algebra B carries one higher operation in arity N: the
-descending cycle of edge letters maps to V_{N+1} times an idempotent, again
-with one-sided extended variants.  All other tuples map to zero, as do tuples
-containing a unit in arity > 2.  `higher_arity` gives 2N (A) or N (B).
+Besides its binary product each algebra carries one higher operation, in
+arity `higher_arity` (2N for A, N for B), and one rule gives both: the
+operation preserves weight, and its inputs lay down the weight of the
+coefficient variable (V0 covers every slot once, V_{N+1} every edge slot
+once) plus that of the margin it returns.  A chained tuple of that arity with
+no unit is "centered" when its words have the coefficient's length and weight
+(a rotation of u1 s1 ... uN sN in A, a descending cycle of edge letters in B)
+and maps to V times the idempotent where its first word is entered; it is
+"left-" or "right-extended" when its first or last word gives up a margin,
+leaving a centered tuple, and maps to V times that margin.  All other tuples
+map to zero.  The one open per-algebra difference is the coefficient rule: A
+vanishes on an entry with a coefficient, and B carries the coefficient of the
+trimmed end.  Neither is GF(2)[V]-linear, and the paper must say which is
+meant (the FOUND line on it in CHANGES.md; tests/test_deformation.py).
 
 A has no operation in the other arities (2N-2)j + 2 that the grading admits
 (j >= 2): the arity-(4N-1) relations fix mu_{4N-2} uniquely up to gauge (an
@@ -16,9 +22,9 @@ and zero solves them.
 
 The operations run on interned word ids.  `_OpTables` extends the
 `staralg.WordTable` of one algebra, N and length bound with the columns only
-the classifier reads (packed weights, units, the drop-mu2N component, the B
-edge columns), built lazily, once per (algebra, N, bound).  `_classify` is
-the one operation classifier, on (exponent, id) entries: mu_a, mu_b,
+the classifier reads (packed weights, the coefficient's weight, the drop-mu2N
+component), built lazily, once per (algebra, N, bound).  `_classify` is the
+one operation classifier, on (exponent, id) entries: mu_a, mu_b,
 nonzero_operations and relation_value intern their inputs and call it.
 
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
@@ -26,15 +32,14 @@ that has a nonzero term, read off the nonzero operations themselves; the
 sweep runs on id tuples and renders words only for violations.
 
 The Z/N rotation rho of the cyclic quiver, node i to node i+1, commutes with
-every column the classifier reads: the product, the splits, the initial
-unit, the B edge columns, and the packed weights once their slots are
-shifted by 2 (rho moves a letter at slot k to slot k+2).  The all-ones
-weight the classifier compares sums against, and every length, are
-rotation-invariant, so mu(rho W) = rho mu(W), and relation_sum(rho t) =
-rho relation_sum(t).  Rotation moves the node where a tuple's first word is
-entered, so the tuples entered at node 1 are exactly one per rotation
-orbit.  check_ainfty evaluates only those, and reports each violation
-together with its N-1 rotated copies.
+every column the classifier reads: the product, the splits, the entry and
+exit nodes, and the packed weights once their slots are shifted by 2 (rho
+moves a letter at slot k to slot k+2).  The coefficient's weight that the
+classifier compares sums against, and every length, are rotation-invariant,
+so mu(rho W) = rho mu(W), and relation_sum(rho t) = rho relation_sum(t).
+Rotation moves the node where a tuple's first word is entered, so the tuples
+entered at node 1 are exactly one per rotation orbit.  check_ainfty evaluates
+only those, and reports each violation together with its N-1 rotated copies.
 
 A fault must be rotation-covariant for this sweep to be complete.
 drop-mu2N:k is: the centered component of a first word u_i or s_i is
@@ -68,11 +73,12 @@ from .staralg import (
     Grading,
     Word,
     WordTable,
-    advance,
+    coeff_var,
     grading,
     letter_slots,
     mono_grading,
     slot_letters,
+    var_grading,
     word_slots,
     zero_grading,
 )
@@ -115,15 +121,15 @@ class _OpTables(WordTable):
     Each call on the tables keeps the total word length of its entries
     within max_len.  A weight vector is packed into one int, slot k in bits
     [k*width, (k+1)*width), and `width` holds max_len, so no slot of a sum
-    over such entries carries into the next.
+    over such entries carries into the next.  `ones` is the packed weight of
+    the coefficient variable, which every higher operation's inputs lay down
+    besides the margin it returns.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
         super().__init__(algebra, n, max_len)
-        words, two_n = self.words, 2 * n
+        two_n = 2 * n
         self.higher_arity = higher_arity(algebra, n)
-        # init_unit[a]: the idempotent at the initial node of a (ids 0..N-1 by node)
-        self.init_unit = [i - 1 for i in (self.entry if algebra == "A" else self.exit)]
         width = max(max_len, 1).bit_length()
         # weight[a]: a's weight vector, one count per slot of its letters
         self.weight = [0] * n + [
@@ -131,19 +137,13 @@ class _OpTables(WordTable):
             for ell in range(1, max_len + 1)
             for o in range(two_n)
         ]
-        self.ones = sum(1 << (width * k) for k in range(two_n))
-        if algebra == "A":
-            # component[a]: the centered component drop-mu2N:k removes when a is
-            # first, the slot of its first letter; I_i counts as the empty
-            # s-chain at node i, slot 2i-1
-            self.component = list(range(1, two_n, 2)) + letter_slots(algebra, n) * max_len
-        else:
-            # the bare edge letters (odd slots), and each word with its first-
-            # or last-applied edge letter taken off (None unless the word has
-            # one and two or more letters)
-            self.edge_letters = frozenset(range(n + 1, min(3 * n, len(words)), 2))
-            self.rest_after_first = [sp[0][0] if sp and w.first == "s" else None for w, sp in zip(words, self.splits)]
-            self.rest_before_last = [sp[-1][1] if sp and w.last == "s" else None for w, sp in zip(words, self.splits)]
+        self.ones = sum(c << (width * k) for k, c in enumerate(var_grading(coeff_var(algebra, n), n).alexander))
+        # component[a]: the centered component drop-mu2N:k removes when a is
+        # first, the slot of its first letter; I_i counts as the empty s-chain
+        # at node i, slot 2i-1.  B has none: it ignores the fault.
+        self.component = (
+            list(range(1, two_n, 2)) + letter_slots(algebra, n) * max_len if algebra == "A" else [None] * len(self.words)
+        )
 
     @functools.cached_property
     def rotations(self) -> list[list[int]]:
@@ -183,14 +183,14 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
     """The operation on (coefficient exponent, word id) entries, as
     (tag, exponent, id), or None when it vanishes.
 
-    The higher operations are not GF(2)[V]-linear in an entry that carries a
-    coefficient.  For A, an entry with a coefficient gives zero: V0^e counts
-    toward the length and weight tests (length 2Ne, weight (e,...,e)), and no
-    arity-2N tuple with such an entry passes them, so mu_{2N}(V0*x, ..) = 0
-    even where mu_{2N}(x, ..) != 0.  For B, every bare-edge slot needs
-    exponent 0, and only the extended end entry may carry V_{N+1}^e, which
-    multiplies into the value.
-    `drop` is the centered A component a fault removes.
+    In the higher arity, the one rule of the module docstring: the words,
+    less the margin of an extended end, must have the coefficient variable's
+    length (so `excess` is the margin's length) and sum to its weight
+    `ones`.  The coefficient rule is the one per-algebra test: A vanishes on
+    an entry with a coefficient (counting V0^e toward the length and weight,
+    no arity-2N tuple with one would pass), and B allows one on the trimmed
+    end only and multiplies it into the value.  `drop` is the centered A
+    component a fault removes.
     """
     arity = len(entries)
     if arity == 2:
@@ -200,7 +200,6 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
     if arity < 3 or arity != ops.higher_arity:
         return None
     n = ops.n
-    is_a = ops.algebra == "A"
     ell, weight, exit_, entry = ops.ell, ops.weight, ops.exit, ops.entry
     exps = length = total = 0
     prev = None
@@ -211,37 +210,31 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
         length += ell[a]
         total += weight[a]
         prev = a
-    w0, wl = entries[0][1], entries[-1][1]
-    if not is_a:
-        edge = ops.edge_letters
-        bare = [not e and a in edge for e, a in entries]
-        if all(bare):
-            return (TAG_CENTERED, 1 + exps, ops.init_unit[wl])
-        if all(bare[1:]) and ops.rest_after_first[w0] is not None:
-            return (TAG_LEFT, 1 + exps, ops.rest_after_first[w0])
-        if all(bare[:-1]) and ops.rest_before_last[wl] is not None:
-            return (TAG_RIGHT, 1 + exps, ops.rest_before_last[wl])
+    excess = length - arity  # the coefficient's length is the higher arity: 2N, N
+    if excess < 0 or (exps and ops.algebra == "A"):
         return None
-    excess = length - 2 * n
-    if exps or excess < 0:
-        return None
+    (e0, w0), (el, wl) = entries[0], entries[-1]
     ones = ops.ones
     if excess == 0:
-        if total != ones or ops.component[w0] == drop:
+        if exps or total != ones or (drop is not None and ops.component[w0] == drop):
             return None
-        return (TAG_CENTERED, 1, ops.init_unit[w0])
+        return (TAG_CENTERED, 1, entry[w0] - 1)
+    # The split of the first word whose left part is the margin, and of the
+    # last word whose right part is: A lists a word's splits by the length
+    # of its head (left part), B by that of its first-applied (right) part.
     # Left-extended needs a last word of length 1 and right-extended a longer
     # one, so at most one of the two holds.
+    at_left, at_right = (excess - 1, -excess) if ops.algebra == "A" else (-excess, excess - 1)
     splits = ops.splits[w0]
-    if excess <= len(splits):
-        head, tail = splits[excess - 1]
-        if weight[tail] + total - weight[w0] == ones:
-            return (TAG_LEFT, 1, head)
+    if excess <= len(splits) and exps == e0:
+        margin, rest = splits[at_left]
+        if weight[rest] + total - weight[w0] == ones:
+            return (TAG_LEFT, 1 + exps, margin)
     splits = ops.splits[wl]
-    if excess <= len(splits):
-        head, tail = splits[len(splits) - excess]
-        if weight[head] + total - weight[wl] == ones:
-            return (TAG_RIGHT, 1, tail)
+    if excess <= len(splits) and exps == el:
+        rest, margin = splits[at_right]
+        if weight[rest] + total - weight[wl] == ones:
+            return (TAG_RIGHT, 1 + exps, margin)
     return None
 
 
@@ -338,14 +331,15 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
     return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
 
 
-def _centered_tuples(algebra: str, n: int) -> list[tuple[Word, ...]]:
-    """All centered tuples of the higher operation, each a tuple of
-    higher_arity(algebra, n) letters."""
-    if algebra == "B":
-        return [tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, n + 1)) for i in range(1, n + 1)]
-    # the 2N rotations of u1 s1 u2 s2 ... uN sN
-    cycle = [AWord(kind, i, 1, n) for i in range(1, n + 1) for kind in ("u", "s")]
-    return [tuple(cycle[k:] + cycle[:k]) for k in range(2 * n)]
+def _centered_tuples(ops: _OpTables) -> list[tuple[int, ...]]:
+    """All centered tuples of the higher operation, as id tuples: from each
+    slot of the coefficient's weight, the letters at its slots in chain
+    order.  A steps up every slot (u1 s1 u2 ...), B down its edge slots
+    (s_i s_{i-1} ..., written right to left)."""
+    n, two_n = ops.n, 2 * ops.n
+    at = slot_letters(ops.algebra, n)
+    starts, step = (range(two_n), 1) if ops.algebra == "A" else (range(1, two_n, 2), -2)
+    return [tuple(n + at[(k + step * j) % two_n] for j in range(ops.higher_arity)) for k in starts]
 
 
 def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
@@ -361,10 +355,9 @@ def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word
     if budget < 0:
         return []
     table = _op_tables(algebra, n, max_total_len)
-    ids, ell, mul = table.ids, table.ell, table.mul
+    ell, mul = table.ell, table.mul
     windows: set[tuple[int, ...]] = set()
-    for tup in _centered_tuples(algebra, n):
-        t = tuple(ids[w] for w in tup)
+    for t in _centered_tuples(table):
         windows.add(t)
         first, last = t[0], t[-1]
         for c in table.by_exit[table.entry[first]][1:]:  # past the bucket's idempotent
@@ -576,8 +569,10 @@ def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -
 def parse_fault(text: Optional[str]) -> Optional[tuple]:
     """Parse a fault-injection spec: "break-h", "drop-mu2N" or "drop-mu2N:k".
 
-    Only the syntax is checked here; the command line checks which verify
-    kind the fault applies to and the range of k.
+    k has one spelling, str(k): ASCII digits with no sign and no leading
+    zero, so one fault is one spec and one report.  Only the syntax is
+    checked here; the command line checks which verify kind the fault
+    applies to and the range of k.
     """
     if text is None:
         return None
@@ -585,11 +580,10 @@ def parse_fault(text: Optional[str]) -> Optional[tuple]:
         return ("break-h",)
     if text == "drop-mu2N":
         return ("drop-a-centered", 0)
-    if text.startswith("drop-mu2N:"):
-        try:
-            return ("drop-a-centered", int(text.split(":", 1)[1]))
-        except ValueError:
-            pass
+    k = text.removeprefix("drop-mu2N:")
+    # int() caps its digits; past the cap no k is in range anyway
+    if k != text and k.isascii() and k.isdigit() and len(k) < 64 and str(int(k)) == k:
+        return ("drop-a-centered", int(k))
     raise ValueError(f"unknown fault spec {text!r}")
 
 

@@ -26,7 +26,8 @@ runs gets its options added to the parser.
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
 component of the centered A-operation) for ainfty-a, and "break-h" (zero the
-homotopy) for homotopy.
+homotopy) for homotopy.  k is spelled one way, as str(k) writes it: ASCII
+digits, no sign, no leading zero ("drop-mu2N:1", never ":01" or ":+1").
 """
 from __future__ import annotations
 

@@ -64,7 +64,6 @@ from itertools import repeat
 from operator import sub
 from typing import Iterator, Optional, Union
 
-from .barcobar import dict_image
 from .gf2la import F2Sum, SparseMatF2, reduce_against, row_space_basis, terms_of
 from .ring import Frozen, mono_str
 from .staralg import (
@@ -89,12 +88,6 @@ class InsufficientTruncation(ValueError):
     """The requested slice needs a higher coefficient power than allowed."""
 
 
-def _model_of(left: Word, right: Word) -> str:
-    if right.algebra != dual_algebra(left.algebra):
-        raise ValueError("left and right words must come from dual algebras")
-    return left.algebra
-
-
 class TwistedMono(Frozen):
     """One admissible monomial p, left word, right word of the twisted model.
 
@@ -106,7 +99,8 @@ class TwistedMono(Frozen):
     __slots__ = _fields = ("p", "left", "right")
 
     def __init__(self, p: int, left: Word, right: Word) -> None:
-        _model_of(left, right)
+        if right.algebra != dual_algebra(left.algebra):
+            raise ValueError("left and right words must come from dual algebras")
         if right.n != left.n:
             raise ValueError("mixed parameters")
         if p < 0:
@@ -120,7 +114,7 @@ class TwistedMono(Frozen):
 
     @property
     def algebra(self) -> str:
-        return _model_of(self.left, self.right)
+        return self.left.algebra
 
     @property
     def n(self) -> int:
@@ -185,14 +179,24 @@ _LetterPairs = tuple[tuple[Word, Word], ...]
 
 
 @functools.lru_cache(maxsize=4)
+def _letters_by_slot(algebra: str, n: int) -> tuple[Word, ...]:
+    """The algebra's letters, indexed by weight slot."""
+    letters = words_of_length(algebra, 1, n)
+    return tuple(letters[o] for o in slot_letters(algebra, n))
+
+
+@functools.lru_cache(maxsize=4)
 def _letter_buckets(model: str, n: int) -> tuple[tuple[_LetterPairs, ...], tuple[_LetterPairs, ...]]:
     """The (letter, dictionary image) pairs of the model's algebra, bucketed
     by the letter's exit node and by its entry node: (by_exit, by_entry),
-    each indexed by node - 1."""
+    each indexed by node - 1.  The dictionary takes each letter to the dual
+    algebra's letter at the same weight slot (loops to loops, edges to
+    edges, same node), as `barcobar.dict_image` does."""
+    images = _letters_by_slot(dual_algebra(model), n)
     by_exit: list[list] = [[] for _ in range(n)]
     by_entry: list[list] = [[] for _ in range(n)]
-    for xl in words_of_length(model, 1, n):
-        pair = (xl, dict_image(xl))
+    for xl in _letters_by_slot(model, n):
+        pair = (xl, images[xl.first_slot])
         by_exit[xl.exit - 1].append(pair)
         by_entry[xl.entry - 1].append(pair)
     return (tuple(map(tuple, by_exit)), tuple(map(tuple, by_entry)))
@@ -265,13 +269,6 @@ def slice_basis(
             f"{p} > truncation {trunc}"
         )
     return _slice(model, n_deg, p, ell_left, big_n)
-
-
-@functools.lru_cache(maxsize=4)
-def _letters_by_slot(model: str, n: int) -> tuple[Word, ...]:
-    """The model algebra's letters, indexed by weight slot."""
-    letters = words_of_length(model, 1, n)
-    return tuple(letters[o] for o in slot_letters(model, n))
 
 
 # A table cell asks for its own slice twice and for its two neighbours once.

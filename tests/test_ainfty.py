@@ -662,7 +662,7 @@ def _rotation(ops):
 def _word_built_op_columns(ops):
     """The classifier columns built from Word objects, as the tables once
     built them: the oracle of the construction on the id layout."""
-    n, words, ids = ops.n, ops.words, ops.ids
+    n, words = ops.n, ops.words
     width = max(ops.max_len, 1).bit_length()
 
     def pack(vec):
@@ -673,18 +673,14 @@ def _word_built_op_columns(ops):
     for _ in range(1, n):
         rotations.append([step[a] for a in rotations[-1]])
     columns = {
-        "init_unit": [w.init - 1 for w in words],
         "weight": [pack(grading(w).alexander) for w in words],
-        "ones": pack((1,) * (2 * n)),
+        "ones": pack(var_grading(coeff_var(ops.algebra, n), n).alexander),
         "rotations": rotations,
     }
     if ops.algebra == "A":
         columns["component"] = [2 * (w.start - 1) + (0 if w.kind == "u" else 1) for w in words]
     else:
-        splits = [word_splits(w) for w in words]
-        columns["edge_letters"] = frozenset(ids[w] for w in words if w.ell == 1 and w.first == "s")
-        columns["rest_after_first"] = [ids[sp[0][0]] if sp and w.first == "s" else None for w, sp in zip(words, splits)]
-        columns["rest_before_last"] = [ids[sp[-1][1]] if sp and w.last == "s" else None for w, sp in zip(words, splits)]
+        columns["component"] = [None] * len(words)
     return columns
 
 
@@ -724,9 +720,6 @@ def _equivariance_mismatches(ops, max_arity):
     n = ops.n
     rot = _rotation(ops)
 
-    def turn(x):
-        return None if x is None else rot[x]
-
     def turn_drop(d):
         return None if d is None else (d + 2) % (2 * n)
 
@@ -738,18 +731,8 @@ def _equivariance_mismatches(ops, max_arity):
             bad.append(("splits", a))
         if _turned_weight(ops, ops.weight[a]) != ops.weight[rot[a]]:
             bad.append(("weight", a))
-        if rot[ops.init_unit[a]] != ops.init_unit[rot[a]]:
-            bad.append(("init_unit", a))
-        if ops.algebra == "A":
-            if (ops.component[a] + 2) % (2 * n) != ops.component[rot[a]]:
-                bad.append(("component", a))
-        else:
-            if (a in ops.edge_letters) != (rot[a] in ops.edge_letters):
-                bad.append(("edge_letters", a))
-            if turn(ops.rest_after_first[a]) != ops.rest_after_first[rot[a]]:
-                bad.append(("rest_after_first", a))
-            if turn(ops.rest_before_last[a]) != ops.rest_before_last[rot[a]]:
-                bad.append(("rest_before_last", a))
+        if ops.algebra == "A" and (ops.component[a] + 2) % (2 * n) != ops.component[rot[a]]:
+            bad.append(("component", a))
     drops = [None] + (list(range(2 * n)) if ops.algebra == "A" else [])
     h = ops.higher_arity
     # relation_sum has terms only where an inner and an outer arity are each
@@ -816,7 +799,7 @@ def _first_at_node(ops, node, rows):
 
 @pytest.mark.parametrize(
     "algebra, column",
-    [("A", "mul"), ("A", "weight"), ("A", "component"), ("A", "splits"), ("B", "mul"), ("B", "init_unit"), ("B", "edge_letters"), ("B", "rest_before_last")],
+    [("A", "mul"), ("A", "weight"), ("A", "component"), ("A", "splits"), ("B", "mul"), ("B", "weight"), ("B", "splits")],
 )
 def test_equivariance_check_names_a_table_corrupted_at_one_node(algebra, column):
     # A fresh table, not the cached one, with one entry of one column
@@ -839,18 +822,9 @@ def test_equivariance_check_names_a_table_corrupted_at_one_node(algebra, column)
     elif column == "component":
         a = _first_at_node(ops, 2, letters)
         ops.component[a] = (ops.component[a] + 1) % (2 * n)
-    elif column == "splits":
+    else:
         a = next(a for a in range(3 * n, len(ops.words)) if ops.words[a].start == 2 and ops.ell[a] == 2)
         ops.splits[a] = ()
-    elif column == "init_unit":
-        a = next(a for a in ops.edge_letters if ops.words[a].start == 2)
-        ops.init_unit[a] = 0
-    elif column == "edge_letters":
-        a = next(a for a in ops.edge_letters if ops.words[a].start == 2)
-        ops.edge_letters = ops.edge_letters - {a}
-    else:
-        a = next(a for a, r in enumerate(ops.rest_before_last) if r is not None and ops.words[a].start == 2)
-        ops.rest_before_last[a] = None
     bad = _equivariance_mismatches(ops, 2 * n)
     assert (column, a) in bad or (column, _rotation(ops).index(a)) in bad
     assert any(entry[0] in ("classify", "relation_sum") for entry in bad) == (column != "weight")
@@ -878,7 +852,16 @@ def test_equivariance_check_names_a_grading_corrupted_at_one_node(monkeypatch):
 
 
 # The passing windows as they were built on Word objects, before they were
-# built on the table's ids: their oracle.
+# built on the table's ids: their oracle, with its own centered tuples.
+
+
+def _word_centered_tuples(algebra, n):
+    """All centered tuples of the higher operation, as Word tuples."""
+    if algebra == "B":
+        return [tuple(BWord("c", advance(i, n - k, n), "s", 1, n) for k in range(1, n + 1)) for i in range(1, n + 1)]
+    # the 2N rotations of u1 s1 u2 s2 ... uN sN
+    cycle = [AWord(kind, i, 1, n) for i in range(1, n + 1) for kind in ("u", "s")]
+    return [tuple(cycle[k:] + cycle[:k]) for k in range(2 * n)]
 
 
 def _word_passing_windows(algebra, max_total_len, n):
@@ -886,7 +869,7 @@ def _word_passing_windows(algebra, max_total_len, n):
     if centered_len > max_total_len:
         return []
     windows = set()
-    for tup in ainfty._centered_tuples(algebra, n):
+    for tup in _word_centered_tuples(algebra, n):
         windows.add(tup)
         first, last = tup[0], tup[-1]
         for extra in range(1, max_total_len - centered_len + 1):
@@ -898,6 +881,16 @@ def _word_passing_windows(algebra, max_total_len, n):
                 if merged_last is not None:
                     windows.add(tup[:-1] + (merged_last,))
     return sorted(windows, key=lambda t: tuple(word_sort_key(w) for w in t))
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+def test_centered_tuples_match_the_word_oracle(algebra):
+    # The slot walk on ids gives the centered tuples built from words, once each.
+    for n in range(3, 12):
+        ops = _op_tables(algebra, n, higher_arity(algebra, n))
+        got = [tuple(ops.words[a] for a in t) for t in ainfty._centered_tuples(ops)]
+        assert sorted(got, key=str) == sorted(_word_centered_tuples(algebra, n), key=str)
+        assert len(set(got)) == len(got) == (2 * n if algebra == "A" else n)
 
 
 @pytest.mark.parametrize("algebra", ["A", "B"])
@@ -987,6 +980,12 @@ def test_parse_fault():
         parse_fault("bogus")
     with pytest.raises(ValueError):
         parse_fault("drop-mu2N:x")
+    # k has one spelling, str(k); int() would read each of these as 1
+    for spec in ("drop-mu2N:+1", "drop-mu2N: 1", "drop-mu2N:01", "drop-mu2N:0_1", "drop-mu2N:\uff11"):
+        with pytest.raises(ValueError, match="unknown fault spec"):
+            parse_fault(spec)
+    assert parse_fault("drop-mu2N:0") == ("drop-a-centered", 0)
+    assert parse_fault("drop-mu2N:10") == ("drop-a-centered", 10)
 
 
 def test_op_grading_check_clean():

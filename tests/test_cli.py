@@ -181,6 +181,12 @@ def test_threads_env(monkeypatch, capsys):
         ("ainfty-a", "drop-mu2N:99"),
         ("ainfty-a", "drop-mu2N:-1"),
         ("ainfty-a", "drop-mu2N:x"),
+        # k is spelled only as str(k): each of these once injected k = 1
+        ("ainfty-a", "drop-mu2N:+1"),
+        ("ainfty-a", "drop-mu2N: 1"),
+        ("ainfty-a", "drop-mu2N:01"),
+        ("ainfty-a", "drop-mu2N:0_1"),
+        ("ainfty-a", "drop-mu2N:\uff11"),
         ("ainfty-a", "break-h"),
         ("ainfty-b", "drop-mu2N"),
         ("homotopy", "drop-mu2N"),

@@ -316,6 +316,22 @@ def _nonempty_slices(model, big_n, n_max):
 
 
 @pytest.mark.parametrize("model", ["A", "B"])
+def test_letter_buckets_pair_each_letter_with_its_dictionary_image(model):
+    # The buckets read each image off the letter's weight slot; the
+    # dictionary of the cobar module is their oracle.
+    for big_n in range(3, 20):
+        by_exit, by_entry = hochschild._letter_buckets(model, big_n)
+        letters = set(words_of_length(model, 1, big_n))
+        for buckets, node in ((by_exit, "exit"), (by_entry, "entry")):
+            pairs = [pair for bucket in buckets for pair in bucket]
+            assert {xl for xl, _ in pairs} == letters and len(pairs) == len(letters)
+            for i, bucket in enumerate(buckets, 1):
+                for xl, xh in bucket:
+                    assert getattr(xl, node) == i
+                    assert xh == dict_image(xl)
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
 @pytest.mark.parametrize("big_n", [3, 4, 5, 6])
 def test_bucketed_diff_matches_all_letters(model, big_n):
     terms = 0

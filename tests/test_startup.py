@@ -63,3 +63,18 @@ def test_no_module_of_the_package_imports_dataclasses():
     assert set(names) <= added
     for name in HEAVY_STDLIB:
         assert name not in added, name
+
+
+def test_cohomology_loads_no_cobar_or_grading_group_module():
+    # the twisted differential reads the dictionary off the weight slots, so
+    # a cohomology table needs neither the cobar nor the grading-group module
+    added = _added_modules(
+        "import contextlib, io\n"
+        "from starcob.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['cohomology', '--algebra', 'A', '--n', '3']) == 0\n"
+        "    assert main(['cohomology', '--algebra', 'B', '--n', '3']) == 0"
+    )
+    assert "starcob.hochschild" in added
+    for name in ("starcob.barcobar", "starcob.gradegroup"):
+        assert name not in added, name
