@@ -24,8 +24,14 @@ The operations run on interned word ids.  `_OpTables` extends the
 `staralg.WordTable` of one algebra, N and length bound with the columns only
 the classifier reads (packed weights, the coefficient's weight, the drop-mu2N
 component), built lazily, once per (algebra, N, bound).  `_classify` is the
-one operation classifier, on (exponent, id) entries: mu_a, mu_b,
-nonzero_operations and relation_value intern their inputs and call it.
+one operation classifier, on (exponent, id) entries: mu_a and mu_b intern
+their inputs and call it.  The table's `higher` column is its value on each
+passing window, classified once.  `windows` lists every tuple within the
+bound on which the higher operation is nonzero, so `higher` is the whole
+operation on entries without a coefficient, as `mul` is the whole binary
+one.  relation_sum and the sweeps read both off the table; only a
+coefficient carried into an outer higher operation goes back to `_classify`,
+so the coefficient rule is written there alone.
 
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
 that has a nonzero term, read off the nonzero operations themselves; the
@@ -80,7 +86,6 @@ from .staralg import (
     slot_letters,
     var_grading,
     word_slots,
-    zero_grading,
 )
 
 Entry = tuple  # (coefficient exponent, word id) inside the kernel, (exponent, Word) outside
@@ -123,7 +128,12 @@ class _OpTables(WordTable):
     [k*width, (k+1)*width), and `width` holds max_len, so no slot of a sum
     over such entries carries into the next.  `ones` is the packed weight of
     the coefficient variable, which every higher operation's inputs lay down
-    besides the margin it returns.
+    besides the margin it returns.  `windows` and `higher`, built on first
+    use, list the higher operation's passing windows and its value on each:
+    every tuple within the bound on which it is nonzero, so a lookup that
+    misses there is a zero.  That rests on `mul`, through which `windows`
+    extends the centered tuples, agreeing with the `splits` the classifier
+    reads, as both come from the same (length, offset) arithmetic.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
@@ -166,6 +176,19 @@ class _OpTables(WordTable):
         passing_windows order."""
         ids = self.ids
         return [tuple(ids[w] for w in t) for t in passing_windows(self.algebra, self.max_len, self.n)]
+
+    @functools.cached_property
+    def higher(self) -> dict[tuple[int, ...], tuple[int, int, Optional[int]]]:
+        """higher[t]: the higher operation on the passing window t, as
+        (exponent, output id, the drop-mu2N component that removes it or
+        None), in `windows` order, one `_classify` call per window."""
+        out = {}
+        for t in self.windows:
+            res = _classify(self, [(0, a) for a in t])
+            if res is not None:
+                tag, e, p = res
+                out[t] = (e, p, self.component[t[0]] if tag == TAG_CENTERED else None)
+        return out
 
 
 @functools.lru_cache(maxsize=64)
@@ -294,27 +317,51 @@ def mu_b(seq: Sequence[Union[AlgElem, BWord]]) -> OpResult:
 
 
 def relation_sum(ops: _OpTables, ids: tuple, drop: Optional[int] = None) -> dict[int, int]:
-    """Sum of all composed operation terms on a tuple of word ids, as
-    {id: coefficient bitmask}, nonzero coefficients only.
+    """Sum of all composed operation terms on a tuple of word ids of total
+    length within the table's bound, as {id: coefficient bitmask}, nonzero
+    coefficients only.
 
     Only splits whose inner arity r and outer arity size - r + 1 are both 2
-    or the higher arity are visited; every other composed term vanishes.
-    The terms are XORed per output id.
+    or the higher arity h are visited; every other composed term vanishes.
+    Each operation is read off the table, a binary one from `mul` and a
+    higher one from `higher` (complete within the bound, see `_OpTables`),
+    except an inner value V^e * p with e > 0 put into an outer higher
+    operation: the coefficient rule decides that one, in `_classify`.  The
+    terms are XORed per output id.
     """
     size = len(ids)
-    arities = (2, ops.higher_arity)
-    base = [(0, a) for a in ids]
+    h = ops.higher_arity
+    mul, higher = ops.mul, ops.higher
+    # the nonzero inner values V^e * p, on ids[k:end]
+    inner: list[tuple[int, int, int, int]] = []
+    if size - 1 in (2, h):
+        for k in range(size - 1):
+            p = mul[ids[k]].get(ids[k + 1])
+            if p is not None:
+                inner.append((k, k + 2, 0, p))
+    if size - h + 1 in (2, h):
+        for k in range(size - h + 1):
+            v = higher.get(ids[k : k + h])
+            if v is not None and (drop is None or v[2] != drop):
+                inner.append((k, k + h, v[0], v[1]))
     acc: dict[int, int] = {}
-    for r in arities:
-        if size - r + 1 not in arities:
-            continue
-        for k in range(size - r + 1):
-            inner = _classify(ops, base[k : k + r], drop)
-            if inner is not None:
-                outer = _classify(ops, base[:k] + [inner[1:]] + base[k + r :], drop)
-                if outer is not None:
-                    _, e, q = outer
-                    acc[q] = acc.get(q, 0) ^ (1 << e)
+    for k, end, e, p in inner:
+        # the outer operation on ids[:k] + (V^e * p,) + ids[end:]
+        if size - end + k == 1:
+            q = mul[p].get(ids[-1]) if k == 0 else mul[ids[0]].get(p)
+            if q is None:
+                continue
+        elif e:
+            res = _classify(ops, [(0, a) for a in ids[:k]] + [(e, p)] + [(0, a) for a in ids[end:]], drop)
+            if res is None:
+                continue
+            _, e, q = res
+        else:
+            v = higher.get(ids[:k] + (p,) + ids[end:])
+            if v is None or (drop is not None and v[2] == drop):
+                continue
+            e, q, _ = v
+        acc[q] = acc.get(q, 0) ^ (1 << e)
     return {q: c for q, c in acc.items() if c}
 
 
@@ -385,11 +432,9 @@ def _nonzero(ops: _OpTables, max_arity: int, entry: Optional[int] = None) -> Ite
                 yield (a, b), 0, p
     if ops.higher_arity > max_arity:
         return
-    for t in ops.windows:
+    for t, (e, p, _) in ops.higher.items():
         if entry is None or ops.entry[t[0]] == entry:
-            res = _classify(ops, [(0, a) for a in t])
-            if res is not None:
-                yield t, res[1], res[2]
+            yield t, e, p
 
 
 def _relation_tuples(ops: _OpTables, max_arity: int, entry: int) -> set[tuple[int, ...]]:
@@ -544,10 +589,13 @@ def _grading_sides(algebra: str, n: int, inputs: tuple[Word, ...], exp: Monomial
     """The grading of an operation's value V^exp * word, and the one the
     grading law asks for: the sum over the inputs, with r - 2 added to the
     Maslov degree of an arity-r operation."""
-    total = zero_grading(n)
-    for w in inputs:
-        total = total + grading(w)
-    return _entry_grading(algebra, exp, word, n), Grading(total.m + len(inputs) - 2, total.alexander, total.ell)
+    gs = [grading(w) for w in inputs]
+    expect = Grading(
+        sum(g.m for g in gs) + len(inputs) - 2,
+        tuple(map(sum, zip(*(g.alexander for g in gs), strict=True))),
+        sum(g.ell for g in gs),
+    )
+    return _entry_grading(algebra, exp, word, n), expect
 
 
 def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:

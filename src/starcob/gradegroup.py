@@ -132,10 +132,13 @@ def mono_group_grading(exp: Monomial, algebra: str, n: int) -> GroupElem:
 
 def _group_sides(algebra: str, n: int, inputs: tuple, exp: Monomial, word: Word, grade) -> tuple[GroupElem, GroupElem]:
     """gr(V^exp * word) of an operation's value, and lambda^(arity-2) times
-    the product of its input gradings, with words graded by `grade`."""
-    expect = gp_pow(GP_LAMBDA, len(inputs) - 2)
-    for w in inputs:
-        expect = gp_mul(expect, grade(w))
+    the product of its input gradings, with words graded by `grade`.  The
+    product free-reduces the runs of all inputs at once: free reduction is
+    confluent, so that equals reducing after each factor, and lambda is
+    central."""
+    gs = [grade(w) for w in inputs]
+    z = GP_LAMBDA.z * (len(inputs) - 2) + sum(g.z for g in gs)
+    expect = GroupElem(z, free_reduce(run for g in gs for run in g.word))
     return gp_mul(mono_group_grading(exp, algebra, n), grade(word)), expect
 
 

@@ -414,8 +414,9 @@ def grading(w: Word) -> Grading:
     from the slot of the first letter, so the vector is read off in closed
     form from the first slot and the length, without walking the word.
 
-    Memoized, with a bound: `verify grading --n 6` grades its 516 words
-    about 24,000 times, and 256 entries make 97% of those calls hits.  A
+    Memoized, with a bound: `verify grading --n 6` grades 336 distinct
+    words 3,909 times, and with 256 entries every miss is a word's first
+    grading, so 3,573 calls (91%) hit, as many as with no bound.  A
     cohomology table at N = 128 grades about 900 words (each with a 256-slot
     weight vector) about three times each, where a miss costs about what a
     hit does: its time moves by under 5% between this bound, no bound and no

@@ -514,7 +514,30 @@ def test_candidate_set_complete_against_brute_force():
             assert violating <= complete
 
 
-def test_relation_tuples_complete_when_relations_fail(monkeypatch):
+def _without_centered_at_node_1(classify):
+    """The classifier with the centered value whose last word starts at node
+    1 dropped: a fault that leaves relation terms without a partner."""
+
+    def dropped(ops, entries, drop=None):
+        res = classify(ops, entries, drop)
+        if res is not None and res[0] == TAG_CENTERED and ops.words[entries[-1][1]].init == 1:
+            return None
+        return res
+
+    return dropped
+
+
+@pytest.fixture
+def fresh_op_tables():
+    """Op tables built afresh for the test and dropped after it, pass or
+    fail: a column built lazily under a patched classifier (`higher`) must
+    not outlive the patch in the cached tables."""
+    _op_tables.cache_clear()
+    yield
+    _op_tables.cache_clear()
+
+
+def test_relation_tuples_complete_when_relations_fail(fresh_op_tables, monkeypatch):
     # Where the relations hold, every tuple with a nonzero term has a second
     # one, so the test above cannot tell if one way of building tuples is
     # lost.  With the centered B value at node 1 dropped from the operation
@@ -523,21 +546,13 @@ def test_relation_tuples_complete_when_relations_fail(monkeypatch):
     # side and for an outer mu_3; the swept set at each entry node must
     # still equal the brute-force one.  The drop is not rotation-covariant,
     # so the sets of the three nodes differ.
-    classify = ainfty._classify
-
-    def dropped(ops, entries, drop=None):
-        res = classify(ops, entries, drop)
-        if res is not None and res[0] == TAG_CENTERED and ops.words[entries[-1][1]].init == 1:
-            return None
-        return res
-
     def ref_dropped(algebra, entries, n):
         tag, value = _ref_mu_pairs(algebra, entries, n)
         if tag == TAG_CENTERED and entries[-1][1].init == 1:
             return (TAG_ZERO, [])
         return (tag, value)
 
-    monkeypatch.setattr(ainfty, "_classify", dropped)
+    monkeypatch.setattr(ainfty, "_classify", _without_centered_at_node_1(ainfty._classify))
     tuples = _chained_words("B", 4, 6)
     parts = _by_entry(filter(_term_oracle("B", 3, ref_dropped), tuples))
     for i, part in parts.items():
@@ -647,6 +662,150 @@ def test_clean_orbit_sweep_matches_the_full_sweep(algebra, n):
     assert check_ainfty(algebra, max_arity, max_len, n) == _full_check_ainfty(algebra, max_arity, max_len, n) == []
 
 
+# relation_sum as it ran before it read the operations off the op table,
+# classifying every split of the tuple: the oracle of the lookup kernel.
+
+
+def _split_relation_sum(ops, ids, drop=None):
+    """Sum of all composed operation terms on a tuple of word ids, as
+    {id: coefficient bitmask}, with each inner and outer operation of each
+    split given by the classifier."""
+    size = len(ids)
+    arities = (2, ops.higher_arity)
+    base = [(0, a) for a in ids]
+    acc = {}
+    for r in arities:
+        if size - r + 1 not in arities:
+            continue
+        for k in range(size - r + 1):
+            inner = ainfty._classify(ops, base[k : k + r], drop)
+            if inner is not None:
+                outer = ainfty._classify(ops, base[:k] + [inner[1:]] + base[k + r :], drop)
+                if outer is not None:
+                    _, e, q = outer
+                    acc[q] = acc.get(q, 0) ^ (1 << e)
+    return {q: c for q, c in acc.items() if c}
+
+
+def _term_arities(ops):
+    """The arities in which relation_sum has terms: an inner and an outer
+    arity each 2 or h."""
+    h = ops.higher_arity
+    return sorted({r + s - 1 for r in (2, h) for s in (2, h)})
+
+
+def _without_first_coefficient(classify):
+    """The higher operation vanishing when its first entry carries a
+    coefficient: in B it deletes the mu_h o mu_h terms whose inner value
+    comes first, and leaves their partners."""
+
+    def dropped(ops, entries, drop=None):
+        if len(entries) == ops.higher_arity and entries[0][0]:
+            return None
+        return classify(ops, entries, drop)
+
+    return dropped
+
+
+# Every chained tuple of a small window, then every swept tuple (at every
+# entry node) of windows that reach arity 2h - 1.
+_SPLIT_ORACLE_WINDOWS = [("A", 3, None, 7), ("B", 3, None, 7), ("A", 3, 11, 13), ("A", 4, 15, 16), ("B", 3, 5, 9), ("B", 4, 7, 12)]
+_CLASSIFIER_FAULTS = {"node-1": _without_centered_at_node_1, "first-coefficient": _without_first_coefficient}
+
+
+@pytest.mark.parametrize(
+    "algebra, n, max_arity, max_len, fault",
+    [(*w, None) for w in _SPLIT_ORACLE_WINDOWS]
+    + [(*w, f) for w in _SPLIT_ORACLE_WINDOWS if w[0] == "B" for f in _CLASSIFIER_FAULTS]
+    + [(*w, "mul") for w in _SPLIT_ORACLE_WINDOWS if w[2] is None]
+    + [
+        pytest.param(
+            "B",
+            3,
+            None,
+            7,
+            "mul-past-3",
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="`windows` extends the centered tuples through `mul` and the classifier reads `splits`:"
+                " with a product deleted from `mul`, `higher` misses windows the classifier passes",
+            ),
+        )
+    ],
+)
+def test_relation_sum_matches_the_split_oracle(algebra, n, max_arity, max_len, fault, fresh_op_tables, monkeypatch):
+    # The lookup kernel gives the classifier's sum on each tuple, with no
+    # drop and under every drop k (B ignores it).  B's relations hold, so
+    # each B window also runs under two faults of the classifier itself, in
+    # fresh tables whose `higher` column is built under the fault: one
+    # leaves mu_h o mu_2 and mu_2 o mu_h terms without a partner, the other
+    # mu_h o mu_h terms, which only the kernel's call to the classifier
+    # reaches.  The product is associative, so the arity-3 tuples of the
+    # small windows also run with one product deleted from the table.  Past
+    # arity 3 that fault breaks what `windows` rests on, as it extends
+    # windows through `mul` while the classifier reads `splits`: at B N=3
+    # the kernel then differs from the oracle on five arity-4 tuples, a
+    # known gap this test keeps in view as an expected failure.  In the small
+    # windows, tuples past arity 3 with two idempotents are left out: every
+    # split of one leaves a unit among a higher operation's inputs, where
+    # both kernels vanish.
+    if fault in _CLASSIFIER_FAULTS:
+        monkeypatch.setattr(ainfty, "_classify", _CLASSIFIER_FAULTS[fault](ainfty._classify))
+    ops = _op_tables(algebra, n, max_len)
+    h = ops.higher_arity
+    if max_arity is None:
+        tuples = [
+            t for size in _term_arities(ops) for t in chained_tuples(ops, size, max_len, units=None if size == 3 else 1)
+        ]
+    else:
+        tuples = sorted(_all_relation_tuples(ops, max_arity))
+    if fault in ("mul", "mul-past-3"):
+        a = ops.by_entry[1][1]  # a letter
+        del ops.mul[a][next(b for b in ops.mul[a] if b >= n)]
+        tuples = [t for t in tuples if (len(t) == 3) == (fault == "mul")]
+    nonzero = set()
+    for d in [None, *range(2 * n)] if fault is None else [None]:
+        got = [relation_sum(ops, t, d) for t in tuples]
+        assert got == [_split_relation_sum(ops, t, d) for t in tuples]
+        nonzero |= {len(t) for t, total in zip(tuples, got) if total}
+    # not vacuous: the drops and faults leave sums where their terms are
+    expect = {None: {h + 1} if algebra == "A" else set(), "node-1": {h + 1}, "first-coefficient": {2 * h - 1}, "mul": {3}}
+    assert nonzero == expect[fault]
+
+
+@pytest.mark.parametrize("algebra, n, max_len", [("A", 3, 13), ("A", 4, 10), ("B", 3, 9), ("B", 4, 12)])
+def test_higher_column_is_the_classifier(algebra, n, max_len):
+    # On every chained tuple of the higher arity within the bound, the
+    # classifier is nonzero exactly where `higher` has an entry, with the
+    # same value, and vanishes under drop k exactly when k is the entry's
+    # component.  The tuples are built by brute force, so a passing window
+    # that `windows` misses fails here.  Tuples with an idempotent (checked
+    # at length <= 6) vanish in the classifier, and `higher` holds none.
+    ops = _op_tables(algebra, n, max_len)
+    h = ops.higher_arity
+    expect = {}
+    for t in chained_tuples(ops, h, max_len, units=0):
+        res = ainfty._classify(ops, [(0, a) for a in t])
+        if res is not None:
+            expect[t] = res
+    assert list(ops.higher) == ops.windows
+    assert ops.higher.keys() == expect.keys()
+    assert all(a >= n for t in ops.higher for a in t)
+    with_units = [t for t in chained_tuples(ops, h, 6) if min(t) < n]
+    assert with_units
+    assert all(ainfty._classify(ops, [(0, a) for a in t]) is None for t in with_units)
+    tags = set()
+    for t, (tag, e, p) in expect.items():
+        tags.add(tag)
+        *value, component = ops.higher[t]
+        assert value == [e, p]
+        assert component is None or (algebra, tag) == ("A", TAG_CENTERED)
+        for d in range(2 * n):
+            assert (ainfty._classify(ops, [(0, a) for a in t], d) is None) == (d == component)
+    assert tags == {TAG_CENTERED, TAG_LEFT, TAG_RIGHT}
+
+
 # Rotation equivariance: the Z/N rotation i -> i+1 of the cyclic quiver
 # commutes with every column the classifier reads, with relation_sum (under
 # drop k -> k+2) and with both grading laws, so checking the tuples entered
@@ -735,9 +894,7 @@ def _equivariance_mismatches(ops, max_arity):
             bad.append(("component", a))
     drops = [None] + (list(range(2 * n)) if ops.algebra == "A" else [])
     h = ops.higher_arity
-    # relation_sum has terms only where an inner and an outer arity are each
-    # 2 or h
-    arities = {r + s - 1 for r in (2, h) for s in (2, h)}
+    arities = _term_arities(ops)
     for t in ops.chains(ops.max_len):
         rt = tuple(rot[a] for a in t)
         if len(t) == h:

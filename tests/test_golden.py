@@ -122,6 +122,25 @@ GOLDEN = [
         1,
         "b5136c03afe7238ee2195e0a8cc538e80158c56639efd648ff8b4088876fcd7b",
     ),
+    # The rest of the relations benchmark's windows and of the N=3 control's
+    # components, recorded while relation_sum classified every split of every
+    # swept tuple, before it read the operations off the op table.
+    ("verify ainfty-a --n 4", 0, "3fe3d5a5103a1b808a177878bbe144ddc5688b14b339148f7dddb45dcbc291bb"),
+    (
+        "verify ainfty-a --n 3 --inject-fault drop-mu2N:2",
+        1,
+        "81b993a6c51d3818b61374173ba04f4bacaea9708fc86aa23c15862b1139a584",
+    ),
+    (
+        "verify ainfty-a --n 3 --inject-fault drop-mu2N:3",
+        1,
+        "e182635bb8f1af5f7bbbcace09bb548c9764cd777fc7bf447106aa4f20ba8122",
+    ),
+    (
+        "verify ainfty-a --n 3 --inject-fault drop-mu2N:5",
+        1,
+        "7ee5627273748b389429a398d5ae45648c689e1af9ea4ff59aa0148d3339b328",
+    ),
     (
         "verify ainfty-a --n 8 --max-arity 31 --max-len 34",
         0,
