@@ -131,9 +131,8 @@ class _OpTables(WordTable):
     besides the margin it returns.  `windows` and `higher`, built on first
     use, list the higher operation's passing windows and its value on each:
     every tuple within the bound on which it is nonzero, so a lookup that
-    misses there is a zero.  That rests on `mul`, through which `windows`
-    extends the centered tuples, agreeing with the `splits` the classifier
-    reads, as both come from the same (length, offset) arithmetic.
+    misses there is a zero.  `windows` finds the extended tuples in the
+    `splits` the classifier reads, at the same margin index.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
@@ -174,6 +173,7 @@ class _OpTables(WordTable):
     def windows(self) -> list[tuple[int, ...]]:
         """The passing windows within the table's bound, as id tuples, in
         passing_windows order."""
+        # through the module-level function, which the benchmark's trace counts
         ids = self.ids
         return [tuple(ids[w] for w in t) for t in passing_windows(self.algebra, self.max_len, self.n)]
 
@@ -243,11 +243,10 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
             return None
         return (TAG_CENTERED, 1, entry[w0] - 1)
     # The split of the first word whose left part is the margin, and of the
-    # last word whose right part is: A lists a word's splits by the length
-    # of its head (left part), B by that of its first-applied (right) part.
-    # Left-extended needs a last word of length 1 and right-extended a longer
-    # one, so at most one of the two holds.
-    at_left, at_right = (excess - 1, -excess) if ops.algebra == "A" else (-excess, excess - 1)
+    # last word whose right part is (splits go by the length of the left
+    # part).  Left-extended needs a last word of length 1 and right-extended
+    # a longer one, so at most one of the two holds.
+    at_left, at_right = excess - 1, -excess
     splits = ops.splits[w0]
     if excess <= len(splits) and exps == e0:
         margin, rest = splits[at_left]
@@ -394,29 +393,29 @@ def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word
     nonzero, in word order.
 
     Every centered tuple is higher_arity(algebra, n) letters long, and every
-    other passing window extends one by a word multiplied onto one end.  The
-    windows are built on the ids of the table of (algebra, N, bound), whose
-    id order is word order.
+    other passing window swaps an end letter of one for a longer word whose
+    split at the classifier's margin index leaves that letter.  The windows
+    are built on the ids of the table of (algebra, N, bound), whose id order
+    is word order.
     """
     budget = max_total_len - higher_arity(algebra, n)
     if budget < 0:
         return []
     table = _op_tables(algebra, n, max_total_len)
-    ell, mul = table.ell, table.mul
-    windows: set[tuple[int, ...]] = set()
-    for t in _centered_tuples(table):
-        windows.add(t)
-        first, last = t[0], t[-1]
-        for c in table.by_exit[table.entry[first]][1:]:  # past the bucket's idempotent
-            if ell[c] > budget:
-                break
-            if first in mul[c]:
-                windows.add((mul[c][first],) + t[1:])
-        for c in table.by_entry[table.exit[last]][1:]:
-            if ell[c] > budget:
-                break
-            if c in mul[last]:
-                windows.add(t[:-1] + (mul[last][c],))
+    centered = _centered_tuples(table)
+    starting = {t[0]: t for t in centered}
+    ending = {t[-1]: t for t in centered}
+    windows = list(centered)
+    # each word of length 2 to budget + 1 in place of the end letter that
+    # taking off its margin, all but one letter, leaves
+    for a in range(table.word_id(2, 0), table.word_id(budget + 2, 0)):
+        excess = table.ell[a] - 1
+        _, rest = table.splits[a][excess - 1]  # at_left
+        if rest in starting:
+            windows.append((a,) + starting[rest][1:])
+        rest, _ = table.splits[a][-excess]  # at_right
+        if rest in ending:
+            windows.append(ending[rest][:-1] + (a,))
     words = table.words
     return [tuple(words[a] for a in t) for t in sorted(windows)]
 

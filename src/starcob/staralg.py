@@ -304,13 +304,17 @@ def split_b_word(w: BWord, first_len: int) -> Optional[tuple[BWord, BWord]]:
 
 
 def word_splits(w: Word) -> tuple[tuple[Word, Word], ...]:
-    """All factorizations w = mul_word(c, d) into two non-idempotent words.
+    """All factorizations w = mul_word(c, d) into two non-idempotent words,
+    by the length of c, the written-first factor, in both algebras.
 
     >>> [(c.render(), d.render()) for c, d in word_splits(AWord("s", 1, 3, 3))]
     [('s[1,2]', 's[2,4]'), ('s[1,3]', 's[3,4]')]
+    >>> [(c.render(), d.render()) for c, d in word_splits(BWord("c", 1, "r", 3, 3))]
+    [('r2', 'r1.s1'), ('s1.r2', 'r1')]
     """
-    split = split_a_word if isinstance(w, AWord) else split_b_word
-    return tuple(split(w, k) for k in range(1, w.ell))
+    if isinstance(w, AWord):
+        return tuple(split_a_word(w, k) for k in range(1, w.ell))
+    return tuple(split_b_word(w, w.ell - k) for k in range(1, w.ell))
 
 
 def letter_slots(algebra: str, n: int) -> list[int]:
@@ -370,10 +374,6 @@ class Grading(Frozen):
             tuple(a + b for a, b in zip(self.alexander, other.alexander, strict=True)),
             self.ell + other.ell,
         )
-
-
-def zero_grading(n: int) -> Grading:
-    return Grading(0, (0,) * (2 * n), 0)
 
 
 def coeff_var(algebra: str, n: int) -> int:
@@ -624,19 +624,19 @@ class WordTable:
     0..N-1 (I_i at i-1), and the word of length l >= 1 at offset o in
     0..2N-1 has id N + 2N(l-1) + o, so the 2N letters are ids N..3N-1.  In
     A the offset is i-1 for U_i^l and N+i-1 for the s-chain from node i; in
-    B it is the word's first weight slot.  `by_entry`/`by_exit` bucket the
-    ids by node in id order, so each bucket starts with its idempotent and
+    B it is the word's first weight slot.  `by_entry` buckets the ids by
+    entry node in id order, so each bucket starts with its idempotent and
     ascends in length.
 
-    The product and the splits are integer arithmetic on (l, o), with no
-    word built.  A word (l, o) is continued by the words at offset
-    `continuation(l, o)`: o for a U-power, N + (o-N+l) mod N for an
-    s-chain (the chain from its end node), and (o+l) mod 2N in B (the slot
-    after its run).  In A, x*y is nonzero when y continues x, with x's
-    offset; in B (y applied first) when x continues y, with y's offset.  A
-    split is the reverse: (l, o) at k has the parts (k, o) and
-    (l-k, continuation(k, o)), as (head, tail) in A and as (later, first)
-    in B.
+    The splits are integer arithmetic on (l, o), with no word built.  A word
+    (l, o) is continued by the words at offset `continuation(l, o)`: o for a
+    U-power, N + (o-N+l) mod N for an s-chain (the chain from its end node),
+    and (o+l) mod 2N in B (the slot after its run).  So (l, o) splits at
+    each 0 < k < l into the parts (k, o) and (l-k, continuation(k, o)): the
+    head and the tail in A, the first-applied and the later part in B.
+    `splits[a]` lists them as (c, d) with a = c*d, by the length of the
+    written-first factor c in both algebras.  The product is one source
+    with them: `mul` is the units and every split read backwards.
 
     >>> table = WordTable("A", 3, 4)
     >>> s = table.word_id(2, 3 + 1)  # s_2 s_3, offset N + 2 - 1
@@ -646,6 +646,9 @@ class WordTable:
     [['s[2,3]', 's[3,4]']]
     >>> table.words[table.mul[s][table.word_id(1, 3)]].render()
     's[2,5]'
+    >>> table = WordTable("B", 3, 3)  # r1 s1 r2 below, from the slot of r1
+    >>> [[table.words[c].render() for c in pair] for pair in table.splits[table.word_id(3, 0)]]
+    [['r2', 'r1.s1'], ['s1.r2', 'r1']]
     >>> table = WordTable("B", 3, 1)
     >>> [[table.words[a].render() for a in t] for t in table.chains(2, entry=2)]
     [['s1'], ['s1', 'r1'], ['s1', 's3'], ['r2'], ['r2', 's1'], ['r2', 'r2']]
@@ -661,13 +664,12 @@ class WordTable:
         self.entry = [w.entry for w in words]
         self.exit = [w.exit for w in words]
         self.by_entry = {i: [a for a, e in enumerate(self.entry) if e == i] for i in range(1, n + 1)}
-        self.by_exit = {i: [a for a, e in enumerate(self.exit) if e == i] for i in range(1, n + 1)}
         # mul[a][b]: the id of a*b, for the nonzero products of length <= max_len,
-        # in id order of b; a product is nonzero only across a chained seam
+        # in id order of b: the units, then each split read backwards, by product
         mul = self.mul = [{b: b for b in self.by_entry[i]} for i in range(1, n + 1)]
         mul += ({self.exit[a] - 1: a} for a in range(n, len(words)))
-        # splits[a][k - 1]: the factorization of a with a k-letter head (A) or
-        # a k-letter first-applied part (B), as in word_splits
+        # splits[a][k - 1]: the factorization (c, d) of a whose written-first
+        # factor c has k letters, as in word_splits
         splits = self.splits = [()] * n
         is_a, step = algebra == "A", 2 * n
         conts = [[self.continuation(k, o) for k in range(max_len + 1)] for o in range(step)]
@@ -675,18 +677,13 @@ class WordTable:
             for o, cont in enumerate(conts):
                 a = self.word_id(ell, o)
                 # the parts (k, o) and (ell - k, cont[k]), which sit step * (ell - k)
-                # and step * k ids below a, at their offsets
+                # and step * k ids below a, at their offsets; B's written-first
+                # factor is the later part, so it lists them backwards
                 parts = [(a - step * (ell - k), a - step * k + cont[k] - o) for k in range(1, ell)]
-                splits.append(tuple(parts) if is_a else tuple((d, c) for c, d in parts))
-                # the words continuing a, by length, and their products with a
-                # (a on the left in A, a applied first in B)
-                b, ab = self.word_id(1, cont[ell]), a + step
-                for _ in range(max_len - ell):
-                    if is_a:
-                        mul[a][b] = ab
-                    else:
-                        mul[b][a] = ab
-                    b, ab = b + step, ab + step
+                split = tuple(parts) if is_a else tuple((d, c) for c, d in reversed(parts))
+                splits.append(split)
+                for c, d in split:
+                    mul[c][d] = a
 
     def word_id(self, ell: int, off: int) -> int:
         """The id of the word of length ell >= 1 at offset off."""
@@ -775,7 +772,6 @@ __all__ = [
     "mul_a",
     "mul_b",
     "grading",
-    "zero_grading",
     "coeff_var",
     "var_grading",
     "mono_grading",

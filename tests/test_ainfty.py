@@ -50,7 +50,6 @@ from starcob.staralg import (
     word_sort_key,
     word_splits,
     words_of_length,
-    zero_grading,
 )
 
 
@@ -596,8 +595,8 @@ def _all_relation_tuples(ops, max_arity):
     out = set()
     for t, length, p in nonzero:
         budget = max_len - length
-        for c in ops.by_exit[ops.entry[p]]:
-            if ell[c] <= budget and p in mul[c]:
+        for c, node in enumerate(ops.exit):
+            if node == ops.entry[p] and ell[c] <= budget and p in mul[c]:
                 out.add((c,) + t)
         for c in ops.by_entry[ops.exit[p]]:
             if ell[c] <= budget and c in mul[p]:
@@ -718,21 +717,7 @@ _CLASSIFIER_FAULTS = {"node-1": _without_centered_at_node_1, "first-coefficient"
     [(*w, None) for w in _SPLIT_ORACLE_WINDOWS]
     + [(*w, f) for w in _SPLIT_ORACLE_WINDOWS if w[0] == "B" for f in _CLASSIFIER_FAULTS]
     + [(*w, "mul") for w in _SPLIT_ORACLE_WINDOWS if w[2] is None]
-    + [
-        pytest.param(
-            "B",
-            3,
-            None,
-            7,
-            "mul-past-3",
-            marks=pytest.mark.xfail(
-                strict=True,
-                raises=AssertionError,
-                reason="`windows` extends the centered tuples through `mul` and the classifier reads `splits`:"
-                " with a product deleted from `mul`, `higher` misses windows the classifier passes",
-            ),
-        )
-    ],
+    + [("B", 3, None, 7, "mul-past-3")],
 )
 def test_relation_sum_matches_the_split_oracle(algebra, n, max_arity, max_len, fault, fresh_op_tables, monkeypatch):
     # The lookup kernel gives the classifier's sum on each tuple, with no
@@ -743,13 +728,12 @@ def test_relation_sum_matches_the_split_oracle(algebra, n, max_arity, max_len, f
     # mu_h o mu_h terms, which only the kernel's call to the classifier
     # reaches.  The product is associative, so the arity-3 tuples of the
     # small windows also run with one product deleted from the table.  Past
-    # arity 3 that fault breaks what `windows` rests on, as it extends
-    # windows through `mul` while the classifier reads `splits`: at B N=3
-    # the kernel then differs from the oracle on five arity-4 tuples, a
-    # known gap this test keeps in view as an expected failure.  In the small
-    # windows, tuples past arity 3 with two idempotents are left out: every
-    # split of one leaves a unit among a higher operation's inputs, where
-    # both kernels vanish.
+    # arity 3, at B N=3, the same fault leaves the higher operation whole:
+    # `windows` and the classifier both read `splits`, not `mul`, so the
+    # kernel still gives the oracle's sums, and the deleted product leaves
+    # arity-4 sums without a partner.  In the small windows, tuples past
+    # arity 3 with two idempotents are left out: every split of one leaves a
+    # unit among a higher operation's inputs, where both kernels vanish.
     if fault in _CLASSIFIER_FAULTS:
         monkeypatch.setattr(ainfty, "_classify", _CLASSIFIER_FAULTS[fault](ainfty._classify))
     ops = _op_tables(algebra, n, max_len)
@@ -770,7 +754,7 @@ def test_relation_sum_matches_the_split_oracle(algebra, n, max_arity, max_len, f
         assert got == [_split_relation_sum(ops, t, d) for t in tuples]
         nonzero |= {len(t) for t, total in zip(tuples, got) if total}
     # not vacuous: the drops and faults leave sums where their terms are
-    expect = {None: {h + 1} if algebra == "A" else set(), "node-1": {h + 1}, "first-coefficient": {2 * h - 1}, "mul": {3}}
+    expect = {None: {h + 1} if algebra == "A" else set(), "node-1": {h + 1}, "first-coefficient": {2 * h - 1}, "mul": {3}, "mul-past-3": {h + 1}}
     assert nonzero == expect[fault]
 
 
@@ -1070,7 +1054,7 @@ def _full_op_grading_check(algebra, max_arity, max_len, n):
     violations = []
     for inputs, exp, word in nonzero_operations(algebra, max_arity, max_len, n):
         r = len(inputs)
-        total = zero_grading(n)
+        total = Grading(0, (0,) * (2 * n), 0)
         for w in inputs:
             total = total + grading(w)
         expect = Grading(total.m + r - 2, total.alexander, total.ell)
