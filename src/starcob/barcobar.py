@@ -37,28 +37,29 @@ rotation-invariant too, as `break-h` is, or the sweep can miss it.
 Of those strings only the reduced ones are checked, 2L^2 of them at bound L
 against about 3^L.  Write D(s) for the sum of the two sides on s, and
 s = A.t.T, where A is the maximal leading block, t the next factor and T the
-rest.  Then D(P.R) = D(P).R, where P ends at t, except in one case: when t
-splits into two letters that continue the block, H of that split reaches
-into T, and P follows the block's continuation there up to the first factor
-u that does not continue it (or to the end of s).  A string is reduced when
-R is empty, so the certificate holds on every string of length <= L if and
-only if it holds on the reduced ones.  The lemma rests on four facts:
+rest.  Then D(P.R) = D(P).R, where P = A.t, or P = A when s is all block, so
+the certificate holds on every string of length <= L if and only if it holds
+on the reduced strings, those with R empty.  The lemma rests on four facts:
 
 - delta is a derivation over concatenation, and letters do not split;
 - H is fixed by the last letter of A and by t, so H(A.t.delta T) =
   H(A.t).delta T, which cancels the splits of T in delta H(s);
 - psi phi(s) is zero unless all of s is one block;
-- `block_next` has exactly one follower per letter, so a block and its
-  continuation are one path, and there are 2L^2 reduced strings.
+- no two-letter word splits into a letter c and its follower
+  `block_next[c]`, so H of a split of t stays within A.t.
 
-On A and B no two-letter word splits into letters that continue a block, so
-the non-local case does not occur there; the reduction still follows it.  A
-failing string's reduced prefix fails too and is enumerated before it, so
-the first failure is unchanged.  tests/test_barcobar.py checks D(P.R) =
-D(P).R on every string up to length 8, under seeded corruptions of the
-product and psi and under a widened block rule that makes the non-local case
-occur.  A fault injected into the homotopy must respect the lemma as well,
-as `break-h` does, or the reduced sweep can miss it.
+The last holds on A and B by type, and each table checks it when built.
+Over A a letter's follower has the other type, U_i -> s_i -> U_{i+1}, while a
+two-letter word has one, U_i U_i or s_i s_{i+1}; over B the follower keeps
+the type, r_i -> r_i and s_i -> s_{i-1}, while a two-letter word alternates.
+A block is then one path, fixed by its first letter and length, so at node 1
+the reduced strings are the 2(L - 1) longer words alone and, for each of the
+2L blocks A, of k letters, A and its 2(L - k) - 1 strings A.t when k < L:
+2L^2 in all.  A failing string's reduced prefix fails too and is enumerated
+before it, so the first failure is unchanged.  tests/test_barcobar.py checks
+D(P.R) = D(P).R on every string up to length 8 under seeded corruptions of
+the product and psi.  A fault injected into the homotopy must respect the
+lemma as well, as `break-h` does, or the reduced sweep can miss it.
 """
 from __future__ import annotations
 
@@ -176,7 +177,8 @@ class _WordTables(WordTable):
     the string maps read.
 
     A string is a tuple of non-idempotent ids.  Its letters are ids
-    N..3N-1, and `image` and `block_next` are indexed by id - N.
+    N..3N-1, its two-letter words 3N..5N-1, and `image` and `block_next`,
+    the one letter that continues a's block, are indexed by id - N.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
@@ -187,15 +189,15 @@ class _WordTables(WordTable):
         # slot, as an id of the other algebra
         dual_at = slot_letters(dual, n)
         self.image = [n + dual_at[k] for k in slots]
-        # block_next[a - N]: the letters b that may follow letter a in a leading
-        # block, those whose images compose: image(b) * image(a) != 0.  Over B
-        # images that is the letter at the next slot (the run goes on); over A
-        # images the U at the same slot, or for s_i the s_{i-1} two slots back
+        # block_next[a - N]: the letter b that follows letter a in a leading
+        # block, the one whose image composes: image(b) * image(a) != 0.  Over
+        # B images that is the letter at the next slot (the run goes on); over
+        # A images the U at the same slot, or for s_i the s_{i-1} two slots back
         if algebra == "A":
             follow = [(k + 1) % two_n for k in slots]
         else:
             follow = [k if k % 2 == 0 else (k - 2) % two_n for k in slots]
-        self.block_next = [frozenset({n + at[k]}) for k in follow]
+        self.block_next = [n + at[k] for k in follow]
         # psi[o]: the duals of the letters of the other algebra's word o, last
         # written first (empty on the idempotents, where psi is undefined)
         self.psi = [()] * n + [
@@ -203,6 +205,15 @@ class _WordTables(WordTable):
             for ell in range(1, max_len + 1)
             for off in range(two_n)
         ]
+        self.check_block_premise()
+
+    def check_block_premise(self) -> None:
+        """Raise RuntimeError if the prefix lemma's premise fails on a word."""
+        n, block_next = self.n, self.block_next
+        for a in range(3 * n, min(5 * n, len(self.words))):  # the two-letter words
+            for c, d in self.splits[a]:
+                if d == block_next[c - n]:
+                    raise RuntimeError(f"{self.words[a].render()} splits into a letter and its follower")
 
     @functools.cached_property
     def other(self) -> "_WordTables":
@@ -235,33 +246,24 @@ class _WordTables(WordTable):
         """The strings of `chains(budget, entry)` that are their own reduced
         prefix P (see the module docstring), in the same order.
 
-        A prefix grows while it is one leading block, or while it follows
-        the block's continuation into the tail after a factor t that splits
-        into two letters continuing the block.  Any other factor ends P.
+        A first factor that is a letter starts a block, and a block grows
+        only by its last letter's follower.  Any other factor ends P.
         """
-        n, ell, exit_, by_entry = self.n, self.ell, self.exit, self.by_entry
-        block_next, splits = self.block_next, self.splits
+        n, ell, exit_, by_entry, block_next = self.n, self.ell, self.exit, self.by_entry, self.block_next
 
-        def grow(s: tuple, budget: int, node: int, follow: frozenset, in_block: bool) -> Iterator[tuple]:
-            # follow: the letters that continue the block s ends in (every
-            # letter while s is empty); in_block: s is all leading block
+        def grow(s: tuple, budget: int, node: int) -> Iterator[tuple]:
+            # s is all leading block, or empty
+            follow = block_next[s[-1] - n] if s else None
             for a in by_entry[node][1:]:  # past the bucket's idempotent
                 if ell[a] > budget:
                     break
                 sa = s + (a,)
                 yield sa
-                if a in follow:
-                    yield from grow(sa, budget - ell[a], exit_[a], block_next[a - n], in_block)
-                elif in_block:
-                    # a is t: only a split into two letters that continue
-                    # the block makes H reach into the tail
-                    for c, d in splits[a]:
-                        if c in follow and d in block_next[c - n]:
-                            yield from grow(sa, budget - ell[a], exit_[a], block_next[d - n], False)
+                if a == follow or not s and ell[a] == 1:
+                    yield from grow(sa, budget - 1, exit_[a])
 
-        letters = frozenset(range(n, 3 * n))
         for i in range(1, n + 1) if entry is None else (entry,):
-            yield from grow((), budget, i, letters, True)
+            yield from grow((), budget, i)
 
     def block_length(self, s: tuple, known: int = 1) -> int:
         """Length of the maximal leading block: single-letter factors whose
@@ -273,7 +275,7 @@ class _WordTables(WordTable):
             return 0
         block_next = self.block_next
         k = known
-        while k < len(s) and s[k] in block_next[s[k - 1] - n]:
+        while k < len(s) and s[k] == block_next[s[k - 1] - n]:
             k += 1
         return k
 

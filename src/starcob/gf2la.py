@@ -65,10 +65,9 @@ class SparseMatF2:
                 out |= 1 << i
         return out
 
-    def _rref(self, aug: Optional[List[int]] = None) -> tuple[List[int], List[int], Optional[List[int]]]:
-        """Reduced row echelon form; returns (rows, pivot columns, aug rows)."""
+    def _rref(self) -> tuple[List[int], List[int]]:
+        """Reduced row echelon form; returns (rows, pivot columns)."""
         work = self.rows[:]
-        aug_work = aug[:] if aug is not None else None
         pivots: List[int] = []
         row_idx = 0
         for col in range(self.ncols):
@@ -80,26 +79,22 @@ class SparseMatF2:
             if pivot is None:
                 continue
             work[row_idx], work[pivot] = work[pivot], work[row_idx]
-            if aug_work is not None:
-                aug_work[row_idx], aug_work[pivot] = aug_work[pivot], aug_work[row_idx]
             for r in range(len(work)):
                 if r != row_idx and (work[r] >> col) & 1:
                     work[r] ^= work[row_idx]
-                    if aug_work is not None:
-                        aug_work[r] ^= aug_work[row_idx]
             pivots.append(col)
             row_idx += 1
             if row_idx == len(work):
                 break
-        return work, pivots, aug_work
+        return work, pivots
 
     def rank(self) -> int:
-        _, pivots, _ = self._rref()
+        _, pivots = self._rref()
         return len(pivots)
 
     def kernel_basis(self) -> List[int]:
         """Basis vectors (column bitmasks) of {v : M v = 0}, one per free column."""
-        rows, pivots, _ = self._rref()
+        rows, pivots = self._rref()
         pivot_set = set(pivots)
         basis: List[int] = []
         for free in range(self.ncols):
@@ -113,15 +108,16 @@ class SparseMatF2:
         return basis
 
     def solve(self, b: int) -> Optional[int]:
-        """One solution v of M v = b (free variables 0), or None if inconsistent."""
-        rows, pivots, aug = self._rref([(b >> i) & 1 for i in range(len(self.rows))])
-        assert aug is not None
-        for r in range(len(rows)):
-            if rows[r] == 0 and aug[r]:
-                return None
+        """One solution v of M v = b (free variables 0), or None if inconsistent:
+        if b, as column ncols of [M | b], becomes a pivot."""
+        nc = self.ncols
+        aug = SparseMatF2([row | (b >> i & 1) << nc for i, row in enumerate(self.rows)], nc + 1)
+        rows, pivots = aug._rref()
+        if pivots and pivots[-1] == nc:
+            return None
         v = 0
         for r, pc in enumerate(pivots):
-            if aug[r]:
+            if rows[r] >> nc & 1:
                 v |= 1 << pc
         return v
 
@@ -143,7 +139,7 @@ def reduce_against(vec: int, basis_rows: List[int]) -> int:
 def row_space_basis(rows: List[int]) -> List[int]:
     """Independent RREF rows spanning the same space, lowest-lead-bit first."""
     ncols = max((row.bit_length() for row in rows), default=0)
-    work, pivots, _ = SparseMatF2(rows, ncols)._rref()
+    work, pivots = SparseMatF2(rows, ncols)._rref()
     return work[: len(pivots)]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from chained import started_at
@@ -372,7 +373,10 @@ def test_string_table_columns_against_word_oracle(algebra):
     for n in range(3, 9):
         for bound in (0, 1, 2 * n, 4 * n + 2):
             tables = _WordTables(algebra, n, bound)
-            for name, want in _word_built_string_columns(tables).items():
+            oracle = _word_built_string_columns(tables)
+            # the Word product lets exactly one letter follow each letter
+            assert oracle.pop("block_next") == [frozenset({b}) for b in tables.block_next], (n, bound)
+            for name, want in oracle.items():
                 assert getattr(tables, name) == want, (n, bound, name)
 
 
@@ -467,7 +471,7 @@ def _equivariance_mismatches(tables):
     for a in range(n, 3 * n):
         if rot_o[tables.image[a - n]] != tables.image[rot[a] - n]:
             bad.append(("image", a))
-        if {rot[b] for b in tables.block_next[a - n]} != tables.block_next[rot[a] - n]:
+        if rot[tables.block_next[a - n]] != tables.block_next[rot[a] - n]:
             bad.append(("block_next", a))
     for o in range(n, len(other.words)):
         if rotate(tables.psi[o]) != tables.psi[rot_o[o]]:
@@ -495,12 +499,15 @@ def test_rotation_commutes_with_the_certificate(algebra, n):
 
 @pytest.mark.parametrize("algebra", ["A", "B"])
 def test_equivariance_check_names_a_column_corrupted_at_one_node(algebra):
-    # A fresh table, not the cached one, whose leading-block rule forgets one
-    # follower of a letter at node 2 only: the check above must see it.
+    # A fresh table, not the cached one, whose leading-block rule points the
+    # follower of a letter at node 2 only at the other letter entered where
+    # the follower is: the check above must see it.
     n = 3
     tables = _WordTables(algebra, n, 4)
-    a = next(a for a in range(n, 3 * n) if tables.words[a].start == 2 and tables.block_next[a - n])
-    tables.block_next[a - n] = frozenset(sorted(tables.block_next[a - n])[1:])
+    a = next(a for a in range(n, 3 * n) if tables.words[a].start == 2)
+    follow = tables.block_next[a - n]
+    entered = tables.by_entry[tables.exit[a]]
+    tables.block_next[a - n] = next(b for b in entered if tables.ell[b] == 1 and b != follow)
     assert ("block_next", a) in _equivariance_mismatches(tables)
     assert _equivariance_mismatches(_tables(algebra, n, 4)) == []
 
@@ -592,52 +599,17 @@ def _corrupted(base, n, max_len, seed):
     return tables
 
 
-def _widened(base, n, max_len):
-    """A fresh table whose leading-block rule also lets the second letter of
-    each two-letter word follow its first, so that the non-local case of
-    the lemma occurs: a factor t that splits into two letters continuing
-    the block."""
-    tables = _WordTables(base, n, max_len)
-    widened = [set(follow) for follow in tables.block_next]
-    for a in range(len(tables.words)):
-        if tables.ell[a] == 2:
-            for c, d in tables.splits[a]:
-                widened[c - n].add(d)
-    tables.block_next = [frozenset(follow) for follow in widened]
-    return tables
-
-
-def _two_letter_splits_continuing_the_block(tables):
-    """The splits (c, d) of two-letter words whose d may follow c in a block."""
-    n = tables.n
-    two_letter = (a for a in range(len(tables.words)) if tables.ell[a] == 2)
-    return [(c, d) for a in two_letter for c, d in tables.splits[a] if d in tables.block_next[c - n]]
-
-
 @pytest.mark.parametrize("base", ["A", "B"])
 @pytest.mark.parametrize("n", [3, 4])
 def test_certificate_factors_through_the_reduced_prefix(base, n):
-    # On every node-1 string of length <= 8, clean, under 12 seeded
-    # corruptions of mul and psi, and with the widened block rule:
-    # D(s) = D(P).R, the reduced strings are the node-1 strings that are
-    # their own P, in the same order, and the reduced sweep meets the full
-    # sweep's first failure first.
+    # On every node-1 string of length <= 8, clean and under 12 seeded
+    # corruptions of mul and psi: D(s) = D(P).R, the reduced strings are the
+    # node-1 strings that are their own P, in the same order, and the
+    # reduced sweep meets the full sweep's first failure first.
     max_len = 8
-    clean = _tables(base, n, max_len)
-    assert all(len(follow) == 1 for follow in clean.block_next)
-    # the non-local case does not occur on A or B; only the widened rule
-    # makes the reduction follow a block into the tail
-    assert _two_letter_splits_continuing_the_block(clean) == []
-    widened = _widened(base, n, max_len)
-    assert _two_letter_splits_continuing_the_block(widened)
     broken = 0
-    for seed in (None, *range(12), "widened"):
-        if seed is None:
-            tables = clean
-        elif seed == "widened":
-            tables = widened
-        else:
-            tables = _corrupted(base, n, max_len, seed)
+    for seed in (None, *range(12)):
+        tables = _tables(base, n, max_len) if seed is None else _corrupted(base, n, max_len, seed)
         reduced = list(tables.reduced_chains(max_len, 1))
         is_reduced = set(reduced)
         defect, prefix = {}, {}
@@ -657,8 +629,33 @@ def test_certificate_factors_through_the_reduced_prefix(base, n):
     assert broken >= 2
 
 
+@pytest.mark.parametrize("base", ["A", "B"])
+def test_block_premise_check_names_a_split_into_a_letter_and_its_follower(base, monkeypatch):
+    # A fresh table, not the cached one, where the first letter of a
+    # two-letter word's split is followed by the second: the lemma's premise
+    # fails, and the check names that word.  Building a table runs the check.
+    n = 3
+    tables = _WordTables(base, n, 4)
+    tables.check_block_premise()
+    a = 3 * n
+    assert tables.ell[a] == 2
+    ((c, d),) = tables.splits[a]
+    tables.block_next[c - n] = d
+    with pytest.raises(RuntimeError, match=re.escape(tables.words[a].render())):
+        tables.check_block_premise()
+    _tables(base, n, 4).check_block_premise()
+
+    def fail(self):
+        raise RuntimeError("checked")
+
+    monkeypatch.setattr(_WordTables, "check_block_premise", fail)
+    with pytest.raises(RuntimeError, match="checked"):
+        _WordTables(base, n, 4)
+
+
 @pytest.mark.parametrize("algebra", ["A", "B"])
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 16])
 def test_reduced_strings_number_2l_squared(algebra, n):
+    # Every table is built through the lemma's premise check.
     for max_len in (4, 10, 20):
         assert sum(1 for _ in enumerate_strings(algebra, max_len, n, 1, reduced=True)) == 2 * max_len**2

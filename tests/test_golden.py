@@ -199,6 +199,20 @@ GOLDEN = [
         0,
         "d5b131263bf444676fb20e1d6cb90afdde5720086f2f897362f12fe4c9ae478a",
     ),
+    # The deepest first failure: B's under break-h is r1* 23 times then s3*,
+    # so this pins the depth-first order of the reduced sweep; and the leading
+    # block marks of a dump, which read the block rule.  Both recorded while
+    # the block rule kept a set of followers per letter.
+    (
+        "verify homotopy --n 3 --max-len 24 --inject-fault break-h",
+        1,
+        "85f6019eb7613794a368f1752a74e554a31067f289aea79247b84cccccb3b917",
+    ),
+    (
+        "dump strings --algebra B --n 4 --max-len 6",
+        0,
+        "9143cb62f0f022139bced7fb6f3be8ceecf5c762afad0b219d27b593ec2f2048",
+    ),
     # The special elements, whose items are unchanged since that change.
     # Their config no longer records a max-len: they never depended on one.
     (
