@@ -613,27 +613,6 @@ def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -
     return operation_violations(algebra, max_arity, max_total_len, n, residual)
 
 
-def parse_fault(text: Optional[str]) -> Optional[tuple]:
-    """Parse a fault-injection spec: "break-h", "drop-mu2N" or "drop-mu2N:k".
-
-    k has one spelling, str(k): ASCII digits with no sign and no leading
-    zero, so one fault is one spec and one report.  Only the syntax is
-    checked here; the command line checks which verify kind the fault
-    applies to and the range of k.
-    """
-    if text is None:
-        return None
-    if text == "break-h":
-        return ("break-h",)
-    if text == "drop-mu2N":
-        return ("drop-a-centered", 0)
-    k = text.removeprefix("drop-mu2N:")
-    # int() caps its digits; past the cap no k is in range anyway
-    if k != text and k.isascii() and k.isdigit() and len(k) < 64 and str(int(k)) == k:
-        return ("drop-a-centered", int(k))
-    raise ValueError(f"unknown fault spec {text!r}")
-
-
 __all__ = [
     "OpResult",
     "mu_a",
@@ -645,7 +624,6 @@ __all__ = [
     "operation_violations",
     "check_ainfty",
     "op_grading_check",
-    "parse_fault",
     "TAG_ZERO",
     "TAG_BINARY",
     "TAG_CENTERED",

@@ -19,9 +19,11 @@ computed, in every format, and every JSON report goes through one writer that
 gives json.dumps's bytes in bounded pieces.  So an internal error can leave a
 partial report on stdout before its traceback.
 Each command imports the modules it runs inside its own function, so start-up
-loads only the package's public core and a relation sweep never loads the
-cobar, cohomology or grading-group modules; likewise only the command that
-runs gets its options added to the parser.
+loads no module of the algebra and not the json package (the report writer
+takes its string escaper from the C module `_json`).  A relation sweep never
+loads the cobar, cohomology or grading-group modules, and cohomology and
+verify homotopy never load the relation kernel; likewise only the command
+that runs gets its options added to the parser.
 
 Fault specs for `verify --inject-fault` are negative controls, each valid for
 one verify kind only: "drop-mu2N" or "drop-mu2N:k" with 0 <= k < 2N (drop one
@@ -32,10 +34,10 @@ digits, no sign, no leading zero ("drop-mu2N:1", never ":01" or ":+1").
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Optional
+
+from _json import encode_basestring_ascii
 
 SCHEMA = "starcob/1"
 
@@ -51,21 +53,43 @@ FAULT_KINDS = {"drop-a-centered": "ainfty-a", "break-h": "homotopy"}
 UNREAD_OPTIONS = {"homotopy": ("--max-arity",), "arities": ("--max-arity", "--max-len")}
 
 
+def parse_fault(text: Optional[str]) -> Optional[tuple]:
+    """Parse a fault-injection spec: "break-h", "drop-mu2N" or "drop-mu2N:k".
+
+    k has one spelling, str(k): ASCII digits with no sign and no leading
+    zero, so one fault is one spec and one report.  Only the syntax is
+    checked here; `_fault` checks which verify kind the fault applies to
+    and the range of k.
+    """
+    if text is None:
+        return None
+    if text == "break-h":
+        return ("break-h",)
+    if text == "drop-mu2N":
+        return ("drop-a-centered", 0)
+    k = text.removeprefix("drop-mu2N:")
+    # int() caps its digits; past the cap no k is in range anyway
+    if k != text and k.isascii() and k.isdigit() and len(k) < 64 and str(int(k)) == k:
+        return ("drop-a-centered", int(k))
+    raise ValueError(f"unknown fault spec {text!r}")
+
+
 def _fault(args) -> Optional[tuple]:
     """The parsed --inject-fault spec, checked against the verify kind and N."""
-    from .ainfty import higher_arity, parse_fault
-
     spec = args.inject_fault
+    if spec is None:
+        return None
     try:
         fault = parse_fault(spec)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    if fault is None:
-        return None
     if FAULT_KINDS[fault[0]] != args.kind:
         raise ConfigError(f"fault spec {spec!r} applies only to verify {FAULT_KINDS[fault[0]]}")
-    if fault[0] == "drop-a-centered" and not 0 <= fault[1] < higher_arity("A", args.n):
-        raise ConfigError(f"fault spec {spec!r} needs 0 <= k < 2N = {higher_arity('A', args.n)}")
+    if fault[0] == "drop-a-centered":
+        from .ainfty import higher_arity
+
+        if not 0 <= fault[1] < higher_arity("A", args.n):
+            raise ConfigError(f"fault spec {spec!r} needs 0 <= k < 2N = {higher_arity('A', args.n)}")
     return fault
 
 
@@ -342,6 +366,8 @@ def cmd_verify(args, out) -> int:
     if args.format == "json":
         _emit_json(doc, out)
     else:
+        import json
+
         out.write(f"verify {kind}: {len(violations)} violation(s)\n")
         for v in violations:
             out.write(json.dumps(v, sort_keys=True) + "\n")

@@ -1,8 +1,8 @@
 """Sparse GF(2) linear algebra on bit-packed integer rows.
 
 A matrix stores each row as a Python int bitmask (bit c set means entry 1 in
-column c).  Elimination always picks the lowest available pivot column, so
-ranks, kernels, and solutions are deterministic for a fixed row order.
+column c).  Elimination gives the reduced row echelon form, which is unique,
+so ranks, kernels, and solutions depend only on the matrix.
 
 F2Sum is the sum type of both GF(2) complexes, the cobar complex of dual
 strings (barcobar.CobElem) and the twisted small model (hochschild.TwistedElem).
@@ -66,27 +66,37 @@ class SparseMatF2:
         return out
 
     def _rref(self) -> tuple[List[int], List[int]]:
-        """Reduced row echelon form; returns (rows, pivot columns)."""
-        work = self.rows[:]
-        pivots: List[int] = []
-        row_idx = 0
-        for col in range(self.ncols):
-            pivot = None
-            for r in range(row_idx, len(work)):
-                if (work[r] >> col) & 1:
-                    pivot = r
+        """Reduced row echelon form; returns (rows, pivot columns).
+
+        Each row is reduced against the rows kept so far, keyed by their
+        lowest set bit, and kept under its own lowest bit if anything is
+        left.  Back-reduction in descending pivot order then clears every
+        pivot column outside its own row.  The rows come out sorted by
+        pivot, followed by one zero row per dependent input row.
+        """
+        by_low: dict[int, int] = {}
+        for row in self.rows:
+            while row:
+                low = row & -row
+                kept = by_low.get(low)
+                if kept is None:
+                    by_low[low] = row
                     break
-            if pivot is None:
-                continue
-            work[row_idx], work[pivot] = work[pivot], work[row_idx]
-            for r in range(len(work)):
-                if r != row_idx and (work[r] >> col) & 1:
-                    work[r] ^= work[row_idx]
-            pivots.append(col)
-            row_idx += 1
-            if row_idx == len(work):
-                break
-        return work, pivots
+                row ^= kept
+        lows = sorted(by_low)
+        done = 0
+        for low in reversed(lows):
+            row = by_low[low]
+            hits = row & done
+            while hits:
+                bit = hits & -hits
+                row ^= by_low[bit]
+                hits ^= bit
+            by_low[low] = row
+            done |= low
+        rows = [by_low[low] for low in lows]
+        pivots = [low.bit_length() - 1 for low in lows]
+        return rows + [0] * (len(self.rows) - len(rows)), pivots
 
     def rank(self) -> int:
         _, pivots = self._rref()

@@ -24,7 +24,6 @@ from starcob.ainfty import (
     mu_b,
     nonzero_operations,
     op_grading_check,
-    parse_fault,
     passing_windows,
     higher_arity,
     relation_sum,
@@ -1124,23 +1123,6 @@ def test_grading_checks_match_the_full_sweep_under_a_fault(algebra, n, max_arity
         assert got == oracle(algebra, max_arity, max_len, n)
         assert {v["arity"] for v in got} == {2, higher_arity(algebra, n)}
         assert len(got) % n == 0
-
-
-def test_parse_fault():
-    assert parse_fault(None) is None
-    assert parse_fault("break-h") == ("break-h",)
-    assert parse_fault("drop-mu2N") == ("drop-a-centered", 0)
-    assert parse_fault("drop-mu2N:3") == ("drop-a-centered", 3)
-    with pytest.raises(ValueError):
-        parse_fault("bogus")
-    with pytest.raises(ValueError):
-        parse_fault("drop-mu2N:x")
-    # k has one spelling, str(k); int() would read each of these as 1
-    for spec in ("drop-mu2N:+1", "drop-mu2N: 1", "drop-mu2N:01", "drop-mu2N:0_1", "drop-mu2N:\uff11"):
-        with pytest.raises(ValueError, match="unknown fault spec"):
-            parse_fault(spec)
-    assert parse_fault("drop-mu2N:0") == ("drop-a-centered", 0)
-    assert parse_fault("drop-mu2N:10") == ("drop-a-centered", 10)
 
 
 def test_op_grading_check_clean():

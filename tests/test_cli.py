@@ -10,7 +10,7 @@ import pytest
 
 from starcob import cli
 from starcob.barcobar import _tables
-from starcob.cli import main
+from starcob.cli import main, parse_fault
 
 
 def _run(argv, capsys):
@@ -199,6 +199,23 @@ def test_rejected_fault_spec_is_config_error(kind, spec, capsys):
     assert code == 2
     assert out == ""
     assert repr(spec) in err
+
+
+def test_parse_fault():
+    assert parse_fault(None) is None
+    assert parse_fault("break-h") == ("break-h",)
+    assert parse_fault("drop-mu2N") == ("drop-a-centered", 0)
+    assert parse_fault("drop-mu2N:3") == ("drop-a-centered", 3)
+    with pytest.raises(ValueError):
+        parse_fault("bogus")
+    with pytest.raises(ValueError):
+        parse_fault("drop-mu2N:x")
+    # k has one spelling, str(k); int() would read each of these as 1
+    for spec in ("drop-mu2N:+1", "drop-mu2N: 1", "drop-mu2N:01", "drop-mu2N:0_1", "drop-mu2N:\uff11"):
+        with pytest.raises(ValueError, match="unknown fault spec"):
+            parse_fault(spec)
+    assert parse_fault("drop-mu2N:0") == ("drop-a-centered", 0)
+    assert parse_fault("drop-mu2N:10") == ("drop-a-centered", 10)
 
 
 def test_last_fault_component_is_accepted(capsys):

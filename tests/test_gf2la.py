@@ -7,8 +7,29 @@ import pytest
 
 from starcob.barcobar import CobElem, TString
 from starcob.gf2la import SparseMatF2, reduce_against, row_space_basis, terms_of
-from starcob.hochschild import TwistedElem, witness_cocycle
+from starcob.hochschild import TwistedElem, diff_matrix, witness_cocycle
 from starcob.staralg import AWord
+
+
+def _column_scan_rref(rows, ncols):
+    """The reduced row echelon form by scanning column after column for a
+    pivot row: the oracle for SparseMatF2._rref."""
+    work = list(rows)
+    pivots = []
+    row_idx = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row_idx, len(work)) if (work[r] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[row_idx], work[pivot] = work[pivot], work[row_idx]
+        for r in range(len(work)):
+            if r != row_idx and (work[r] >> col) & 1:
+                work[r] ^= work[row_idx]
+        pivots.append(col)
+        row_idx += 1
+        if row_idx == len(work):
+            break
+    return work, pivots
 
 
 def _vec(bits):
@@ -96,6 +117,27 @@ def test_solve_roundtrip_random():
         y = m.solve(b)
         assert y is not None
         assert m.mul_vec(y) == b
+
+
+def test_rref_matches_the_column_scan_on_random_matrices():
+    rng = random.Random(7)
+    for _ in range(3000):
+        nrows = rng.randrange(0, 13)
+        ncols = rng.randrange(0, 13)
+        density = rng.choice((0.1, 0.3, 0.5, 0.8))
+        rows = [sum(1 << c for c in range(ncols) if rng.random() < density) for _ in range(nrows)]
+        m = SparseMatF2(rows, ncols)
+        assert m._rref() == _column_scan_rref(rows, ncols), (rows, ncols)
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_rref_matches_the_column_scan_on_every_diff_matrix(model):
+    for big_n in range(3, 9):
+        for n_deg in range(2, 3 * big_n + 1):
+            for j in (0, -1, -2):
+                mat = diff_matrix(model, n_deg, j, big_n)[0]
+                for m in (mat, mat.transpose()):
+                    assert m._rref() == _column_scan_rref(m.rows, m.ncols), (model, big_n, n_deg, j)
 
 
 def test_f2sum_membership_and_kinds():
