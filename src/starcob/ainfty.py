@@ -63,7 +63,9 @@ while lambda and the gradings of V0 and V_{N+1} are fixed.  So
 entered at node 1, and reports a failing one with its N-1 rotated copies,
 each checked in turn, in the order `nonzero_operations` would list them.
 The equivariance tests in tests/test_ainfty.py are what make both sweeps
-complete.
+complete.  A law runs on ids: each table word is graded once, into a
+per-id column, each value V^e * p once per distinct (e, p), and words are
+rendered only for a failing operation.
 """
 from __future__ import annotations
 
@@ -453,21 +455,28 @@ def _relation_tuples(ops: _OpTables, max_arity: int, entry: int) -> set[tuple[in
     window, must start there.  An operation keeps the endpoints of its
     inputs' path, so p is entered where W is, and a window with W in place
     of its first entry starts where the window does.
+
+    The operations are streamed from `_nonzero`, and the windows read off
+    the `higher` column.  A composed term has arity 3 or more.
     """
+    if max_arity < 3:
+        return set()
     ell, mul, max_len, node = ops.ell, ops.mul, ops.max_len, ops.entry
-    nonzero = [(t, sum(ell[a] for a in t), p) for t, _, p in _nonzero(ops, max_arity - 1) if len(t) < max_arity]
     # the words entered at `entry`, by the node where a chain leaves them,
     # each list ascending in length
     lefts: dict[int, list[int]] = {i: [] for i in range(1, ops.n + 1)}
     for c in ops.by_entry[entry]:
         lefts[ops.exit[c]].append(c)
     windows_at: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-    for window, length, _ in nonzero:
-        if len(window) > 2 and node[window[0]] == entry:
-            for k, a in enumerate(window):
-                windows_at.setdefault(a, []).append((window, length, k))
+    if ops.higher_arity < max_arity:
+        for window in ops.higher:
+            if node[window[0]] == entry:
+                length = sum(ell[a] for a in window)
+                for k, a in enumerate(window):
+                    windows_at.setdefault(a, []).append((window, length, k))
     out: set[tuple[int, ...]] = set()
-    for t, length, p in nonzero:
+    for t, _, p in _nonzero(ops, max_arity - 1):
+        length = sum(ell[a] for a in t)
         budget = max_len - length
         for c in lefts[node[p]]:
             if ell[c] > budget:
@@ -549,37 +558,44 @@ def nonzero_operations(
         yield tuple(words[a] for a in t), e, words[p]
 
 
-Residual = Callable[[tuple[Word, ...], Monomial, Word], Optional[str]]
+def operation_violations(
+    ops: _OpTables,
+    max_arity: int,
+    value: Callable[[int, int], object],
+    inputs: Callable[[tuple], object],
+    reason: Callable[[tuple, int, int], str],
+) -> list[dict]:
+    """Violations of a grading law over the nonzero operations of arity <=
+    max_arity on the table's words (binary products whatever the bound).
 
-
-def operation_violations(algebra: str, max_arity: int, max_total_len: int, n: int, residual: Residual) -> list[dict]:
-    """Violations of a grading law over all nonzero operations within bounds.
-
-    `residual(inputs, exponent, output word)` gives the reason an operation
-    breaks the law, or None.  Only the operations whose first input is
-    entered at node 1 are checked; a failing one is reported with its
-    rotated copies, each checked in turn (see the module docstring), in the
-    order of nonzero_operations.
+    The law holds on an operation t -> V^e * p, on ids, when value(e, p),
+    the value's grading, taken once per distinct (e, p), equals inputs(t),
+    the one the law asks of the inputs; `reason(t, e, p)` says why a failing
+    operation breaks it.  Only the operations whose first input is entered
+    at node 1 are checked; a failing one is reported with its rotated
+    copies, each checked in turn (see the module docstring), in the order of
+    nonzero_operations.
     """
-    ops = _op_tables(algebra, n, max_total_len)
-    words = ops.words
+    values: dict[tuple[int, int], object] = {}
 
-    def reason(t: tuple, e: Monomial, p: int) -> Optional[str]:
-        return residual(tuple(words[a] for a in t), e, words[p])
+    def holds(t: tuple, e: int, p: int) -> bool:
+        if (e, p) not in values:
+            values[e, p] = value(e, p)
+        return values[e, p] == inputs(t)
 
     failing = []
     for t, e, p in _nonzero(ops, max_arity, 1):
-        if reason(t, e, p) is not None:
+        if not holds(t, e, p):
             for turn in ops.rotations:
-                rt = tuple(turn[a] for a in t)
-                why = reason(rt, e, turn[p])
-                if why is not None:
+                rt, rp = tuple(turn[a] for a in t), turn[p]
+                if not holds(rt, e, rp):
                     # nonzero_operations lists the products by entry node,
                     # then the windows in id order
-                    failing.append(((0, ops.entry[rt[0]], rt) if len(rt) == 2 else (1, rt), why))
+                    failing.append(((0, ops.entry[rt[0]], rt) if len(rt) == 2 else (1, rt), reason(rt, e, rp)))
     failing.sort()
+    words = ops.words
     return [
-        {"algebra": algebra, "arity": len(t), "inputs": [words[a].render() for a in t], "reason": why}
+        {"algebra": ops.algebra, "arity": len(t), "inputs": [words[a].render() for a in t], "reason": why}
         for (*_, t), why in failing
     ]
 
@@ -597,20 +613,60 @@ def _grading_sides(algebra: str, n: int, inputs: tuple[Word, ...], exp: Monomial
     return _entry_grading(algebra, exp, word, n), expect
 
 
+def _packing(gradings: list[Grading], max_arity: int) -> Callable[[Grading], Optional[int]]:
+    """The packing into one int under which the grading law compares gradings.
+
+    The digits m, ell and the 2N weight slots go from the lowest bits up,
+    `width` bits apart, as signed digits in (-half, half), half =
+    2^(width-1).  Two packings of such digits are equal exactly when the
+    digits are: the lowest two that differed would differ by a nonzero
+    multiple of 2^width, more than they can.  The law's sum side adds r <=
+    max(max_arity, 2) of the given gradings and r - 2 to m, so its digits
+    are below r * (big + 1) in size, big the largest digit given, and half
+    is above that.  A grading with a larger digit packs to None, which
+    equals no int, as the grading equals no such sum.
+    """
+    big = max(max(abs(g.m), g.ell, *map(abs, g.alexander)) for g in gradings)
+    width = (max(max_arity, 2) * (big + 1)).bit_length() + 1
+    half = 1 << (width - 1)
+
+    def pack(g: Grading) -> Optional[int]:
+        digits = (g.m, g.ell, *g.alexander)
+        if max(map(abs, digits)) >= half:
+            return None
+        packed = 0
+        for d in reversed(digits):
+            packed = (packed << width) + d
+        return packed
+
+    return pack
+
+
 def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
     """Grading-law violations over all nonzero operations within bounds.
 
     Binary products must add gradings; an arity-r operation must add r - 2 to
     the Maslov degree and preserve the weight vector (hence total length).
+    The law compares gradings packed into ints (`_packing`), each table
+    word's packed once, into a column.
     """
+    ops = _op_tables(algebra, n, max_total_len)
+    words = ops.words
+    gradings = [grading(w) for w in words]
+    pack = _packing(gradings, max_arity)
+    column = [pack(g) for g in gradings]
 
-    def residual(inputs: tuple[Word, ...], exp: Monomial, word: Word) -> Optional[str]:
-        got, expect = _grading_sides(algebra, n, inputs, exp, word)
-        if got == expect:
-            return None
-        return f"{'binary' if len(inputs) == 2 else 'operation'} grading {got} != {expect}"
+    def reason(t: tuple, e: int, p: int) -> str:
+        got, expect = _grading_sides(algebra, n, tuple(words[a] for a in t), e, words[p])
+        return f"{'binary' if len(t) == 2 else 'operation'} grading {got} != {expect}"
 
-    return operation_violations(algebra, max_arity, max_total_len, n, residual)
+    return operation_violations(
+        ops,
+        max_arity,
+        lambda e, p: pack(_entry_grading(algebra, e, words[p], n)),
+        lambda t: sum(map(column.__getitem__, t)) + len(t) - 2,
+        reason,
+    )
 
 
 __all__ = [

@@ -53,7 +53,7 @@ FAULT_KINDS = {"drop-a-centered": "ainfty-a", "break-h": "homotopy"}
 UNREAD_OPTIONS = {"homotopy": ("--max-arity",), "arities": ("--max-arity", "--max-len")}
 
 
-def parse_fault(text: Optional[str]) -> Optional[tuple]:
+def parse_fault(text: str) -> tuple:
     """Parse a fault-injection spec: "break-h", "drop-mu2N" or "drop-mu2N:k".
 
     k has one spelling, str(k): ASCII digits with no sign and no leading
@@ -61,8 +61,6 @@ def parse_fault(text: Optional[str]) -> Optional[tuple]:
     checked here; `_fault` checks which verify kind the fault applies to
     and the range of k.
     """
-    if text is None:
-        return None
     if text == "break-h":
         return ("break-h",)
     if text == "drop-mu2N":
@@ -186,14 +184,16 @@ class _JsonWriter:
 
     def f2sum(self, value, head: str) -> None:
         # the JSON string of value.render(): its terms' renderings in
-        # sorted_terms() order joined by " + ", or "0" for the zero sum
+        # sorted_terms() order joined by " + ", or "0" for the zero sum.  A
+        # term renders as printable ASCII with no '"' or '\\' (see the
+        # staralg docstring), which JSON writes as it is.
         terms = value.sorted_terms()
         if not terms:
             self.put(head + '"0"')
             return
         sep = head + '"'
         for term in terms:
-            self.put(sep + encode_basestring_ascii(term.render())[1:-1])
+            self.put(sep + term.render())
             sep = " + "
         self.put('"')
 

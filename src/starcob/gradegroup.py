@@ -11,10 +11,7 @@ not carried: A has a higher operation in arity 2N only (see ainfty).
 """
 from __future__ import annotations
 
-import functools
-from typing import Optional
-
-from .ainfty import operation_violations
+from .ainfty import _op_tables, operation_violations
 from .ring import Frozen, Monomial
 from .staralg import AWord, BWord, Word, coeff_var
 
@@ -142,17 +139,64 @@ def _group_sides(algebra: str, n: int, inputs: tuple, exp: Monomial, word: Word,
     return gp_mul(mono_group_grading(exp, algebra, n), grade(word)), expect
 
 
+class _FreeWords:
+    """Reduced free-group words interned as indices, the empty word at 0,
+    with the index of each product memoized by the pair of indices."""
+
+    def __init__(self) -> None:
+        self.words: list[tuple] = [()]
+        self.ids: dict[tuple, int] = {(): 0}
+        self.products: dict[tuple[int, int], int] = {}
+
+    def index(self, word: tuple) -> int:
+        i = self.ids.get(word)
+        if i is None:
+            i = self.ids[word] = len(self.words)
+            self.words.append(word)
+        return i
+
+    def times(self, x: int, y: int) -> int:
+        xy = self.products.get((x, y))
+        if xy is None:
+            xy = self.products[x, y] = self.index(free_reduce(self.words[x] + self.words[y]))
+        return xy
+
+
 def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: int) -> list[dict]:
     """Violations of gr(output) = lambda^(arity-2) * product of input gradings
     over all nonzero binary products and higher-operation windows in range,
-    checked one operation per rotation orbit (see ainfty)."""
-    grade = functools.cache(assign_grading)  # each distinct word graded once per call
+    checked one operation per rotation orbit (see ainfty).
 
-    def residual(inputs: tuple, exp: Monomial, word: Word) -> Optional[str]:
-        got, expect = _group_sides(algebra, n, inputs, exp, word, grade)
-        return None if got == expect else f"grading {got.render()} != {expect.render()}"
+    Each table word is graded once, into columns of its central degree and
+    of its free-group word's index.  Free reduction is confluent and lambda
+    central, so the inputs' product adds their central degrees and
+    multiplies their free words in order.
+    """
+    ops = _op_tables(algebra, n, max_total_len)
+    free = _FreeWords()
+    central, letters = [], []
+    for w in ops.words:
+        g = assign_grading(w)
+        central.append(g.z)
+        letters.append(free.index(g.word))
 
-    return operation_violations(algebra, max_arity, max_total_len, n, residual)
+    def value(e: int, p: int) -> tuple[int, int]:
+        c = mono_group_grading(e, algebra, n)
+        return c.z + central[p], free.times(free.index(c.word), letters[p])
+
+    def inputs(t: tuple) -> tuple[int, int]:
+        z, x = GP_LAMBDA.z * (len(t) - 2), 0
+        for a in t:
+            z += central[a]
+            x = free.times(x, letters[a])
+        return z, x
+
+    def reason(t: tuple, e: int, p: int) -> str:
+        words = ops.words
+        got, expect = _group_sides(algebra, n, tuple(words[a] for a in t), e, words[p], assign_grading)
+        return f"grading {got.render()} != {expect.render()}"
+
+    return operation_violations(ops, max_arity, value, inputs, reason)
 
 
 def admissible_arities(side: str, big_n: int, n_lo: int, n_hi: int) -> set[int]:

@@ -323,11 +323,15 @@ def cohomology_dim(
     """Dimension of the bidegree-(n, j) cohomology and witness cocycles.
 
     Witnesses are kernel representatives reduced against the image; one per
-    cohomology dimension.
+    cohomology dimension.  An empty source returns before any matrix is
+    built.  Its target slice shares n + j, so the coefficient power, but not
+    the left length: at source left length -1 only the target raises
+    InsufficientTruncation, as it did when the matrix was built first.
     """
-    out_mat, src, _ = diff_matrix(model, n_deg, j, big_n, trunc)
-    if not src:
+    if not slice_basis(model, n_deg, j, big_n, trunc):
+        slice_basis(model, n_deg + 1, j - 1, big_n, trunc)
         return (0, [])
+    out_mat, src, _ = diff_matrix(model, n_deg, j, big_n, trunc)
     kernel = out_mat.kernel_basis()
     in_mat, prev, _ = diff_matrix(model, n_deg - 1, j + 1, big_n, trunc)
     image_rows = row_space_basis(in_mat.transpose().rows) if prev else []

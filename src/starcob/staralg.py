@@ -29,6 +29,13 @@ B-words), a weight vector of length 2N counting each loop/edge letter (loop
 letters at even slots 2i-2, edge letters at odd slots 2i-1), and the total
 length.  The coefficient variables are graded too: V0 has m = 2N-2 and full
 weight vector, V_{N+1} has m = -2 and the edge half of the weight vector.
+
+Renderings are printable ASCII with no '"' and no '\\': a word renders from
+letters, digits and `[,]^.` (I1, U2^3, s[1,4], r1.s1), a coefficient from
+`V`, digits and `^` (ring.mono_str), and the terms built on them add only
+`*`, `(x)`, spaces, `.`, `|` and parentheses (hochschild.TwistedMono,
+barcobar.TString).  So the report writer puts a term into a JSON string as
+it is (cli._JsonWriter.f2sum); tests/test_cli.py renders every kind.
 """
 from __future__ import annotations
 
@@ -405,7 +412,6 @@ def mono_grading(exp: Monomial, algebra: str, n: int) -> Grading:
     return Grading(exp * g.m, tuple(map(mul, g.alexander, repeat(exp))), exp * g.ell)
 
 
-@functools.lru_cache(maxsize=256)
 def grading(w: Word) -> Grading:
     """Grading of a basis word.
 
@@ -413,14 +419,6 @@ def grading(w: Word) -> Grading:
     edge slots (A) or consecutive slots (B) of the weight vector, cyclically
     from the slot of the first letter, so the vector is read off in closed
     form from the first slot and the length, without walking the word.
-
-    Memoized, with a bound: `verify grading --n 6` grades 336 distinct
-    words 3,909 times, and with 256 entries every miss is a word's first
-    grading, so 3,573 calls (91%) hit, as many as with no bound.  A
-    cohomology table at N = 128 grades about 900 words (each with a 256-slot
-    weight vector) about three times each, where a miss costs about what a
-    hit does: its time moves by under 5% between this bound, no bound and no
-    cache.
 
     >>> grading(AWord("u", 1, 2, 3))
     Grading(m=0, alexander=(2, 0, 0, 0, 0, 0), ell=2)

@@ -1,6 +1,7 @@
 """Tests for the higher operations and the relation checker."""
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 
@@ -1128,6 +1129,85 @@ def test_grading_checks_match_the_full_sweep_under_a_fault(algebra, n, max_arity
 def test_op_grading_check_clean():
     assert op_grading_check("A", 8, 12, 3) == []
     assert op_grading_check("B", 5, 9, 3) == []
+
+
+@pytest.mark.parametrize("algebra, n, max_arity, max_len", [("A", 3, 8, 12), ("B", 4, 6, 12)])
+def test_grading_laws_grade_each_word_once(algebra, n, max_arity, max_len, monkeypatch):
+    # Each law grades every table word at most once, into its column, and
+    # each value V^e * p once per distinct (e, p), however many operations
+    # share them.
+    ops = _op_tables(algebra, n, max_len)
+    swept = list(_nonzero(ops, max_arity, 1))
+    outputs = {(e, p) for _, e, p in swept}
+    assert len(swept) > len(ops.words) and len(swept) > len(outputs)
+    graded, values = collections.Counter(), collections.Counter()
+    word_grading, entry_grading = ainfty.grading, ainfty._entry_grading
+
+    def counted_entry(alg, exp, word, n):
+        values[exp, word] += 1
+        return entry_grading(alg, exp, word, n)
+
+    monkeypatch.setattr(ainfty, "grading", lambda w: graded.update([w]) or word_grading(w))
+    monkeypatch.setattr(ainfty, "_entry_grading", counted_entry)
+    assert op_grading_check(algebra, max_arity, max_len, n) == []
+    assert set(values) == {(e, ops.words[p]) for e, p in outputs} and max(values.values()) == 1
+    # _entry_grading grades its word too
+    graded.subtract(word for _, word in values)
+    assert set(graded) <= set(ops.words) and max(graded.values()) == 1
+
+    group_graded, coefficients = collections.Counter(), collections.Counter()
+    group_grading, mono = gradegroup.assign_grading, gradegroup.mono_group_grading
+    monkeypatch.setattr(gradegroup, "assign_grading", lambda w: group_graded.update([w]) or group_grading(w))
+    monkeypatch.setattr(gradegroup, "mono_group_grading", lambda e, alg, n: coefficients.update([e]) or mono(e, alg, n))
+    assert check_multiplicativity(algebra, max_arity, max_len, n) == []
+    assert set(group_graded) <= set(ops.words) and max(group_graded.values()) == 1
+    assert coefficients == collections.Counter(e for e, _ in outputs)
+
+
+def _materialized_relation_tuples(ops, max_arity, entry):
+    """_relation_tuples as it was before it streamed the operations: every
+    nonzero operation listed first, the windows read off that list."""
+    ell, mul, max_len, node = ops.ell, ops.mul, ops.max_len, ops.entry
+    nonzero = [(t, sum(ell[a] for a in t), p) for t, _, p in _nonzero(ops, max_arity - 1) if len(t) < max_arity]
+    lefts = {i: [] for i in range(1, ops.n + 1)}
+    for c in ops.by_entry[entry]:
+        lefts[ops.exit[c]].append(c)
+    windows_at = {}
+    for window, length, _ in nonzero:
+        if len(window) > 2 and node[window[0]] == entry:
+            for k, a in enumerate(window):
+                windows_at.setdefault(a, []).append((window, length, k))
+    out = set()
+    for t, length, p in nonzero:
+        budget = max_len - length
+        for c in lefts[node[p]]:
+            if ell[c] > budget:
+                break
+            if p in mul[c]:
+                out.add((c,) + t)
+        for window, window_len, k in windows_at.get(p, ()):
+            if len(window) + len(t) - 1 <= max_arity and window_len - ell[p] + length <= max_len:
+                out.add(window[:k] + t + window[k + 1 :])
+        if node[t[0]] == entry:
+            for c in ops.by_entry[ops.exit[p]]:
+                if ell[c] > budget:
+                    break
+                if c in mul[p]:
+                    out.add(t + (c,))
+    return out
+
+
+@pytest.mark.parametrize("algebra, n", sorted(_EQUIVARIANCE_WINDOWS))
+def test_streamed_relation_tuples_match_the_materialized_build(algebra, n):
+    # At every entry node and at arity bounds below, at and past the higher
+    # arity, the streamed build lists the tuples the materialized one did.
+    ops = _op_tables(algebra, n, _EQUIVARIANCE_WINDOWS[algebra, n])
+    h = higher_arity(algebra, n)
+    for max_arity in (2, 3, h, h + 1, h + 2, 2 * h):
+        for entry in range(1, n + 1):
+            got = _relation_tuples(ops, max_arity, entry)
+            assert got == _materialized_relation_tuples(ops, max_arity, entry)
+            assert got or max_arity < 3
 
 
 def test_tags_are_exclusive_across_windows():

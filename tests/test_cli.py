@@ -202,7 +202,6 @@ def test_rejected_fault_spec_is_config_error(kind, spec, capsys):
 
 
 def test_parse_fault():
-    assert parse_fault(None) is None
     assert parse_fault("break-h") == ("break-h",)
     assert parse_fault("drop-mu2N") == ("drop-a-centered", 0)
     assert parse_fault("drop-mu2N:3") == ("drop-a-centered", 3)
@@ -216,6 +215,35 @@ def test_parse_fault():
             parse_fault(spec)
     assert parse_fault("drop-mu2N:0") == ("drop-a-centered", 0)
     assert parse_fault("drop-mu2N:10") == ("drop-a-centered", 10)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_every_rendered_term_needs_no_json_escape(n):
+    # The report writer puts each term of a GF(2) sum into a JSON string
+    # unescaped, which is right only while every rendering is printable
+    # ASCII with no '"' or '\\': render every word kind, every monomial kind
+    # with p = 0, 1, 2 in both models, and the dual strings.
+    from _json import encode_basestring_ascii
+
+    from starcob.barcobar import enumerate_strings
+    from starcob.hochschild import slice_basis, witness_cocycle
+    from starcob.staralg import enumerate_basis
+
+    rendered = []
+    for algebra in ("A", "B"):
+        words = enumerate_basis(algebra, 2 * n + 1, n)
+        assert {(w.kind, getattr(w, "first", "")) for w in words} >= (
+            {("i", ""), ("u", ""), ("s", "")} if algebra == "A" else {("i", ""), ("c", "r"), ("c", "s")}
+        )
+        rendered += [w.render() for w in words]
+        monos = [tm for n_deg in range(4 * n + 2) for j in range(-2 * n - 2, 2) for tm in slice_basis(algebra, n_deg, j, n)]
+        assert {tm.p for tm in monos} >= {0, 1, 2}
+        rendered += [tm.render() for tm in monos] + [witness_cocycle(algebra, n).render()]
+        strings = list(enumerate_strings(algebra, 4, n))
+        rendered += [ts.render() for ts in strings] + [ts.render_with_block() for ts in strings]
+    for text in rendered:
+        assert text.isascii() and text.isprintable()
+        assert encode_basestring_ascii(text) == f'"{text}"', text
 
 
 def test_last_fault_component_is_accepted(capsys):
@@ -550,10 +578,12 @@ def test_writer_matches_json_dumps_on_every_value_kind(flush, monkeypatch):
         "tuple": (1, ("a",), {"k": []}),
         "iter": (x * x for x in range(3)),
         "nested": {"b": {"c": [{}], "a": [[]]}, "a": -(10**30)},
-        "sums": [_Sum(), _Sum("x"), _Sum("s2 (x) r\u00e9", "s1 (x) \"q\"")],
+        # a sum's terms are written unescaped: each renders as printable
+        # ASCII with no '"' or '\\' (test_every_rendered_term_needs_no_json_escape)
+        "sums": [_Sum(), _Sum("x"), _Sum("s2 (x) r1.s1", "V0^2*I1 (x) s[1,4]")],
     }
     expect = dict(doc, **{"empty-iter": [], "iter": [0, 1, 4]})
-    expect["sums"] = ["0", "x", "s1 (x) \"q\" + s2 (x) r\u00e9"]
+    expect["sums"] = ["0", "x", "V0^2*I1 (x) s[1,4] + s2 (x) r1.s1"]
     out = io.StringIO()
     cli._emit_json(doc, out)
     assert out.getvalue() == _dumps(expect)

@@ -215,6 +215,37 @@ def test_insufficient_truncation():
     assert all(r["dim"] == 0 for r in rows if "error" not in r)
 
 
+def _cohomology_dim_after_the_matrix(model, n_deg, j, big_n, trunc):
+    """cohomology_dim as it was before an empty source returned early: the
+    outgoing matrix, and with it the target slice, built first."""
+    _, src, _ = hochschild.diff_matrix(model, n_deg, j, big_n, trunc)
+    return cohomology_dim(model, n_deg, j, big_n, trunc) if src else (0, [])
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+@pytest.mark.parametrize("big_n", [3, 4])
+def test_empty_source_cells_raise_as_the_matrix_did(model, big_n):
+    # An empty source returns before any matrix; each cell still gives the
+    # dimension, witnesses or InsufficientTruncation message it gave when
+    # the matrix came first, also where the source has left length -1 and
+    # only its target slice needs the capped power.
+    def outcome(dim_of, n_deg, j, trunc):
+        try:
+            dim, wits = dim_of(model, n_deg, j, big_n, trunc)
+        except InsufficientTruncation as exc:
+            return str(exc)
+        return dim, [w.render() for w in wits]
+
+    raised = 0
+    for trunc in (None, 0, 1):
+        for n_deg in range(3, 4 * big_n + 2):
+            for j in range(-2 * big_n - 2, 2):
+                got = outcome(cohomology_dim, n_deg, j, trunc)
+                assert got == outcome(_cohomology_dim_after_the_matrix, n_deg, j, trunc), (n_deg, j, trunc)
+                raised += isinstance(got, str) and not slice_basis(model, n_deg, j, big_n)
+    assert raised
+
+
 def _string_diff(p, left, ts):
     """String-model differential of a monomial left (x) string: split a string
     factor, or multiply by a letter on one side and concatenate its dual on
