@@ -23,15 +23,16 @@ and zero solves them.
 The operations run on interned word ids.  `_OpTables` extends the
 `staralg.WordTable` of one algebra, N and length bound with the columns only
 the classifier reads (packed weights, the coefficient's weight, the drop-mu2N
-component), built lazily, once per (algebra, N, bound).  `_classify` is the
-one operation classifier, on (exponent, id) entries: mu_a and mu_b intern
-their inputs and call it.  The table's `higher` column is its value on each
-passing window, classified once.  `windows` lists every tuple within the
-bound on which the higher operation is nonzero, so `higher` is the whole
-operation on entries without a coefficient, as `mul` is the whole binary
-one.  relation_sum and the sweeps read both off the table; only a
-coefficient carried into an outer higher operation goes back to `_classify`,
-so the coefficient rule is written there alone.
+component), built lazily; only the last (algebra, N, bound) asked for is
+kept.  `_classify` is the one operation classifier, on (exponent, id)
+entries: mu_a and mu_b intern their inputs and call it.  The table's
+`higher` column is its value on each passing window, classified once.
+`windows` lists every tuple within the bound on which the higher operation
+is nonzero, so `higher` is the whole operation on entries without a
+coefficient, as `mul` is the whole binary one.  relation_sum and the sweeps
+read both off the table; only a coefficient carried into an outer higher
+operation goes back to `_classify`, so the coefficient rule is written
+there alone.
 
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
 that has a nonzero term, read off the nonzero operations themselves; the
@@ -133,8 +134,8 @@ class _OpTables(WordTable):
     besides the margin it returns.  `windows` and `higher`, built on first
     use, list the higher operation's passing windows and its value on each:
     every tuple within the bound on which it is nonzero, so a lookup that
-    misses there is a zero.  `windows` finds the extended tuples in the
-    `splits` the classifier reads, at the same margin index.
+    misses there is a zero.  `windows` finds the extended tuples through
+    the `split` the classifier reads, at the same margin length.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
@@ -193,9 +194,11 @@ class _OpTables(WordTable):
         return out
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=1)
 def _op_tables(algebra: str, n: int, max_len: int) -> _OpTables:
-    """The tables of one (algebra, N, max_len), built on first use."""
+    """The tables of one (algebra, N, max_len), built on first use.  Only
+    the last one is kept: a sweep reads one table, and `verify grading`
+    frees A's before it builds B's."""
     return _OpTables(algebra, n, max_len)
 
 
@@ -245,18 +248,15 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
             return None
         return (TAG_CENTERED, 1, entry[w0] - 1)
     # The split of the first word whose left part is the margin, and of the
-    # last word whose right part is (splits go by the length of the left
+    # last word whose right part is (`split` goes by the length of the left
     # part).  Left-extended needs a last word of length 1 and right-extended
     # a longer one, so at most one of the two holds.
-    at_left, at_right = excess - 1, -excess
-    splits = ops.splits[w0]
-    if excess <= len(splits) and exps == e0:
-        margin, rest = splits[at_left]
+    if excess < ell[w0] and exps == e0:
+        margin, rest = ops.split(w0, excess)
         if weight[rest] + total - weight[w0] == ones:
             return (TAG_LEFT, 1 + exps, margin)
-    splits = ops.splits[wl]
-    if excess <= len(splits) and exps == el:
-        rest, margin = splits[at_right]
+    if excess < ell[wl] and exps == el:
+        rest, margin = ops.split(wl, ell[wl] - excess)
         if weight[rest] + total - weight[wl] == ones:
             return (TAG_RIGHT, 1 + exps, margin)
     return None
@@ -412,10 +412,10 @@ def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word
     # taking off its margin, all but one letter, leaves
     for a in range(table.word_id(2, 0), table.word_id(budget + 2, 0)):
         excess = table.ell[a] - 1
-        _, rest = table.splits[a][excess - 1]  # at_left
+        _, rest = table.split(a, excess)  # the margin on the left
         if rest in starting:
             windows.append((a,) + starting[rest][1:])
-        rest, _ = table.splits[a][-excess]  # at_right
+        rest, _ = table.split(a, 1)  # the margin on the right
         if rest in ending:
             windows.append(ending[rest][:-1] + (a,))
     words = table.words

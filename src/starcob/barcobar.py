@@ -64,6 +64,7 @@ lemma as well, as `break-h` does, or the reduced sweep can miss it.
 from __future__ import annotations
 
 import functools
+from itertools import accumulate
 from typing import Iterator, Optional, Union
 
 from .gf2la import F2Sum, terms_of
@@ -178,12 +179,27 @@ class _WordTables(WordTable):
 
     A string is a tuple of non-idempotent ids.  Its letters are ids
     N..3N-1, its two-letter words 3N..5N-1, and `image` and `block_next`,
-    the one letter that continues a's block, are indexed by id - N.
+    the one letter that continues a's block, are indexed by id - N.  The
+    differential walks every split of every factor, so `splits[a]` lists
+    them, `split(a, k)` for k = 1..ell[a]-1.
     """
 
     def __init__(self, algebra: str, n: int, max_len: int):
         super().__init__(algebra, n, max_len)
         dual, two_n = dual_algebra(algebra), 2 * n
+        # splits[a]: read off `mul`, which holds every split (c, d) backwards, at
+        # a third of the cost of one `split` call per pair; into one flat list,
+        # a's run from first[a] on at the length of c, so that the build holds
+        # no list per word
+        ell = self.ell
+        first = list(accumulate((max(k - 1, 0) for k in ell), initial=0))
+        flat = [None] * first[-1]
+        for c in range(n, len(self.words)):
+            k = ell[c] - 1
+            for d, a in self.mul[c].items():
+                if d >= n:
+                    flat[first[a] + k] = (c, d)
+        self.splits = [tuple(flat[first[a] : first[a + 1]]) for a in range(len(ell))]
         slots, at = letter_slots(algebra, n), slot_letters(algebra, n)
         # image[a - N]: the dictionary image of letter a, the letter at the same
         # slot, as an id of the other algebra

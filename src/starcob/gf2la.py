@@ -57,14 +57,6 @@ class SparseMatF2:
                 r ^= low
         return SparseMatF2(out, len(self.rows))
 
-    def mul_vec(self, v: int) -> int:
-        """Matrix-vector product; v is a bitmask over columns."""
-        out = 0
-        for i, row in enumerate(self.rows):
-            if (row & v).bit_count() & 1:
-                out |= 1 << i
-        return out
-
     def _rref(self) -> tuple[List[int], List[int]]:
         """Reduced row echelon form; returns (rows, pivot columns).
 

@@ -21,8 +21,9 @@ its neighbouring words must meet at a node.  A-words chain left to right
 Each word stores the node where a chain enters it (`entry`) and leaves it
 (`exit`): init/fin for A, fin/init for B.  So one rule, prev.exit ==
 next.entry, decides chaining in both algebras (`chain_ok`).  `WordTable`
-interns the words up to a length bound as ids, with their product and split
-tables and the chained id tuples; the ainfty and barcobar kernels extend it.
+interns the words up to a length bound as ids, with their product table, the
+arithmetic of their splits and the chained id tuples; the ainfty and barcobar
+kernels extend it.
 
 Gradings: an integer Maslov degree m (0 on A-words, minus the length on
 B-words), a weight vector of length 2N counting each loop/edge letter (loop
@@ -616,7 +617,8 @@ def chain_ok(prev: Word, nxt: Word) -> bool:
 
 class WordTable:
     """The basis words of one algebra and N with length <= max_len, interned
-    as small ints, with the product and split tables both id kernels share.
+    as small ints, with the product table and split arithmetic both id
+    kernels share.
 
     Ids are canonical (`enumerate_basis` order): the N idempotents are ids
     0..N-1 (I_i at i-1), and the word of length l >= 1 at offset o in
@@ -629,23 +631,24 @@ class WordTable:
     The splits are integer arithmetic on (l, o), with no word built.  A word
     (l, o) is continued by the words at offset `continuation(l, o)`: o for a
     U-power, N + (o-N+l) mod N for an s-chain (the chain from its end node),
-    and (o+l) mod 2N in B (the slot after its run).  So (l, o) splits at
-    each 0 < k < l into the parts (k, o) and (l-k, continuation(k, o)): the
-    head and the tail in A, the first-applied and the later part in B.
-    `splits[a]` lists them as (c, d) with a = c*d, by the length of the
-    written-first factor c in both algebras.  The product is one source
-    with them: `mul` is the units and every split read backwards.
+    and (o+l) mod 2N in B (the slot after its run); `conts[o][l]` holds it
+    for every l below max_len.  So (l, o) splits at each 0 < k < l into the
+    parts (k, o) and (l-k, continuation(k, o)): the head and the tail in A,
+    the first-applied and the later part in B.  `split(a, k)` gives the one
+    whose written-first factor has k letters, as (c, d) with a = c*d, in
+    both algebras.  The product is one source with it: `mul` is the units
+    and every split read backwards, filled by the same arithmetic.
 
     >>> table = WordTable("A", 3, 4)
     >>> s = table.word_id(2, 3 + 1)  # s_2 s_3, offset N + 2 - 1
-    >>> table.words[s].render(), table.continuation(2, 3 + 1)
-    ('s[2,4]', 3)
-    >>> [[table.words[c].render() for c in pair] for pair in table.splits[s]]
-    [['s[2,3]', 's[3,4]']]
+    >>> table.words[s].render(), table.continuation(2, 3 + 1), table.conts[3 + 1][2]
+    ('s[2,4]', 3, 3)
+    >>> [table.words[c].render() for c in table.split(s, 1)]
+    ['s[2,3]', 's[3,4]']
     >>> table.words[table.mul[s][table.word_id(1, 3)]].render()
     's[2,5]'
     >>> table = WordTable("B", 3, 3)  # r1 s1 r2 below, from the slot of r1
-    >>> [[table.words[c].render() for c in pair] for pair in table.splits[table.word_id(3, 0)]]
+    >>> [[table.words[c].render() for c in table.split(table.word_id(3, 0), k)] for k in (1, 2)]
     [['r2', 'r1.s1'], ['s1.r2', 'r1']]
     >>> table = WordTable("B", 3, 1)
     >>> [[table.words[a].render() for a in t] for t in table.chains(2, entry=2)]
@@ -666,22 +669,31 @@ class WordTable:
         # in id order of b: the units, then each split read backwards, by product
         mul = self.mul = [{b: b for b in self.by_entry[i]} for i in range(1, n + 1)]
         mul += ({self.exit[a] - 1: a} for a in range(n, len(words)))
-        # splits[a][k - 1]: the factorization (c, d) of a whose written-first
-        # factor c has k letters, as in word_splits
-        splits = self.splits = [()] * n
         is_a, step = algebra == "A", 2 * n
-        conts = [[self.continuation(k, o) for k in range(max_len + 1)] for o in range(step)]
-        for ell in range(1, max_len + 1):
+        conts = self.conts = [[self.continuation(k, o) for k in range(max_len)] for o in range(step)]
+        for ell in range(2, max_len + 1):
             for o, cont in enumerate(conts):
                 a = self.word_id(ell, o)
-                # the parts (k, o) and (ell - k, cont[k]), which sit step * (ell - k)
-                # and step * k ids below a, at their offsets; B's written-first
-                # factor is the later part, so it lists them backwards
-                parts = [(a - step * (ell - k), a - step * k + cont[k] - o) for k in range(1, ell)]
-                split = tuple(parts) if is_a else tuple((d, c) for c, d in reversed(parts))
-                splits.append(split)
-                for c, d in split:
-                    mul[c][d] = a
+                for k in range(1, ell):
+                    # the parts (k, o) and (ell - k, cont[k]), which sit step * (ell - k)
+                    # and step * k ids below a, at their offsets; B's written-first
+                    # factor is the later part
+                    head, tail = a - step * (ell - k), a - step * k + cont[k] - o
+                    if is_a:
+                        mul[head][tail] = a
+                    else:
+                        mul[tail][head] = a
+
+    def split(self, a: int, k: int) -> tuple[int, int]:
+        """The factorization (c, d) of the word a = c*d whose written-first
+        factor c has k letters, 0 < k < ell[a], as in word_splits."""
+        step = 2 * self.n
+        ell, o = divmod(a - self.n, step)
+        ell += 1
+        if self.algebra == "A":
+            return a - step * (ell - k), a - step * k + self.conts[o][k] - o
+        # c is the later part, which continues the first-applied part (ell - k, o)
+        return a - step * (ell - k) + self.conts[o][ell - k] - o, a - step * k
 
     def word_id(self, ell: int, off: int) -> int:
         """The id of the word of length ell >= 1 at offset off."""

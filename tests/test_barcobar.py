@@ -629,6 +629,16 @@ def test_certificate_factors_through_the_reduced_prefix(base, n):
     assert broken >= 2
 
 
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_splits_column_lists_every_split(algebra, n):
+    # The differential's column of every factorization, in `split` order.
+    tables = _WordTables(algebra, n, 3 * n + 1)
+    assert len(tables.splits) == len(tables.words)
+    for a, ell in enumerate(tables.ell):
+        assert tables.splits[a] == tuple(tables.split(a, k) for k in range(1, ell))
+
+
 @pytest.mark.parametrize("base", ["A", "B"])
 def test_block_premise_check_names_a_split_into_a_letter_and_its_follower(base, monkeypatch):
     # A fresh table, not the cached one, where the first letter of a

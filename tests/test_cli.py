@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import sys
+import weakref
 
 import pytest
 
@@ -411,6 +412,30 @@ def test_homotopy_builds_one_table_per_algebra(capsys):
     code, _, _ = _run(["verify", "homotopy", "--n", "3", "--max-len", "5"], capsys)
     assert code == 0
     assert _tables.cache_info().misses == 2
+
+
+def test_grading_frees_the_a_table_before_the_b_laws_run(capsys, monkeypatch):
+    # The op table cache keeps one table, so the sweep of B's grading laws
+    # runs after A's table is gone: no reference to it is left anywhere.
+    from starcob import ainfty, gradegroup
+
+    laws = ainfty.operation_violations
+    a_tables, a_alive_at_b = [], []
+
+    def watched(ops, *args):
+        if ops.algebra == "A":
+            a_tables.append(weakref.ref(ops))
+        else:
+            a_alive_at_b.extend(ref() is not None for ref in a_tables)
+        return laws(ops, *args)
+
+    monkeypatch.setattr(ainfty, "operation_violations", watched)
+    monkeypatch.setattr(gradegroup, "operation_violations", watched)
+    ainfty._op_tables.cache_clear()
+    code, _, _ = _run(["verify", "grading", "--n", "3"], capsys)
+    assert code == 0
+    assert len(a_tables) == 2 and len(a_alive_at_b) == 4
+    assert not any(a_alive_at_b)
 
 
 def test_homotopy_failure_names_the_string_and_both_sides(capsys):

@@ -307,17 +307,19 @@ def _layout_word(algebra, n, ell, off):
 
 
 # (N, bound) windows of the table oracle: every id pair at bound <= 8, the
-# chained pairs above it
-_TABLE_WINDOWS = [(3, 8), (4, 8)] + [(n, bound) for n in range(5, 9) for bound in (0, 1, 2 * n, 4 * n + 2)]
+# chained pairs above it; each N from 3 to 8 reaches a bound past 3N
+_TABLE_WINDOWS = [(3, 8), (4, 8), (3, 10), (4, 13)] + [
+    (n, bound) for n in range(5, 9) for bound in (0, 1, 2 * n, 4 * n + 2)
+]
 
 
 def test_word_table_columns():
     # The id layout, and every column against the object-level word
     # functions: the product on every pair of ids (so the products the table
     # leaves out, unchained or over the bound, are exactly the zero ones),
-    # the splits, and the entry/exit buckets.  At the larger bounds the
-    # product is checked on every chained pair, and a row holds chained ids
-    # only.
+    # `split`, the continuation table, and the entry/exit buckets.  At the
+    # larger bounds the product is checked on every chained pair, and a row
+    # holds chained ids only.
     for algebra in ("A", "B"):
         for n, bound in _TABLE_WINDOWS:
             table = WordTable(algebra, n, bound)
@@ -345,7 +347,35 @@ def test_word_table_columns():
                     xy = mul_word(x, y)
                     want = None if xy is None or xy.ell > bound else table.ids[xy]
                     assert table.mul[a].get(b) == want, (x.render(), y.render())
-                assert table.splits[a] == tuple((table.ids[c], table.ids[d]) for c, d in word_splits(x))
+                splits = [table.split(a, k) for k in range(1, table.ell[a])]
+                assert splits == [(table.ids[c], table.ids[d]) for c, d in word_splits(x)]
+            # conts[o][k]: the offset of the one letter that continues the
+            # word of length k at offset o, which A writes after it and B before
+            assert len(table.conts) == 2 * n
+            for o, cont in enumerate(table.conts):
+                assert len(cont) == bound
+                for k in range(1, bound):
+                    x = words[table.word_id(k, o)]
+                    ends = [mul_word(x, y) if algebra == "A" else mul_word(y, x) for y in words[n : 3 * n]]
+                    assert [off for off, xy in enumerate(ends) if xy is not None] == [cont[k]]
+
+
+@pytest.mark.parametrize("algebra", ["A", "B"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_mul_rows_keep_the_split_list_insertion_order(algebra, n):
+    # An oracle fills `mul` from per-word split lists: the units, then for
+    # each word in id order every split (c, d) of it read backwards.  Each
+    # row must hold the same items in the same order, which fixes the order
+    # the sweeps meet products in.
+    bound = 3 * n + 1
+    table = WordTable(algebra, n, bound)
+    words, ids = table.words, table.ids
+    oracle = [{b: b for b in table.by_entry[i]} for i in range(1, n + 1)]
+    oracle += ({words[a].exit - 1: a} for a in range(n, len(words)))
+    for a, w in enumerate(words):
+        for c, d in word_splits(w):
+            oracle[ids[c]][ids[d]] = a
+    assert [list(row.items()) for row in table.mul] == [list(row.items()) for row in oracle]
 
 
 def test_table_build_makes_no_word_per_product(monkeypatch):
