@@ -1,9 +1,8 @@
 """Dual tensor strings, their bar/cobar differentials, and the homotopy data.
 
 A tensor string over one algebra is a chained tuple of duals of non-idempotent
-basis words.  The cobar differential splits one factor into a product of two;
-the bar differential merges two adjacent factors; cobar_mul concatenates
-strings when the chaining invariant holds across the seam.  A sum of strings
+basis words.  The cobar differential splits one factor into a product of two,
+and the bar differential merges two adjacent factors.  A sum of strings
 is a CobElem, a gf2la.F2Sum of TString terms, and each of these maps takes a
 single string or a sum.
 
@@ -75,26 +74,13 @@ from .staralg import (
     BWord,
     Word,
     WordTable,
-    chain_ok,
     dual_algebra,
-    letter,
     letter_slots,
     slot_letters,
     word_letters,
     word_slots,
     word_sort_key,
 )
-
-
-@functools.cache
-def dict_image(w: Word) -> Word:
-    """The letterwise dictionary on single-letter words (loops to loops,
-    edges to edges, same node), valued in the other algebra."""
-    if w.ell != 1:
-        raise ValueError("the dictionary acts on single letters")
-    if isinstance(w, AWord):
-        return letter("B", "r" if w.kind == "u" else "s", w.start, w.n)
-    return letter("A", "u" if w.first == "r" else "s", w.start, w.n)
 
 
 def _dual_factor_str(w: Word) -> str:
@@ -392,23 +378,6 @@ def bar_diff(x: Union[CobElem, TString]) -> CobElem:
     return tables.cob(out)
 
 
-def cobar_mul(f: Union[CobElem, TString], g: Union[CobElem, TString]) -> CobElem:
-    """Concatenation product; zero when the seam is not chained.
-
-    >>> n = 3
-    >>> cobar_mul(TString((AWord("u", 1, 1, n),)), TString((AWord("s", 1, 1, n),))).render()
-    'U1*.s1*'
-    """
-    if (f.algebra, f.n) != (g.algebra, g.n):
-        raise ValueError("cannot multiply strings over different algebras")
-    out: set = set()
-    for s in terms_of(f):
-        for t in terms_of(g):
-            if chain_ok(s.factors[-1], t.factors[0]):
-                out ^= {TString(s.factors + t.factors)}
-    return CobElem(f.algebra, f.n, out)
-
-
 def phi(x: Union[CobElem, TString]) -> AlgElem:
     """Fold a string into the other algebra, multiplying factor images in
     reverse order; strings with a factor of length > 1 map to zero.
@@ -534,10 +503,8 @@ __all__ = [
     "TString",
     "CobElem",
     "tstring_sort_key",
-    "dict_image",
     "cobar_diff",
     "bar_diff",
-    "cobar_mul",
     "phi",
     "psi",
     "homotopy_h",

@@ -8,6 +8,10 @@ raised to n - 2, which pins the coefficient gradings to (2N-2, e) for V0 and
 (-2, e) for V_{N+1} and obstructs all other arities: the admissible ones are
 n = k(2N-2)+2 on the A side and n = j(N-2)+2 on the B side.  Admissible is
 not carried: A has a higher operation in arity 2N only (see ainfty).
+
+Coefficient gradings are central, as lambda is: V^k is graded (k(2N-2), e)
+or (-2k, e) in closed form, and multiplying by one moves only the central
+component.
 """
 from __future__ import annotations
 
@@ -83,18 +87,6 @@ def gp_mul(x: GroupElem, y: GroupElem) -> GroupElem:
     return GroupElem(x.z + y.z, free_reduce(x.word + y.word))
 
 
-def gp_inv(x: GroupElem) -> GroupElem:
-    return GroupElem(-x.z, tuple((g, -e) for g, e in reversed(x.word)))
-
-
-def gp_pow(x: GroupElem, k: int) -> GroupElem:
-    out = GP_E
-    base = x if k >= 0 else gp_inv(x)
-    for _ in range(abs(k)):
-        out = gp_mul(out, base)
-    return out
-
-
 def assign_grading(w: Word) -> GroupElem:
     """Grading of a basis word: the product of letter gradings in written
     order; words of algebra A carry the identity grading.
@@ -123,8 +115,10 @@ def var_group_grading(var: int, n: int) -> GroupElem:
 
 
 def mono_group_grading(exp: Monomial, algebra: str, n: int) -> GroupElem:
-    """Grading of the coefficient monomial V^exp in the algebra's own variable."""
-    return gp_pow(var_group_grading(coeff_var(algebra, n), n), exp)
+    """Grading of the coefficient monomial V^exp in the algebra's own variable:
+    the variable's grading is central, so its power is exp times its central
+    degree, with the empty free word."""
+    return GroupElem(exp * var_group_grading(coeff_var(algebra, n), n).z, ())
 
 
 def _group_sides(algebra: str, n: int, inputs: tuple, exp: Monomial, word: Word, grade) -> tuple[GroupElem, GroupElem]:
@@ -181,8 +175,8 @@ def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: 
         letters.append(free.index(g.word))
 
     def value(e: int, p: int) -> tuple[int, int]:
-        c = mono_group_grading(e, algebra, n)
-        return c.z + central[p], free.times(free.index(c.word), letters[p])
+        # a coefficient's grading is central: its free word is empty
+        return mono_group_grading(e, algebra, n).z + central[p], letters[p]
 
     def inputs(t: tuple) -> tuple[int, int]:
         z, x = GP_LAMBDA.z * (len(t) - 2), 0
@@ -232,8 +226,6 @@ __all__ = [
     "free_reduce",
     "render_word",
     "gp_mul",
-    "gp_inv",
-    "gp_pow",
     "assign_grading",
     "var_group_grading",
     "mono_group_grading",

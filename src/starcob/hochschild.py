@@ -191,7 +191,7 @@ def _letter_buckets(model: str, n: int) -> tuple[tuple[_LetterPairs, ...], tuple
     by the letter's exit node and by its entry node: (by_exit, by_entry),
     each indexed by node - 1.  The dictionary takes each letter to the dual
     algebra's letter at the same weight slot (loops to loops, edges to
-    edges, same node), as `barcobar.dict_image` does."""
+    edges, same node), as `barcobar._WordTables.image` does."""
     images = _letters_by_slot(dual_algebra(model), n)
     by_exit: list[list] = [[] for _ in range(n)]
     by_entry: list[list] = [[] for _ in range(n)]

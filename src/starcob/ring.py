@@ -10,7 +10,7 @@ needed only to render.
 The module also holds `Frozen`, the base of the package's immutable value
 classes; it sits here, in the leaf module, so every other module can use it.
 
->>> poly_str(poly_add(0b10, 0b10), 0)
+>>> poly_str(0b10 ^ 0b10, 0)
 '0'
 >>> poly_str(poly_mul(0b11, 0b11), 4)
 '1 + V4^2'
@@ -18,12 +18,10 @@ classes; it sits here, in the leaf module, so every other module can use it.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable
 
 Monomial = int  # exponent of V
 Poly = int  # bit e set <=> V^e present
 
-POLY_ZERO: Poly = 0
 POLY_ONE: Poly = 1
 
 
@@ -80,20 +78,6 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return a + b
 
 
-def poly_from_monos(monos: Iterable[Monomial]) -> Poly:
-    """Sum of monomials over GF(2): repeated monomials cancel in pairs.
-
-    >>> bin(poly_from_monos([0, 2, 5, 2]))
-    '0b100001'
-    """
-    out = 0
-    for e in monos:
-        if e < 0:
-            raise ValueError("exponents must be nonnegative")
-        out ^= 1 << e
-    return out
-
-
 def poly_monos(p: Poly) -> list[Monomial]:
     """Exponents of the monomials of p, ascending.
 
@@ -101,10 +85,6 @@ def poly_monos(p: Poly) -> list[Monomial]:
     [0, 2, 3]
     """
     return [e for e in range(p.bit_length()) if (p >> e) & 1]
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p ^ q
 
 
 def poly_mul(p: Poly, q: Poly) -> Poly:
@@ -134,7 +114,7 @@ def poly_str(p: Poly, var: int) -> str:
 
     >>> poly_str(0b10000000101, 0)
     '1 + V0^10 + V0^2'
-    >>> poly_str(POLY_ZERO, 0)
+    >>> poly_str(0, 0)
     '0'
     """
     if not p:
@@ -146,12 +126,9 @@ __all__ = [
     "Frozen",
     "Monomial",
     "Poly",
-    "POLY_ZERO",
     "POLY_ONE",
     "mono_mul",
-    "poly_from_monos",
     "poly_monos",
-    "poly_add",
     "poly_mul",
     "mono_str",
     "poly_str",

@@ -187,13 +187,6 @@ class BWord(Frozen):
     def fin(self) -> int:
         return self.entry
 
-    @property
-    def last(self) -> str:
-        """Type of the last-applied letter."""
-        if self.kind == "i":
-            return ""
-        return "rs"[(self.first_slot + self.length - 1) % 2]
-
     def is_idempotent(self) -> bool:
         return self.kind == "i"
 
@@ -249,80 +242,31 @@ def letter(algebra: str, typ: str, i: int, n: int) -> Word:
     raise ValueError(f"unknown algebra {algebra!r}")
 
 
-def idempotents(w: Word) -> tuple[int, int]:
-    """The (initial, final) path endpoints of a basis word."""
-    return (w.init, w.fin)
-
-
-def mul_word_a(x: AWord, y: AWord) -> Optional[AWord]:
-    """Product of A-basis words, or None when it vanishes."""
-    if x.n != y.n:
-        raise ValueError("mixed parameters")
-    if x.kind == "i":
-        return y if y.init == x.start else None
-    if y.kind == "i":
-        return x if x.fin == y.start else None
-    if x.kind == "u" and y.kind == "u":
-        return AWord("u", x.start, x.length + y.length, x.n) if x.start == y.start else None
-    if x.kind == "s" and y.kind == "s":
-        return AWord("s", x.start, x.length + y.length, x.n) if x.fin == y.init else None
-    return None
-
-
-def mul_word_b(x: BWord, y: BWord) -> Optional[BWord]:
-    """Product of B-basis words (y applied first), or None when it vanishes."""
-    if x.n != y.n:
-        raise ValueError("mixed parameters")
-    if x.kind == "i":
-        return y if y.fin == x.start else None
-    if y.kind == "i":
-        return x if x.init == y.start else None
-    if (y.first_slot + y.length - x.first_slot) % (2 * x.n):
-        return None  # x's run of slots does not continue y's
-    return BWord("c", y.start, y.first, x.length + y.length, x.n)
-
-
 def mul_word(x: Word, y: Word) -> Optional[Word]:
-    if isinstance(x, AWord) and isinstance(y, AWord):
-        return mul_word_a(x, y)
-    if isinstance(x, BWord) and isinstance(y, BWord):
-        return mul_word_b(x, y)
-    raise ValueError("cannot multiply words of different algebras")
+    """The product x*y of two basis words of one algebra (y applied first
+    in B), or None when it vanishes.
 
-
-def split_a_word(w: AWord, head_len: int) -> Optional[tuple[AWord, AWord]]:
-    """Factor an A-word into (head, tail) with the given head length."""
-    if w.kind == "i" or not 1 <= head_len <= w.length - 1:
-        return None
-    if w.kind == "u":
-        return (AWord("u", w.start, head_len, w.n), AWord("u", w.start, w.length - head_len, w.n))
-    return (
-        AWord("s", w.start, head_len, w.n),
-        AWord("s", advance(w.start, head_len, w.n), w.length - head_len, w.n),
-    )
-
-
-def split_b_word(w: BWord, first_len: int) -> Optional[tuple[BWord, BWord]]:
-    """Factor a B-word into (later, first) parts; `first` gets first_len letters."""
-    if w.kind == "i" or not 1 <= first_len <= w.length - 1:
-        return None
-    k = w.first_slot + first_len  # the slot where the later part's run starts
-    later = BWord("c", _slot_node(k, w.n), "rs"[k % 2], w.length - first_len, w.n)
-    return (later, BWord("c", w.start, w.first, first_len, w.n))
-
-
-def word_splits(w: Word) -> tuple[tuple[Word, Word], ...]:
-    """All factorizations w = mul_word(c, d) into two non-idempotent words,
-    by the length of c, the written-first factor, in both algebras.
-
-    >>> [(c.render(), d.render()) for c, d in word_splits(AWord("s", 1, 3, 3))]
-    [('s[1,2]', 's[2,4]'), ('s[1,3]', 's[3,4]')]
-    >>> [(c.render(), d.render()) for c, d in word_splits(BWord("c", 1, "r", 3, 3))]
-    [('r2', 'r1.s1'), ('s1.r2', 'r1')]
+    A product vanishes unless the words chain, x.exit == y.entry (see
+    `chain_ok`), and with an idempotent that is the whole test.  Two chained
+    A-words multiply when they are of one kind, and a B-word x continues y
+    when its run of slots starts at the slot after y's.
     """
-    if isinstance(w, AWord):
-        return tuple(split_a_word(w, k) for k in range(1, w.ell))
-    return tuple(split_b_word(w, w.ell - k) for k in range(1, w.ell))
+    if type(x) is not type(y):
+        raise ValueError("cannot multiply words of different algebras")
+    n = x.n
+    if y.n != n:
+        raise ValueError("mixed parameters")
+    if x.exit != y.entry:
+        return None
+    if x.kind == "i":
+        return y
+    if y.kind == "i":
+        return x
+    if type(x) is AWord:
+        return AWord(x.kind, x.start, x.length + y.length, n) if x.kind == y.kind else None
+    if (y.first_slot + y.length - x.first_slot) % (2 * n):
+        return None  # x's run of slots does not continue y's
+    return BWord("c", y.start, y.first, x.length + y.length, n)
 
 
 def letter_slots(algebra: str, n: int) -> list[int]:
@@ -403,12 +347,8 @@ def var_grading(var: int, n: int) -> Grading:
     raise ValueError(f"variable V{var} is not graded (it annihilates both algebras)")
 
 
-@functools.lru_cache(maxsize=64)
 def mono_grading(exp: Monomial, algebra: str, n: int) -> Grading:
-    """Grading of the coefficient monomial V^exp in the algebra's own variable.
-
-    Memoized: the weight balance of each twisted-model monomial asks for one
-    of a few powers, whose 2N-slot vector is otherwise rebuilt every time."""
+    """Grading of the coefficient monomial V^exp in the algebra's own variable."""
     g = var_grading(coeff_var(algebra, n), n)
     return Grading(exp * g.m, tuple(map(mul, g.alexander, repeat(exp))), exp * g.ell)
 
@@ -686,7 +626,7 @@ class WordTable:
 
     def split(self, a: int, k: int) -> tuple[int, int]:
         """The factorization (c, d) of the word a = c*d whose written-first
-        factor c has k letters, 0 < k < ell[a], as in word_splits."""
+        factor c has k letters, 0 < k < ell[a]."""
         step = 2 * self.n
         ell, o = divmod(a - self.n, step)
         ell += 1
@@ -753,10 +693,6 @@ def special_element(algebra: str, name: str, n: int) -> AlgElem:
     raise ValueError(f"unknown algebra {algebra!r}")
 
 
-def unit(algebra: str, n: int) -> AlgElem:
-    return AlgElem(algebra, n, {idempotent(algebra, i, n): POLY_ONE for i in range(1, n + 1)})
-
-
 __all__ = [
     "ALGEBRAS",
     "AWord",
@@ -767,14 +703,8 @@ __all__ = [
     "AlgElem",
     "idempotent",
     "letter",
-    "idempotents",
-    "mul_word_a",
-    "mul_word_b",
     "mul_word",
     "advance",
-    "split_a_word",
-    "split_b_word",
-    "word_splits",
     "word_letters",
     "letter_slots",
     "slot_letters",
@@ -793,5 +723,4 @@ __all__ = [
     "full_cycle_chain",
     "loop_word",
     "special_element",
-    "unit",
 ]

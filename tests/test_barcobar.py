@@ -7,7 +7,7 @@ import random
 import re
 
 import pytest
-from chained import started_at
+from reference import cobar_mul, dict_image, started_at, word_splits
 
 from starcob.barcobar import (
     CobElem,
@@ -16,8 +16,6 @@ from starcob.barcobar import (
     _WordTables,
     bar_diff,
     cobar_diff,
-    cobar_mul,
-    dict_image,
     enumerate_strings,
     homotopy_failure,
     homotopy_h,
@@ -38,7 +36,6 @@ from starcob.staralg import (
     letter,
     mul_word,
     word_letters,
-    word_splits,
     words_of_length,
 )
 

@@ -160,6 +160,75 @@ def test_rank_matches_sympy_on_random_matrices():
     assert ranks == {(full, kind) for full in (False, True) for kind in range(3)}
 
 
+def _seeded_systems(seed, count):
+    """Seeded matrices up to 30x30, dense, sparse and of low rank, each with
+    a right-hand side that is in the column space half the time."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        nrows, ncols = rng.randrange(1, 31), rng.randrange(1, 31)
+        kind = rng.randrange(3)
+        if kind == 0:
+            rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        elif kind == 1:
+            rows = [sum(1 << c for c in range(ncols) if rng.random() < 0.1) for _ in range(nrows)]
+        else:
+            base = [rng.getrandbits(ncols) for _ in range(rng.randrange(1, 6))]
+            rows = [0] * nrows
+            for i in range(nrows):
+                for b in base:
+                    if rng.getrandbits(1):
+                        rows[i] ^= b
+        m = SparseMatF2(rows, ncols)
+        b = mul_vec(m, rng.getrandbits(ncols)) if rng.getrandbits(1) else rng.getrandbits(nrows)
+        yield m, b
+
+
+def _sympy_gf2():
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF
+
+    field = GF(2)
+
+    def dm(rows, ncols):
+        """The DomainMatrix over GF(2) of bitmask rows."""
+        return matrices.DomainMatrix([[field(row >> c & 1) for c in range(ncols)] for row in rows], (len(rows), ncols), field)
+
+    def bits(row):
+        return sum((int(x) % 2) << c for c, x in enumerate(row))
+
+    return dm, bits
+
+
+def test_kernel_basis_matches_sympy_nullspace():
+    # The kernel spans sympy's nullspace: as many vectors, and stacking the
+    # two bases adds no rank.
+    dm, bits = _sympy_gf2()
+    for m, _ in _seeded_systems(11, 80):
+        kernel = m.kernel_basis()
+        nullspace = [bits(row) for row in dm(m.rows, m.ncols).nullspace().to_list()]
+        assert len(kernel) == len(nullspace) == m.ncols - m.rank()
+        if kernel:
+            assert dm(kernel, m.ncols).rank() == dm(kernel + nullspace, m.ncols).rank() == len(kernel)
+
+
+def test_solve_matches_sympy_rref():
+    # sympy's reduced row echelon form of [M | b]: inconsistent when b's
+    # column is a pivot, else the one solution with every free variable 0,
+    # which is the one solve returns.
+    dm, bits = _sympy_gf2()
+    solved = set()
+    for m, b in _seeded_systems(12, 80):
+        nc = m.ncols
+        rref, pivots = dm([row | (b >> i & 1) << nc for i, row in enumerate(m.rows)], nc + 1).rref()
+        if pivots and pivots[-1] == nc:
+            want = None
+        else:
+            want = sum(bits(row) >> nc << pc for row, pc in zip(rref.to_list(), pivots))
+        assert m.solve(b) == want
+        solved.add(want is None)
+    assert solved == {False, True}
+
+
 def test_rref_matches_the_column_scan_on_random_matrices():
     rng = random.Random(7)
     for _ in range(3000):

@@ -13,9 +13,7 @@ from starcob.gradegroup import (
     assign_grading,
     check_multiplicativity,
     free_reduce,
-    gp_inv,
     gp_mul,
-    gp_pow,
     mono_group_grading,
     render_word,
     var_group_grading,
@@ -74,12 +72,20 @@ def test_group_laws_random():
         assert gp_mul(gp_mul(x, y), z) == gp_mul(x, gp_mul(y, z))
         assert gp_mul(x, GP_E) == x
         assert gp_mul(GP_E, x) == x
-        assert gp_mul(x, gp_inv(x)) == GP_E
-        assert gp_mul(gp_inv(x), x) == GP_E
-    x = rand_elem()
-    assert gp_pow(x, 3) == gp_mul(x, gp_mul(x, x))
-    assert gp_pow(x, 0) == GP_E
-    assert gp_pow(x, -2) == gp_inv(gp_mul(x, x))
+        # coefficient gradings are central
+        for c in (GP_LAMBDA, mono_group_grading(rng.randrange(4), rng.choice("AB"), rng.randrange(3, 6))):
+            assert gp_mul(c, x) == gp_mul(x, c)
+
+
+def test_coefficient_gradings_are_powers_of_the_variable():
+    # The closed form equals the repeated product of the variable's grading.
+    for algebra in ("A", "B"):
+        for n in (3, 4, 7):
+            var = var_group_grading(0 if algebra == "A" else n + 1, n)
+            power = GP_E
+            for e in range(6):
+                assert mono_group_grading(e, algebra, n) == power
+                power = gp_mul(power, var)
 
 
 def test_rendering():

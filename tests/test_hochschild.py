@@ -7,9 +7,10 @@ import itertools
 from operator import add
 
 import pytest
+from reference import cobar_mul, dict_image
 
 from starcob import hochschild
-from starcob.barcobar import TString, cobar_diff, cobar_mul, dict_image, phi, psi
+from starcob.barcobar import TString, cobar_diff, phi, psi
 from starcob.gradegroup import assign_grading
 from starcob.hochschild import (
     InsufficientTruncation,
@@ -17,6 +18,7 @@ from starcob.hochschild import (
     TwistedMono,
     cohomology_dim,
     cohomology_table,
+    diff_matrix,
     is_coboundary,
     mono_sort_key,
     slice_basis,
@@ -482,3 +484,33 @@ def test_mul_word_calls_per_term_do_not_grow_with_n(model, monkeypatch):
     at_8 = calls_per_term(8)
     assert len(at_8) == 1
     assert calls_per_term(32) == at_8
+
+
+@pytest.mark.parametrize("model", ["A", "B"])
+def test_cohomology_dim_matches_sympy_ranks(model):
+    # An oracle the package did not write: dim H^(n,j) = |source| - rank d_n
+    # - rank d_(n-1), with both ranks taken by sympy's DomainMatrix over GF(2)
+    # on the differential's matrices.
+    matrices = pytest.importorskip("sympy.polys.matrices")
+    from sympy import GF
+
+    field = GF(2)
+
+    @functools.cache
+    def rank(n_deg, j, big_n):
+        # rank of the differential out of slice (n_deg, j)
+        m, src, dst = diff_matrix(model, n_deg, j, big_n)
+        if not src or not dst:
+            return 0
+        dense = [[field(row >> c & 1) for c in range(m.ncols)] for row in m.rows]
+        return matrices.DomainMatrix(dense, (m.nrows, m.ncols), field).rank()
+
+    cells = nonzero = 0
+    for big_n in (*range(3, 11), 16, 32, 64):
+        for n_deg in range(3, 3 * big_n + 1):  # the table's cells, n > 2
+            for j in (-1, -2, -3):
+                src = slice_basis(model, n_deg, j, big_n)
+                want = len(src) - rank(n_deg, j, big_n) - rank(n_deg - 1, j + 1, big_n) if src else 0
+                assert cohomology_dim(model, n_deg, j, big_n)[0] == want, (big_n, n_deg, j)
+                cells, nonzero = cells + 1, nonzero + (want > 0)
+    assert cells == 1410 and nonzero
