@@ -23,8 +23,8 @@ and zero solves them.
 The operations run on interned word ids.  `_OpTables` extends the
 `staralg.WordTable` of one algebra, N and length bound with the columns only
 the classifier reads (packed weights, the coefficient's weight, the drop-mu2N
-component), built lazily; only the last (algebra, N, bound) asked for is
-kept.  `_classify` is the one operation classifier, on (exponent, id)
+component), built lazily; `op_tables` keeps only the last (algebra, N,
+bound) asked for.  `_classify` is the one operation classifier, on (exponent, id)
 entries: mu_a and mu_b intern their inputs and call it.  The table's
 `higher` column is its value on each passing window, classified once.
 `windows` lists every tuple within the bound on which the higher operation
@@ -195,7 +195,7 @@ class _OpTables(WordTable):
 
 
 @functools.lru_cache(maxsize=1)
-def _op_tables(algebra: str, n: int, max_len: int) -> _OpTables:
+def op_tables(algebra: str, n: int, max_len: int) -> _OpTables:
     """The tables of one (algebra, N, max_len), built on first use.  Only
     the last one is kept: a sweep reads one table, and `verify grading`
     frees A's before it builds B's."""
@@ -274,7 +274,7 @@ def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple
     n = seq[0].n
     pair_lists = [_as_pairs(x) for x in seq]
     bound = sum(max((w.ell for _, w in pairs), default=0) for pairs in pair_lists)
-    ops = _op_tables(algebra, n, bound)
+    ops = op_tables(algebra, n, bound)
     drop = _dropped(fault)
     terms: list[tuple[Monomial, Word]] = []
     tags: set[str] = set()
@@ -374,7 +374,7 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
     >>> relation_value("B", [BWord("c", 1, "r", 1, n)] + sigma, n).render()
     '0'
     """
-    ops = _op_tables(algebra, n, sum(w.ell for w in words))
+    ops = op_tables(algebra, n, sum(w.ell for w in words))
     total = relation_sum(ops, tuple(ops.ids[w] for w in words), _dropped(fault))
     return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
 
@@ -403,7 +403,7 @@ def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word
     budget = max_total_len - higher_arity(algebra, n)
     if budget < 0:
         return []
-    table = _op_tables(algebra, n, max_total_len)
+    table = op_tables(algebra, n, max_total_len)
     centered = _centered_tuples(table)
     starting = {t[0]: t for t in centered}
     ending = {t[-1]: t for t in centered}
@@ -524,7 +524,7 @@ def check_ainfty(
     """
     if n <= 2:
         raise ValueError("the construction needs N > 2")
-    ops = _op_tables(algebra, n, max_total_len)
+    ops = op_tables(algebra, n, max_total_len)
     drop = _dropped(fault)
     tuples = _relation_tuples(ops, max_arity, 1)
     passes: dict[Optional[int], list[tuple[tuple, dict[int, int]]]] = {}
@@ -552,7 +552,7 @@ def nonzero_operations(
     First the binary products of chained word pairs with total length within
     bounds, then the higher operation on its passing windows.
     """
-    ops = _op_tables(algebra, n, max_total_len)
+    ops = op_tables(algebra, n, max_total_len)
     words = ops.words
     for t, e, p in _nonzero(ops, max_arity):
         yield tuple(words[a] for a in t), e, words[p]
@@ -650,7 +650,7 @@ def op_grading_check(algebra: str, max_arity: int, max_total_len: int, n: int) -
     The law compares gradings packed into ints (`_packing`), each table
     word's packed once, into a column.
     """
-    ops = _op_tables(algebra, n, max_total_len)
+    ops = op_tables(algebra, n, max_total_len)
     words = ops.words
     gradings = [grading(w) for w in words]
     pack = _packing(gradings, max_arity)

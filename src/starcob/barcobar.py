@@ -17,11 +17,12 @@ delta H + H delta = id + psi phi on every chained string.
 The maps run on interned ids.  `_WordTables` extends the `staralg.WordTable`
 of one algebra, N and max_len with the dictionary, psi and the leading-block
 rule as tables, built lazily, once per (algebra, N, max_len); a string is a
-tuple of non-idempotent ids.  `TString` and
-`CobElem` are the validated boundary: each public map converts its input to
-ids, runs the one table-driven implementation and builds its result through
-them; `homotopy_failure`, `verify_homotopy` and `phi_psi_failures` check on
-the ids directly.
+tuple of non-idempotent ids.  `TString` and `CobElem` are the validated
+boundary of the string maps: each public map converts its input to ids,
+runs the one table-driven implementation and builds its result through
+them.  `homotopy_failure` (with `verify_homotopy`, its verdict) and
+`phi_psi_failures` check on the ids directly, and `block_renderings`, the
+`dump strings` listing, renders the strings of one table.
 
 The Z/N rotation of the cyclic quiver, node i to node i+1, commutes with
 every column the certificate reads (the product, the splits, the dictionary,
@@ -139,13 +140,6 @@ class TString(Frozen):
 
     def render(self) -> str:
         return ".".join(_dual_factor_str(w) for w in self.factors)
-
-    def render_with_block(self) -> str:
-        """Render with the leading block separated by '|'."""
-        tables, (s,) = _tables_for(self)
-        n_block = tables.block_length(s)
-        parts = [_dual_factor_str(w) for w in self.factors]
-        return ".".join(parts[:n_block]) + "|" + ".".join(parts[n_block:])
 
 
 def tstring_sort_key(ts: TString) -> tuple:
@@ -351,6 +345,17 @@ def _tables_for(x: Union[CobElem, TString]) -> tuple[_WordTables, list[tuple]]:
     return tables, [tables.intern(ts) for ts in terms]
 
 
+def _linear(x: Union[CobElem, TString], terms) -> CobElem:
+    """The GF(2) sum over x's strings s of the id strings `terms(tables, s)`
+    yields: the linear map that sends a string to those terms."""
+    tables, strings = _tables_for(x)
+    out: set = set()
+    for s in strings:
+        for t in terms(tables, s):
+            out ^= {t}
+    return tables.cob(out)
+
+
 def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
     """Split one factor into a product of two non-idempotent duals.
 
@@ -360,22 +365,12 @@ def cobar_diff(x: Union[CobElem, TString]) -> CobElem:
     >>> cobar_diff(TString((AWord("u", 1, 1, n),))).render()
     '0'
     """
-    tables, strings = _tables_for(x)
-    out: set = set()
-    for s in strings:
-        for t in tables.d_terms(s):
-            out ^= {t}
-    return tables.cob(out)
+    return _linear(x, _WordTables.d_terms)
 
 
 def bar_diff(x: Union[CobElem, TString]) -> CobElem:
     """Merge two adjacent factors under the word product."""
-    tables, strings = _tables_for(x)
-    out: set = set()
-    for s in strings:
-        for t in tables.merge_terms(s):
-            out ^= {t}
-    return tables.cob(out)
+    return _linear(x, _WordTables.merge_terms)
 
 
 def phi(x: Union[CobElem, TString]) -> AlgElem:
@@ -427,13 +422,7 @@ def homotopy_h(x: Union[CobElem, TString]) -> CobElem:
     >>> homotopy_h(TString((AWord("u", 1, 1, n), AWord("s", 1, 1, n)))).render()
     '0'
     """
-    tables, strings = _tables_for(x)
-    out: set = set()
-    for s in strings:
-        h = tables.h_term(s)
-        if h is not None:
-            out ^= {h}
-    return tables.cob(out)
+    return _linear(x, lambda tables, s: filter(None, [tables.h_term(s)]))
 
 
 def enumerate_strings(
@@ -447,6 +436,28 @@ def enumerate_strings(
     strings = tables.reduced_chains if reduced else tables.chains
     for s in strings(max_total_len, entry):
         yield TString(tuple(map(tables.words.__getitem__, s)))
+
+
+def block_renderings(algebra: str, max_total_len: int, n: int) -> list[str]:
+    """Every chained string with total length <= max_total_len, rendered
+    with its leading block split off by '|', sorted by total length, then
+    number of factors, then rendering.
+
+    >>> block_renderings("A", 2, 3)[:4]
+    ['U1*|', 'U2*|', 'U3*|', 's1*|']
+    """
+    tables = _tables(algebra, n, max_total_len)
+    ell, words = tables.ell, tables.words
+    dual = [""] * n + [_dual_factor_str(words[a]) for a in range(n, len(words))]
+    keyed = []
+    for s in tables.chains(max_total_len):
+        parts = [dual[a] for a in s]
+        k = tables.block_length(s)
+        block = ".".join(parts[:k]) + "|" + ".".join(parts[k:])
+        # a rendering names its string, so the last field never breaks a tie
+        keyed.append((sum(map(ell.__getitem__, s)), len(s), ".".join(parts), block))
+    keyed.sort()
+    return [key[-1] for key in keyed]
 
 
 def homotopy_failure(
@@ -509,6 +520,7 @@ __all__ = [
     "psi",
     "homotopy_h",
     "enumerate_strings",
+    "block_renderings",
     "homotopy_failure",
     "verify_homotopy",
     "phi_psi_failures",

@@ -267,7 +267,7 @@ def _verify_ainfty(args, algebra: str, fault: Optional[tuple]) -> tuple[list[dic
 
 
 def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
-    from .barcobar import homotopy_failure, phi_psi_failures, verify_homotopy
+    from .barcobar import homotopy_failure, phi_psi_failures
 
     n = args.n
     _check_max_len(args, 1, "checks no string", "verify homotopy")
@@ -278,10 +278,8 @@ def _verify_homotopy(args, fault: Optional[tuple]) -> tuple[list[dict], dict]:
         failures = phi_psi_failures(max_len, n, base)
         for w in failures:
             violations.append({"base": base, "reason": f"phi(psi({w.render()})) != {w.render()}"})
-        # the verdict comes from verify_homotopy, the sweep perfbench traces;
-        # only a failing sweep is run again, up to its first failing string
-        if not verify_homotopy(max_len, n, base, fault=fault):
-            failure = homotopy_failure(max_len, n, base, fault)
+        failure = homotopy_failure(max_len, n, base, fault)
+        if failure is not None:
             violations.append({"base": base, "reason": "homotopy certificate fails", **failure})
         if failures:
             violations.append({"base": base, "reason": "phi-psi identity fails"})
@@ -440,15 +438,9 @@ def cmd_dump(args, out) -> int:
         else:
             items = [f"U0 = {special_element('B', 'U0', n).render()}"]
     elif what == "strings":
-        from .barcobar import enumerate_strings
+        from .barcobar import block_renderings
 
-        items = [
-            ts.render_with_block()
-            for ts in sorted(
-                enumerate_strings(args.algebra, max_len, n),
-                key=lambda t: (t.total_ell, len(t.factors), t.render()),
-            )
-        ]
+        items = block_renderings(args.algebra, max_len, n)
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown dump target {what!r}")
     config = {"algebra": args.algebra}

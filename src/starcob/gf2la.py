@@ -17,11 +17,10 @@ from .staralg import ALGEBRAS
 class SparseMatF2:
     """A matrix over GF(2) with bit-packed rows.
 
-    >>> m = SparseMatF2([0b11, 0b10], 2)
-    >>> m.rank()
-    2
-    >>> SparseMatF2([0b11, 0b11], 2).rank()
-    1
+    >>> SparseMatF2([0b11, 0b10], 2).kernel_basis()
+    []
+    >>> SparseMatF2([0b11, 0b11], 2).kernel_basis()
+    [3]
     """
 
     __slots__ = ("rows", "ncols")
@@ -89,10 +88,6 @@ class SparseMatF2:
         rows = [by_low[low] for low in lows]
         pivots = [low.bit_length() - 1 for low in lows]
         return rows + [0] * (len(self.rows) - len(rows)), pivots
-
-    def rank(self) -> int:
-        _, pivots = self._rref()
-        return len(pivots)
 
     def kernel_basis(self) -> List[int]:
         """Basis vectors (column bitmasks) of {v : M v = 0}, one per free column."""

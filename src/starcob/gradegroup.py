@@ -15,7 +15,7 @@ component.
 """
 from __future__ import annotations
 
-from .ainfty import _op_tables, operation_violations
+from .ainfty import op_tables, operation_violations
 from .ring import Frozen, Monomial
 from .staralg import AWord, BWord, Word, coeff_var
 
@@ -166,7 +166,7 @@ def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: 
     central, so the inputs' product adds their central degrees and
     multiplies their free words in order.
     """
-    ops = _op_tables(algebra, n, max_total_len)
+    ops = op_tables(algebra, n, max_total_len)
     free = _FreeWords()
     central, letters = [], []
     for w in ops.words:

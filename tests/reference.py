@@ -1,7 +1,8 @@
 """Reference implementations for the test oracles, built on words rather
 than on table ids: fixed-arity chained tuples over a word table, words
 moved along the cycle, the factorizations of a word, the unit, the
-letterwise dictionary and the concatenation product of tensor strings."""
+letterwise dictionary, the concatenation product of tensor strings, and
+the rank of a GF(2) matrix."""
 from __future__ import annotations
 
 import functools
@@ -90,3 +91,9 @@ def cobar_mul(f, g):
             if chain_ok(s.factors[-1], t.factors[0]):
                 out ^= {TString(s.factors + t.factors)}
     return CobElem(f.algebra, f.n, out)
+
+
+def rank(m):
+    """The rank of a gf2la.SparseMatF2: its number of pivot columns."""
+    _, pivots = m._rref()
+    return len(pivots)

@@ -17,7 +17,7 @@ from starcob.ainfty import (
     TAG_ZERO,
     _entry_grading,
     _nonzero,
-    _op_tables,
+    op_tables,
     _OpTables,
     _relation_tuples,
     check_ainfty,
@@ -75,7 +75,7 @@ def test_higher_arity():
     assert higher_arity("B", 5) == 5
     # the classifier's column, and the arity of every passing window
     for algebra, n in (("A", 3), ("A", 4), ("B", 3), ("B", 5)):
-        assert _op_tables(algebra, n, 4 * n).higher_arity == higher_arity(algebra, n)
+        assert op_tables(algebra, n, 4 * n).higher_arity == higher_arity(algebra, n)
         assert {len(w) for w in passing_windows(algebra, 4 * n, n)} == {higher_arity(algebra, n)}
     # below its centered length no window passes
     assert passing_windows("A", 5, 3) == []
@@ -357,7 +357,7 @@ def test_classifier_matches_object_oracle(algebra, arity, max_len, n):
     # idempotents every variant has one, so those tuples run at exponent 0
     # only.  A fault only deletes values, so the reference is consulted under
     # each fault only where its unfaulted value is nonzero.
-    ops = _op_tables(algebra, n, max_len + 2 * var_grading(coeff_var(algebra, n), n).ell)
+    ops = op_tables(algebra, n, max_len + 2 * var_grading(coeff_var(algebra, n), n).ell)
     classify = ainfty._classify
     checked = nonzero = 0
     for ids in chained_tuples(ops, arity, max_len):
@@ -427,7 +427,7 @@ def test_both_extended_window_is_zero():
     ]
     assert "s[1,3].U3.U3.s[3,4].U1.U1.s[1,2].U2.U2.s[2,5]" == ".".join(w.render() for w in window)
     assert _ref_mu_pairs("A", tuple((0, w) for w in window), n) == (TAG_ZERO, [])
-    ops = _op_tables("A", n, 13)
+    ops = op_tables("A", n, 13)
     assert ainfty._classify(ops, tuple((0, ops.ids[w]) for w in window)) is None
     assert mu_a(window).value.is_zero()
 
@@ -454,14 +454,14 @@ def _term_oracle(algebra, n, mu_pairs=_ref_mu_pairs):
 
 def _chained_words(algebra, arity, max_len, n=3):
     """Every chained tuple of one arity (idempotents included), as words."""
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     return [tuple(ops.words[a] for a in t) for t in chained_tuples(ops, arity, max_len)]
 
 
 def _swept(algebra, arity, max_len, n=3, entry=1):
     """The tuples of one arity entered at one node that check_ainfty
     evaluates, as words."""
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     return {tuple(ops.words[a] for a in t) for t in _relation_tuples(ops, arity, entry) if len(t) == arity}
 
 
@@ -531,9 +531,9 @@ def fresh_op_tables():
     """Op tables built afresh for the test and dropped after it, pass or
     fail: a column built lazily under a patched classifier (`higher`) must
     not outlive the patch in the cached tables."""
-    _op_tables.cache_clear()
+    op_tables.cache_clear()
     yield
-    _op_tables.cache_clear()
+    op_tables.cache_clear()
 
 
 @pytest.mark.xfail(
@@ -547,7 +547,7 @@ def test_windows_of_a_fresh_table_read_that_table(fresh_op_tables):
     # cached table.
     tables = _OpTables("A", 3, 13)
     assert tables.windows
-    assert _op_tables.cache_info().currsize == 0
+    assert op_tables.cache_info().currsize == 0
 
 
 def test_relation_tuples_complete_when_relations_fail(fresh_op_tables, monkeypatch):
@@ -579,7 +579,7 @@ def test_entry_splits_of_deep_windows_are_candidates():
     # length <= 10, the windows reach two letters past the centered length,
     # so an extended end entry splits in more than one place.
     n = 4
-    table = _op_tables("A", n, 10)
+    table = op_tables("A", n, 10)
     splits = set()
     for window in passing_windows("A", 10, n):
         for t, w in enumerate(window):
@@ -622,7 +622,7 @@ def _all_relation_tuples(ops, max_arity):
 
 
 def _full_check_ainfty(algebra, max_arity, max_len, n, fault=None):
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     drop = ainfty._dropped(fault)
     violations = []
     for ids in _all_relation_tuples(ops, max_arity):
@@ -641,7 +641,7 @@ def test_node_1_tuples_are_one_per_rotation_orbit(algebra, n, max_arity, max_len
     # The tuples entered at nodes 1..N partition the full sweep's set, and
     # the rotations of the node-1 tuples, each turned j = 0..N-1 nodes on,
     # are that set, N distinct copies of each.
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     full = _all_relation_tuples(ops, max_arity)
     parts = [_relation_tuples(ops, max_arity, i) for i in range(1, n + 1)]
     for i, part in enumerate(parts, 1):
@@ -665,7 +665,7 @@ def test_orbit_sweep_matches_the_full_sweep_under_every_fault(n, windows):
             assert got
             assert got == _full_check_ainfty("A", max_arity, max_len, n, fault)
             # a violation at every entry node, not at node 1 only
-            entry_of = {w.render(): w.entry for w in _op_tables("A", n, max_len).words}
+            entry_of = {w.render(): w.entry for w in op_tables("A", n, max_len).words}
             assert {entry_of[v["inputs"][0]] for v in got} == set(range(1, n + 1))
 
 
@@ -750,7 +750,7 @@ def test_relation_sum_matches_the_split_oracle(algebra, n, max_arity, max_len, f
     # unit among a higher operation's inputs, where both kernels vanish.
     if fault in _CLASSIFIER_FAULTS:
         monkeypatch.setattr(ainfty, "_classify", _CLASSIFIER_FAULTS[fault](ainfty._classify))
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     h = ops.higher_arity
     if max_arity is None:
         tuples = [
@@ -780,7 +780,7 @@ def test_higher_column_is_the_classifier(algebra, n, max_len):
     # component.  The tuples are built by brute force, so a passing window
     # that `windows` misses fails here.  Tuples with an idempotent (checked
     # at length <= 6) vanish in the classifier, and `higher` holds none.
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     h = ops.higher_arity
     expect = {}
     for t in chained_tuples(ops, h, max_len, units=0):
@@ -935,7 +935,7 @@ _EQUIVARIANCE_WINDOWS = {("A", 3): 7, ("A", 4): 9, ("B", 3): 6, ("B", 4): 8}
 @pytest.mark.parametrize("n", [3, 4])
 def test_rotation_commutes_with_the_classifier(algebra, n):
     max_len = _EQUIVARIANCE_WINDOWS[algebra, n]
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     assert _equivariance_mismatches(ops, higher_arity(algebra, n) + 2) == []
     # the sweep's permutations are the powers of this rotation
     rot = _rotation(ops)
@@ -995,7 +995,7 @@ def test_equivariance_check_names_a_grading_corrupted_at_one_node(monkeypatch):
     # Both grading laws read word gradings outside the table; mis-grading
     # the words that start at node 2 must break the equivariance of both.
     n = 3
-    ops = _op_tables("A", n, 7)
+    ops = op_tables("A", n, 7)
     assert _equivariance_mismatches(ops, 8) == []
     word_grading, group_grading = ainfty.grading, gradegroup.assign_grading
     monkeypatch.setattr(ainfty, "grading", lambda w: _turned_grading(word_grading(w)) if w.start == 2 else word_grading(w))
@@ -1003,7 +1003,7 @@ def test_equivariance_check_names_a_grading_corrupted_at_one_node(monkeypatch):
     assert any(entry[0] == "grading" for entry in bad)
     assert not any(entry[0] == "group grading" for entry in bad)
     monkeypatch.setattr(ainfty, "grading", word_grading)
-    ops = _op_tables("B", n, 6)
+    ops = op_tables("B", n, 6)
     monkeypatch.setattr(
         gradegroup, "assign_grading", lambda w: GroupElem(group_grading(w).z + (w.start == 2), group_grading(w).word)
     )
@@ -1048,7 +1048,7 @@ def _word_passing_windows(algebra, max_total_len, n):
 def test_centered_tuples_match_the_word_oracle(algebra):
     # The slot walk on ids gives the centered tuples built from words, once each.
     for n in range(3, 12):
-        ops = _op_tables(algebra, n, higher_arity(algebra, n))
+        ops = op_tables(algebra, n, higher_arity(algebra, n))
         got = [tuple(ops.words[a] for a in t) for t in ainfty._centered_tuples(ops)]
         assert sorted(got, key=str) == sorted(_word_centered_tuples(algebra, n), key=str)
         assert len(set(got)) == len(got) == (2 * n if algebra == "A" else n)
@@ -1061,7 +1061,7 @@ def test_passing_windows_match_the_word_oracle(algebra, n):
     for max_len in (h - 1, h, h + 1, 3 * n, 4 * n + 1):
         assert passing_windows(algebra, max_len, n) == _word_passing_windows(algebra, max_len, n)
     # a table holds them as ids, built once
-    ops = _op_tables(algebra, n, 3 * n)
+    ops = op_tables(algebra, n, 3 * n)
     assert ops.windows is ops.windows
     assert [tuple(ops.words[a] for a in t) for t in ops.windows] == passing_windows(algebra, 3 * n, n)
 
@@ -1142,7 +1142,7 @@ def test_grading_laws_grade_each_word_once(algebra, n, max_arity, max_len, monke
     # Each law grades every table word at most once, into its column, and
     # each value V^e * p once per distinct (e, p), however many operations
     # share them.
-    ops = _op_tables(algebra, n, max_len)
+    ops = op_tables(algebra, n, max_len)
     swept = list(_nonzero(ops, max_arity, 1))
     outputs = {(e, p) for _, e, p in swept}
     assert len(swept) > len(ops.words) and len(swept) > len(outputs)
@@ -1207,7 +1207,7 @@ def _materialized_relation_tuples(ops, max_arity, entry):
 def test_streamed_relation_tuples_match_the_materialized_build(algebra, n):
     # At every entry node and at arity bounds below, at and past the higher
     # arity, the streamed build lists the tuples the materialized one did.
-    ops = _op_tables(algebra, n, _EQUIVARIANCE_WINDOWS[algebra, n])
+    ops = op_tables(algebra, n, _EQUIVARIANCE_WINDOWS[algebra, n])
     h = higher_arity(algebra, n)
     for max_arity in (2, 3, h, h + 1, h + 2, 2 * h):
         for entry in range(1, n + 1):

@@ -226,7 +226,7 @@ def test_every_rendered_term_needs_no_json_escape(n):
     # with p = 0, 1, 2 in both models, and the dual strings.
     from _json import encode_basestring_ascii
 
-    from starcob.barcobar import enumerate_strings
+    from starcob.barcobar import block_renderings, enumerate_strings
     from starcob.hochschild import slice_basis, witness_cocycle
     from starcob.staralg import enumerate_basis
 
@@ -240,8 +240,7 @@ def test_every_rendered_term_needs_no_json_escape(n):
         monos = [tm for n_deg in range(4 * n + 2) for j in range(-2 * n - 2, 2) for tm in slice_basis(algebra, n_deg, j, n)]
         assert {tm.p for tm in monos} >= {0, 1, 2}
         rendered += [tm.render() for tm in monos] + [witness_cocycle(algebra, n).render()]
-        strings = list(enumerate_strings(algebra, 4, n))
-        rendered += [ts.render() for ts in strings] + [ts.render_with_block() for ts in strings]
+        rendered += [ts.render() for ts in enumerate_strings(algebra, 4, n)] + block_renderings(algebra, 4, n)
     for text in rendered:
         assert text.isascii() and text.isprintable()
         assert encode_basestring_ascii(text) == f'"{text}"', text
@@ -431,7 +430,7 @@ def test_grading_frees_the_a_table_before_the_b_laws_run(capsys, monkeypatch):
 
     monkeypatch.setattr(ainfty, "operation_violations", watched)
     monkeypatch.setattr(gradegroup, "operation_violations", watched)
-    ainfty._op_tables.cache_clear()
+    ainfty.op_tables.cache_clear()
     code, _, _ = _run(["verify", "grading", "--n", "3"], capsys)
     assert code == 0
     assert len(a_tables) == 2 and len(a_alive_at_b) == 4
@@ -479,12 +478,40 @@ def test_homotopy_default_window_holds_the_full_loops(capsys, monkeypatch):
     # The sweeps are stubbed out, so this reads the window only.
     seen = []
     monkeypatch.setattr("starcob.barcobar.phi_psi_failures", lambda max_len, n, base: [])
-    monkeypatch.setattr("starcob.barcobar.verify_homotopy", lambda max_len, n, base, fault: seen.append(max_len) or True)
+    monkeypatch.setattr("starcob.barcobar.homotopy_failure", lambda max_len, n, base, fault: seen.append(max_len))
     for n, max_len in ((3, 8), (4, 8), (5, 10), (6, 12)):
         code, out, _ = _run(["verify", "homotopy", "--n", str(n)], capsys)
         assert code == 0
         assert json.loads(out)["config"]["max-len"] == max_len
         assert seen[-2:] == [max_len, max_len]
+
+
+def test_failing_homotopy_sweep_runs_once_per_base(capsys, monkeypatch):
+    # The verdict is read off the one sweep that names the failing string.
+    from starcob import barcobar
+
+    bases = []
+    failure = barcobar.homotopy_failure
+
+    def counted(max_len, n, base, fault):
+        bases.append(base)
+        return failure(max_len, n, base, fault)
+
+    monkeypatch.setattr(barcobar, "homotopy_failure", counted)
+    args = ["verify", "homotopy", "--n", "3", "--max-len", "8", "--inject-fault", "break-h"]
+    code, out, _ = _run(args, capsys)
+    assert code == 1
+    assert [v["base"] for v in json.loads(out)["violations"]] == ["A", "B"]
+    assert bases == ["A", "B"]
+
+
+def test_dump_strings_builds_one_table(capsys):
+    # One table at the bound holds every string: no table per string length.
+    _tables.cache_clear()
+    code, out, _ = _run(["dump", "strings", "--algebra", "A", "--n", "3", "--max-len", "9"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["items"]) == 3 * (3**9 - 1)
+    assert _tables.cache_info().misses == 1
 
 
 # The sha256 of stdout, a NUL and stderr, and the exit code, with 80 columns:

@@ -16,9 +16,10 @@ as it solves the system.
 """
 from __future__ import annotations
 
+from reference import rank
 from test_gf2la import mul_vec
 
-from starcob.ainfty import _classify, _entry_grading, _op_tables
+from starcob.ainfty import _classify, _entry_grading, op_tables
 from starcob.gf2la import SparseMatF2
 from starcob.staralg import Grading, grading
 
@@ -83,7 +84,7 @@ def test_mu_4n_minus_2_is_zero_up_to_gauge():
     # weight (2, ..., 2): the whole system lives on the full-weight tuples.
     # The operations are strictly unital, so no input is an idempotent.
     n, max_len = 3, 12
-    ops = _op_tables("A", n, max_len)
+    ops = op_tables("A", n, max_len)
     degree = 4 * n - 4
     rows_t = _full_weight_tuples(ops, 4 * n - 1, 2)
     windows = _full_weight_tuples(ops, 4 * n - 2, 2)
@@ -100,12 +101,12 @@ def test_mu_4n_minus_2_is_zero_up_to_gauge():
     # gauge vector sums f_{4N-3} over the merges of a window's inputs.
     relations = SparseMatF2(_merge_rows(ops, rows_t, unknowns), len(windows))
     gauge = SparseMatF2(_merge_rows(ops, windows, {t: c for c, t in enumerate(gauge_t)}), len(gauge_t)).transpose()
-    rank, gauge_rank = relations.rank(), gauge.rank()
-    assert (len(windows), rank, gauge_rank) == (990, 438, 552)
+    relation_rank, gauge_rank = rank(relations), rank(gauge)
+    assert (len(windows), relation_rank, gauge_rank) == (990, 438, 552)
     # The gauge solves the homogeneous system (the coboundary of a coboundary
     # is zero), and fills its solution space: mu_{4N-2} is unique up to gauge.
     assert all(mul_vec(relations, v) == 0 for v in gauge.rows)
-    assert rank + gauge_rank == len(windows)
+    assert relation_rank + gauge_rank == len(windows)
 
     # The constant side: the mu_{2N} o mu_{2N} terms of each relation, under
     # the shipped operations.

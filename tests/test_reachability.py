@@ -1,16 +1,21 @@
-"""Every module-level name in `src/starcob` is reached by some caller.
+"""Every module-level name in `src/starcob`, and every method and property
+of a module-level class, is reached by some caller.
 
-A name is a module-level function, class or constant (dunders are exempt).
-It is reached when it is referenced somewhere other than its own
-definition: by an AST `Name` or `Attribute` node in `src/starcob`, in a
-backtick span or python block of README.md, in tests/test_acceptance.py, or
-in a TARGETS entry of perfbench/tracer.py.  The sources are read as text and
-parsed, never imported, so the check costs a few tens of milliseconds.
+A name is a module-level function, class or constant, or a function
+defined in the body of a module-level class (dunders are exempt).  It is
+reached when it is referenced somewhere other than its own definition: by
+an AST `Name` or `Attribute` node in `src/starcob`, in a backtick span or
+python block of README.md, in tests/test_acceptance.py, or in a TARGETS
+entry of perfbench/tracer.py.  A method is matched by its name alone, so
+any `.name` reference reaches it, but its own body does not.  The sources
+are read as text and parsed, never imported, so the check costs a few tens
+of milliseconds.
 """
 from __future__ import annotations
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,18 +37,31 @@ def _defined(stmt: ast.stmt) -> list[str]:
     return []
 
 
-def _referenced(node: ast.AST, imports: bool = False) -> set[str]:
-    """The names read under node: loaded `Name`s and `Attribute`s, and with
-    `imports` the names imported from a module."""
-    out = set()
+def _methods(stmt: ast.stmt) -> list[ast.stmt]:
+    """The functions defined in the body of a class statement (methods,
+    properties, static and class methods)."""
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [sub for sub in stmt.body if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _reads(node: ast.AST, imports: bool = False) -> Counter:
+    """How often each name is read under node: loaded `Name`s and
+    `Attribute`s, and with `imports` the names imported from a module."""
+    out: Counter = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            out.add(sub.attr)
+            out[sub.attr] += 1
         elif imports and isinstance(sub, ast.ImportFrom):
             out.update(alias.name for alias in sub.names)
     return out
+
+
+def _referenced(node: ast.AST, imports: bool = False) -> set[str]:
+    """The names read under node, as in `_reads`."""
+    return set(_reads(node, imports))
 
 
 def _readme_names() -> set[str]:
@@ -69,21 +87,23 @@ def _tracer_names() -> set[str]:
 
 
 def unreached() -> list[str]:
-    """`module.name` of each module-level name no caller reaches."""
+    """`module.name` of each module-level name, and `module.Class.name` of
+    each method or property, that no caller reaches."""
     modules = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
     outside = _readme_names() | _tracer_names() | _referenced(acceptance, imports=True)
-    # the names each top-level statement reads, so that a definition's own
-    # body does not count as a reference to it
-    reads = [(module, stmt, _referenced(stmt)) for module, tree in modules.items() for stmt in tree.body]
+    # a name is read elsewhere when it is read more often in the package
+    # than in its own definition
+    total = sum((_reads(tree) for tree in modules.values()), Counter())
+
+    def reached(name: str, definition: ast.stmt) -> bool:
+        return _is_dunder(name) or name in outside or total[name] > _reads(definition)[name]
+
     out = []
     for module, tree in modules.items():
         for stmt in tree.body:
-            for name in _defined(stmt):
-                if _is_dunder(name) or name in outside:
-                    continue
-                if not any(name in names for m, s, names in reads if not (m == module and s is stmt)):
-                    out.append(f"{module}.{name}")
+            out += [f"{module}.{name}" for name in _defined(stmt) if not reached(name, stmt)]
+            out += [f"{module}.{stmt.name}.{m.name}" for m in _methods(stmt) if not reached(m.name, m)]
     return out
 
 
