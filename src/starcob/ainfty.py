@@ -27,12 +27,12 @@ component), built lazily; `op_tables` keeps only the last (algebra, N,
 bound) asked for.  `_classify` is the one operation classifier, on (exponent, id)
 entries: mu_a and mu_b intern their inputs and call it.  The table's
 `higher` column is its value on each passing window, classified once.
-`windows` lists every tuple within the bound on which the higher operation
-is nonzero, so `higher` is the whole operation on entries without a
-coefficient, as `mul` is the whole binary one.  relation_sum and the sweeps
-read both off the table; only a coefficient carried into an outer higher
-operation goes back to `_classify`, so the coefficient rule is written
-there alone.
+`passing_windows` builds, on the table it is given, every tuple within the
+bound on which the higher operation is nonzero, so `higher` is the whole
+operation on entries without a coefficient, as `mul` is the whole binary
+one.  relation_sum and the sweeps read both off the table; only a
+coefficient carried into an outer higher operation goes back to
+`_classify`, so the coefficient rule is written there alone.
 
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
 that has a nonzero term, read off the nonzero operations themselves; the
@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import functools
 from itertools import product as iter_product
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .ring import Frozen, Monomial
 from .staralg import (
@@ -131,10 +131,10 @@ class _OpTables(WordTable):
     [k*width, (k+1)*width), and `width` holds max_len, so no slot of a sum
     over such entries carries into the next.  `ones` is the packed weight of
     the coefficient variable, which every higher operation's inputs lay down
-    besides the margin it returns.  `windows` and `higher`, built on first
-    use, list the higher operation's passing windows and its value on each:
-    every tuple within the bound on which it is nonzero, so a lookup that
-    misses there is a zero.  `windows` finds the extended tuples through
+    besides the margin it returns.  `higher`, built on first use, is the
+    higher operation's value on each of the table's passing windows: every
+    tuple within the bound on which it is nonzero, so a lookup that misses
+    there is a zero.  `passing_windows` finds the extended tuples through
     the `split` the classifier reads, at the same margin length.
     """
 
@@ -173,20 +173,13 @@ class _OpTables(WordTable):
         return out
 
     @functools.cached_property
-    def windows(self) -> list[tuple[int, ...]]:
-        """The passing windows within the table's bound, as id tuples, in
-        passing_windows order."""
-        # through the module-level function, which the benchmark's trace counts
-        ids = self.ids
-        return [tuple(ids[w] for w in t) for t in passing_windows(self.algebra, self.max_len, self.n)]
-
-    @functools.cached_property
     def higher(self) -> dict[tuple[int, ...], tuple[int, int, Optional[int]]]:
         """higher[t]: the higher operation on the passing window t, as
         (exponent, output id, the drop-mu2N component that removes it or
-        None), in `windows` order, one `_classify` call per window."""
+        None), in `passing_windows` order, one `_classify` call per window."""
         out = {}
-        for t in self.windows:
+        # through the module global, which the benchmark's trace counts
+        for t in passing_windows(self):
             res = _classify(self, [(0, a) for a in t])
             if res is not None:
                 tag, e, p = res
@@ -268,10 +261,18 @@ def _as_pairs(x: Union[AlgElem, Word]) -> list[Entry]:
     return [(0, x)]
 
 
+def _check_algebra(algebra: str, n: int, xs: Iterable[Union[AlgElem, Word]]) -> None:
+    """Raise ValueError unless each word or element is of this algebra and N."""
+    for x in xs:
+        if x.algebra != algebra or x.n != n:
+            raise ValueError("word does not belong to this algebra")
+
+
 def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple] = None) -> OpResult:
     if not seq:
         raise ValueError("operations need at least one input")
     n = seq[0].n
+    _check_algebra(algebra, n, seq)
     pair_lists = [_as_pairs(x) for x in seq]
     bound = sum(max((w.ell for _, w in pairs), default=0) for pairs in pair_lists)
     ops = op_tables(algebra, n, bound)
@@ -374,6 +375,7 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
     >>> relation_value("B", [BWord("c", 1, "r", 1, n)] + sigma, n).render()
     '0'
     """
+    _check_algebra(algebra, n, words)
     ops = op_tables(algebra, n, sum(w.ell for w in words))
     total = relation_sum(ops, tuple(ops.ids[w] for w in words), _dropped(fault))
     return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
@@ -390,36 +392,31 @@ def _centered_tuples(ops: _OpTables) -> list[tuple[int, ...]]:
     return [tuple(n + at[(k + step * j) % two_n] for j in range(ops.higher_arity)) for k in starts]
 
 
-def passing_windows(algebra: str, max_total_len: int, n: int) -> list[tuple[Word, ...]]:
-    """All tuples within the length bound on which the higher operation is
-    nonzero, in word order.
+def passing_windows(ops: _OpTables) -> list[tuple[int, ...]]:
+    """All id tuples within the table's bound on which the higher operation
+    is nonzero, in id order, which is word order; `ops.words` renders them.
 
     Every centered tuple is higher_arity(algebra, n) letters long, and every
     other passing window swaps an end letter of one for a longer word whose
-    split at the classifier's margin index leaves that letter.  The windows
-    are built on the ids of the table of (algebra, N, bound), whose id order
-    is word order.
+    split at the classifier's margin index leaves that letter.
     """
-    budget = max_total_len - higher_arity(algebra, n)
+    budget = ops.max_len - ops.higher_arity
     if budget < 0:
         return []
-    table = op_tables(algebra, n, max_total_len)
-    centered = _centered_tuples(table)
+    centered = _centered_tuples(ops)
     starting = {t[0]: t for t in centered}
     ending = {t[-1]: t for t in centered}
     windows = list(centered)
     # each word of length 2 to budget + 1 in place of the end letter that
     # taking off its margin, all but one letter, leaves
-    for a in range(table.word_id(2, 0), table.word_id(budget + 2, 0)):
-        excess = table.ell[a] - 1
-        _, rest = table.split(a, excess)  # the margin on the left
+    for a in range(ops.word_id(2, 0), ops.word_id(budget + 2, 0)):
+        _, rest = ops.split(a, ops.ell[a] - 1)  # the margin on the left
         if rest in starting:
             windows.append((a,) + starting[rest][1:])
-        rest, _ = table.split(a, 1)  # the margin on the right
+        rest, _ = ops.split(a, 1)  # the margin on the right
         if rest in ending:
             windows.append(ending[rest][:-1] + (a,))
-    words = table.words
-    return [tuple(words[a] for a in t) for t in sorted(windows)]
+    return sorted(windows)
 
 
 def _nonzero(ops: _OpTables, max_arity: int, entry: Optional[int] = None) -> Iterator[tuple[tuple[int, ...], int, int]]:
@@ -626,7 +623,7 @@ def _packing(gradings: list[Grading], max_arity: int) -> Callable[[Grading], Opt
     is above that.  A grading with a larger digit packs to None, which
     equals no int, as the grading equals no such sum.
     """
-    big = max(max(abs(g.m), g.ell, *map(abs, g.alexander)) for g in gradings)
+    big = max((max(abs(g.m), g.ell, *map(abs, g.alexander)) for g in gradings), default=0)
     width = (max(max_arity, 2) * (big + 1)).bit_length() + 1
     half = 1 << (width - 1)
 

@@ -76,9 +76,9 @@ def test_higher_arity():
     # the classifier's column, and the arity of every passing window
     for algebra, n in (("A", 3), ("A", 4), ("B", 3), ("B", 5)):
         assert op_tables(algebra, n, 4 * n).higher_arity == higher_arity(algebra, n)
-        assert {len(w) for w in passing_windows(algebra, 4 * n, n)} == {higher_arity(algebra, n)}
+        assert {len(w) for w in passing_windows(op_tables(algebra, n, 4 * n))} == {higher_arity(algebra, n)}
     # below its centered length no window passes
-    assert passing_windows("A", 5, 3) == []
+    assert passing_windows(op_tables("A", 3, 5)) == []
 
 
 def test_mu_a_centered_rotation():
@@ -91,6 +91,23 @@ def test_mu_a_centered_rotation():
     assert rot.value.render() == "V0*I1"
     rot2 = mu_a([_u(2), _s(2), _u(3), _s(3), _u(1), _s(1)])
     assert rot2.value.render() == "V0*I2"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mu_a([BWord("c", 1, "r", 1, 3), BWord("c", 1, "s", 1, 3)]),
+        lambda: mu_b([AWord("u", 1, 1, 3)] * 3),
+        lambda: relation_value("A", [AWord("u", 1, 1, 4)] * 3, 3),
+        lambda: mu_a([AlgElem.zero("B", 3)] * 6),
+    ],
+    ids=["B-words-to-mu_a", "A-words-to-mu_b", "another-N", "B-zero-to-mu_a"],
+)
+def test_foreign_words_are_rejected(call):
+    # A word or element of the other algebra, or of another N, is refused
+    # before any table is built, as AlgElem refuses such a word.
+    with pytest.raises(ValueError, match="word does not belong to this algebra"):
+        call()
 
 
 def test_mu_a_extended_windows():
@@ -185,14 +202,20 @@ def test_relation_sum_vanishes_on_witness_tuples():
     assert relation_value("B", [_sig(3), _sig(2), _sig(1), _rho(1)], 3).is_zero()
 
 
+def _word_windows(algebra, max_len, n):
+    """The passing windows of the table of (algebra, N, max_len), as Word tuples."""
+    ops = op_tables(algebra, n, max_len)
+    return [tuple(ops.words[a] for a in t) for t in passing_windows(ops)]
+
+
 def test_passing_windows_at_base_arity():
-    wins = passing_windows("A", 6, 3)
+    wins = _word_windows("A", 6, 3)
     assert len(wins) == 6
     for w in wins:
         res = mu_a(list(w))
         assert res.tag == "centered"
         assert not res.value.is_zero()
-    wins_b = passing_windows("B", 3, 3)
+    wins_b = _word_windows("B", 3, 3)
     assert len(wins_b) == 3
     for w in wins_b:
         assert mu_b(list(w)).tag == "centered"
@@ -536,18 +559,40 @@ def fresh_op_tables():
     op_tables.cache_clear()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_OpTables.windows goes through the module-level passing_windows, "
-    "which builds on the cached table, not on self",
-)
 def test_windows_of_a_fresh_table_read_that_table(fresh_op_tables):
     # A fresh table's windows must come from its own columns, so that a
     # corrupted fresh table is what the sweep reads: reading them builds no
     # cached table.
     tables = _OpTables("A", 3, 13)
-    assert tables.windows
+    assert passing_windows(tables) and tables.higher
     assert op_tables.cache_info().currsize == 0
+
+
+def test_a_corrupted_fresh_table_is_swept_on_its_own_windows():
+    # Moving one continuation offset on changes the table's split, and so
+    # which tuples pass: the corrupted table gains a window the clean one
+    # lacks (and loses one).  The relation sweep on that table must read
+    # its own windows, so a violation appears through the new one.
+    clean, ops = _OpTables("A", 3, 13), _OpTables("A", 3, 13)
+    ops.conts[3][2] = (ops.conts[3][2] + 1) % 6
+    (extra,) = set(ops.higher) - set(clean.higher)
+    assert len(ops.higher) == len(clean.higher) == 90
+    h = ops.higher_arity
+    violating = [t for t in _relation_tuples(ops, 8, 1) if relation_sum(ops, t)]
+    assert len(violating) == 18
+    assert any(t[k : k + h] == extra for t in violating for k in range(len(t) - h + 1))
+
+
+def test_window_building_reads_no_word():
+    # The windows and the higher column are built on ids alone.
+    class NoWords:
+        def __getitem__(self, a):
+            raise AssertionError("a window was built through a Word")
+
+    for algebra, n, max_len in (("A", 3, 13), ("B", 4, 12)):
+        ops = _OpTables(algebra, n, max_len)
+        ops.words = NoWords()
+        assert passing_windows(ops) and ops.higher
 
 
 def test_relation_tuples_complete_when_relations_fail(fresh_op_tables, monkeypatch):
@@ -581,7 +626,7 @@ def test_entry_splits_of_deep_windows_are_candidates():
     n = 4
     table = op_tables("A", n, 10)
     splits = set()
-    for window in passing_windows("A", 10, n):
+    for window in _word_windows("A", 10, n):
         for t, w in enumerate(window):
             for ids in table.chains(w.ell, entry=w.entry):
                 pair = tuple(table.words[a] for a in ids)
@@ -778,8 +823,9 @@ def test_higher_column_is_the_classifier(algebra, n, max_len):
     # classifier is nonzero exactly where `higher` has an entry, with the
     # same value, and vanishes under drop k exactly when k is the entry's
     # component.  The tuples are built by brute force, so a passing window
-    # that `windows` misses fails here.  Tuples with an idempotent (checked
-    # at length <= 6) vanish in the classifier, and `higher` holds none.
+    # that `passing_windows` misses fails here.  Tuples with an idempotent
+    # (checked at length <= 6) vanish in the classifier, and `higher` holds
+    # none.
     ops = op_tables(algebra, n, max_len)
     h = ops.higher_arity
     expect = {}
@@ -787,7 +833,7 @@ def test_higher_column_is_the_classifier(algebra, n, max_len):
         res = ainfty._classify(ops, [(0, a) for a in t])
         if res is not None:
             expect[t] = res
-    assert list(ops.higher) == ops.windows
+    assert list(ops.higher) == passing_windows(ops)
     assert ops.higher.keys() == expect.keys()
     assert all(a >= n for t in ops.higher for a in t)
     with_units = [t for t in chained_tuples(ops, h, 6) if min(t) < n]
@@ -1059,11 +1105,7 @@ def test_centered_tuples_match_the_word_oracle(algebra):
 def test_passing_windows_match_the_word_oracle(algebra, n):
     h = higher_arity(algebra, n)
     for max_len in (h - 1, h, h + 1, 3 * n, 4 * n + 1):
-        assert passing_windows(algebra, max_len, n) == _word_passing_windows(algebra, max_len, n)
-    # a table holds them as ids, built once
-    ops = op_tables(algebra, n, 3 * n)
-    assert ops.windows is ops.windows
-    assert [tuple(ops.words[a] for a in t) for t in ops.windows] == passing_windows(algebra, 3 * n, n)
+        assert _word_windows(algebra, max_len, n) == _word_passing_windows(algebra, max_len, n)
 
 
 # The grading checks as they ran over every nonzero operation, before they
@@ -1135,6 +1177,8 @@ def test_grading_checks_match_the_full_sweep_under_a_fault(algebra, n, max_arity
 def test_op_grading_check_clean():
     assert op_grading_check("A", 8, 12, 3) == []
     assert op_grading_check("B", 5, 9, 3) == []
+    # an empty table: no word, so no operation to check
+    assert op_grading_check("A", 8, -1, 3) == []
 
 
 @pytest.mark.parametrize("algebra, n, max_arity, max_len", [("A", 3, 8, 12), ("B", 4, 6, 12)])
@@ -1219,7 +1263,7 @@ def test_streamed_relation_tuples_match_the_materialized_build(algebra, n):
 def test_tags_are_exclusive_across_windows():
     # Every nonzero higher operation reports exactly one structural case.
     for algebra in ("A", "B"):
-        for win in passing_windows(algebra, 10, 3):
+        for win in _word_windows(algebra, 10, 3):
             res = mu_a(list(win)) if algebra == "A" else mu_b(list(win))
             assert res.tag in {"centered", "left-extended", "right-extended"}
             assert not res.value.is_zero()

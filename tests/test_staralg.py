@@ -389,7 +389,7 @@ def test_table_build_makes_no_word_per_product(monkeypatch):
         for n in (3, 4):
             WordTable(algebra, n, 4 * n)
             ops = ainfty._OpTables(algebra, n, 4 * n)
-            assert ops.rotations and ops.windows
+            assert ops.rotations and ops.higher
             tables = barcobar._WordTables(algebra, n, 4 * n)
             assert tables.psi and tables.block_next
 
