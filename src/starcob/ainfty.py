@@ -1,7 +1,7 @@
 """Higher multiplications on the two quiver algebras and relation checking.
 
 Besides its binary product each algebra carries one higher operation, in
-arity `higher_arity` (2N for A, N for B), and one rule gives both: the
+arity `staralg.higher_arity` (2N for A, N for B), and one rule gives both: the
 operation preserves weight, and its inputs lay down the weight of the
 coefficient variable (V0 covers every slot once, V_{N+1} every edge slot
 once) plus that of the margin it returns.  A chained tuple of that arity with
@@ -84,6 +84,7 @@ from .staralg import (
     WordTable,
     coeff_var,
     grading,
+    higher_arity,
     letter_slots,
     mono_grading,
     slot_letters,
@@ -91,7 +92,7 @@ from .staralg import (
     word_slots,
 )
 
-Entry = tuple  # (coefficient exponent, word id) inside the kernel, (exponent, Word) outside
+_Entry = tuple  # (coefficient exponent, word id) inside the kernel, (exponent, Word) outside
 
 TAG_ZERO = "zero"
 TAG_BINARY = "binary"
@@ -109,11 +110,6 @@ class OpResult(Frozen):
     def __init__(self, value: AlgElem, tag: str) -> None:
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "tag", tag)
-
-
-def higher_arity(algebra: str, n: int) -> int:
-    """The arity of the algebra's one higher operation: 2N for A, N for B."""
-    return 2 * n if algebra == "A" else n
 
 
 def _entry_grading(algebra: str, exp: Monomial, word: Word, n: int) -> Grading:
@@ -195,12 +191,18 @@ def op_tables(algebra: str, n: int, max_len: int) -> _OpTables:
     return _OpTables(algebra, n, max_len)
 
 
-def _dropped(fault: Optional[tuple]) -> Optional[int]:
-    """The centered A component a fault spec drops, or None."""
-    return fault[1] if fault is not None and fault[0] == "drop-a-centered" else None
+def _dropped(fault: Optional[tuple], algebra: str, n: int) -> Optional[int]:
+    """The centered A component k that the spec ("drop-a-centered", k), 0 <=
+    k < 2N (one per letter of a centered tuple), drops, or None for no
+    fault; any other spec raises ValueError."""
+    if fault is None:
+        return None
+    if algebra != "A" or len(fault) != 2 or fault[0] != "drop-a-centered" or not 0 <= fault[1] < higher_arity("A", n):
+        raise ValueError(f"fault {fault!r} cannot be injected into the {algebra} operations at N={n}")
+    return fault[1]
 
 
-def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = None) -> Optional[tuple[str, int, int]]:
+def _classify(ops: _OpTables, entries: Sequence[_Entry], drop: Optional[int] = None) -> Optional[tuple[str, int, int]]:
     """The operation on (coefficient exponent, word id) entries, as
     (tag, exponent, id), or None when it vanishes.
 
@@ -255,7 +257,7 @@ def _classify(ops: _OpTables, entries: Sequence[Entry], drop: Optional[int] = No
     return None
 
 
-def _as_pairs(x: Union[AlgElem, Word]) -> list[Entry]:
+def _as_pairs(x: Union[AlgElem, Word]) -> list[_Entry]:
     if isinstance(x, AlgElem):
         return x.monomial_pairs()
     return [(0, x)]
@@ -273,10 +275,10 @@ def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple
         raise ValueError("operations need at least one input")
     n = seq[0].n
     _check_algebra(algebra, n, seq)
+    drop = _dropped(fault, algebra, n)
     pair_lists = [_as_pairs(x) for x in seq]
     bound = sum(max((w.ell for _, w in pairs), default=0) for pairs in pair_lists)
     ops = op_tables(algebra, n, bound)
-    drop = _dropped(fault)
     terms: list[tuple[Monomial, Word]] = []
     tags: set[str] = set()
     for combo in iter_product(*([(e, ops.ids[w]) for e, w in pairs] for pairs in pair_lists)):
@@ -376,8 +378,9 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
     '0'
     """
     _check_algebra(algebra, n, words)
+    drop = _dropped(fault, algebra, n)
     ops = op_tables(algebra, n, sum(w.ell for w in words))
-    total = relation_sum(ops, tuple(ops.ids[w] for w in words), _dropped(fault))
+    total = relation_sum(ops, tuple(ops.ids[w] for w in words), drop)
     return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
 
 
@@ -520,9 +523,9 @@ def check_ainfty(
     are sorted by arity, then inputs.
     """
     if n <= 2:
-        raise ValueError("the construction needs N > 2")
+        raise ValueError(f"the construction needs N > 2, got N={n}")
+    drop = _dropped(fault, algebra, n)
     ops = op_tables(algebra, n, max_total_len)
-    drop = _dropped(fault)
     tuples = _relation_tuples(ops, max_arity, 1)
     passes: dict[Optional[int], list[tuple[tuple, dict[int, int]]]] = {}
     violations: list[dict] = []
@@ -671,7 +674,8 @@ __all__ = [
     "mu_a",
     "mu_b",
     "relation_value",
-    "higher_arity",
+    "relation_sum",
+    "op_tables",
     "passing_windows",
     "nonzero_operations",
     "operation_violations",

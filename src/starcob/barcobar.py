@@ -302,9 +302,10 @@ class _WordTables(WordTable):
         return acc
 
     def homotopy_sides(self, s: tuple, fault: Optional[tuple] = None) -> tuple[set, set]:
-        """Both sides of the certificate on s: delta H + H delta, and id + psi phi."""
+        """Both sides of the certificate on s: delta H + H delta, and id + psi
+        phi; a fault (break-h, checked by `homotopy_failure`) zeroes H."""
         lhs: set = set()
-        if fault is None or fault[0] != "break-h":
+        if fault is None:
             block = self.block_length(s)
             h = self.h_term(s, block)
             if h is not None:
@@ -477,9 +478,13 @@ def homotopy_failure(
     in `enumerate_strings` order, where the node-1 strings come first, so
     the first failure is the one a sweep over every string would meet first.
 
+    The one fault spec, ("break-h",), zeroes the homotopy.
+
     >>> homotopy_failure(2, 3, "A", ("break-h",))
     {'string': 'U1*.U1*', 'lhs-sum': '0', 'rhs-sum': 'U1*.U1*'}
     """
+    if fault not in (None, ("break-h",)):
+        raise ValueError(f"fault {fault!r} cannot be injected into the homotopy")
     tables = _tables(base, n, max(max_total_len, 0))
     for ts in enumerate_strings(base, max_total_len, n, 1, reduced=True):
         lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)

@@ -84,7 +84,7 @@ def _fault(args) -> Optional[tuple]:
     if FAULT_KINDS[fault[0]] != args.kind:
         raise ConfigError(f"fault spec {spec!r} applies only to verify {FAULT_KINDS[fault[0]]}")
     if fault[0] == "drop-a-centered":
-        from .ainfty import higher_arity
+        from .staralg import higher_arity
 
         if not 0 <= fault[1] < higher_arity("A", args.n):
             raise ConfigError(f"fault spec {spec!r} needs 0 <= k < 2N = {higher_arity('A', args.n)}")
@@ -100,7 +100,7 @@ def _check_options(args) -> None:
 def _window(args, algebra: str) -> tuple[int, int]:
     """The (max-arity, max-len) of a sweep over the algebra: the options,
     else the higher arity + 2 and length 4N for A, 3N for B."""
-    from .ainfty import higher_arity
+    from .staralg import higher_arity
 
     max_arity = args.max_arity if args.max_arity is not None else higher_arity(algebra, args.n) + 2
     max_len = args.max_len if args.max_len is not None else (4 if algebra == "A" else 3) * args.n
@@ -314,7 +314,7 @@ def _verify_grading(args) -> tuple[list[dict], dict]:
 
 
 def _verify_arities(args) -> tuple[list[dict], dict]:
-    from .ainfty import higher_arity
+    from .staralg import higher_arity
     from .gradegroup import admissible_arities
 
     n = args.n
@@ -433,10 +433,8 @@ def cmd_dump(args, out) -> int:
     if what == "basis":
         items = [w.render() for w in enumerate_basis(args.algebra, max_len, n)]
     elif what == "special":
-        if args.algebra == "A":
-            items = [f"U{n + 1} = {special_element('A', f'U{n + 1}', n).render()}"]
-        else:
-            items = [f"U0 = {special_element('B', 'U0', n).render()}"]
+        name = f"U{n + 1}" if args.algebra == "A" else "U0"
+        items = [f"{name} = {special_element(args.algebra, n).render()}"]
     elif what == "strings":
         from .barcobar import block_renderings
 

@@ -1,23 +1,24 @@
 """Arithmetic in the grading group Z x F_{N+1} and arity obstructions.
 
 Elements carry a central integer component and a freely reduced word in
-generators g0..gN.  Loop letters of algebra B are graded (-1, g_i), edge
-letters (-1, e); words of algebra A are graded (0, e).  Every nonzero arity-n
-operation must multiply gradings up to the central element lambda = (1, e)
-raised to n - 2, which pins the coefficient gradings to (2N-2, e) for V0 and
-(-2, e) for V_{N+1} and obstructs all other arities: the admissible ones are
-n = k(2N-2)+2 on the A side and n = j(N-2)+2 on the B side.  Admissible is
-not carried: A has a higher operation in arity 2N only (see ainfty).
+generators g0..gN.  The central component is the Maslov degree (0 on
+A-words, minus the length on B-words, m(V) on the coefficient variable V):
+r_i of algebra B is graded (-1, g_i), an edge letter (-1, e), an A-word
+(0, e).  Every nonzero arity-n operation must multiply gradings up to the
+central element lambda = (1, e) raised to n - 2, which pins the coefficient
+gradings to (2N-2, e) for V0 and (-2, e) for V_{N+1} and obstructs all other
+arities: with h the length of V (`staralg.higher_arity`), the admissible
+ones are n = k(h-2)+2.  Admissible is not carried: A has a higher operation
+in arity 2N only (see ainfty).
 
-Coefficient gradings are central, as lambda is: V^k is graded (k(2N-2), e)
-or (-2k, e) in closed form, and multiplying by one moves only the central
-component.
+Coefficient gradings are central, as lambda is: V^k is graded (k m(V), e),
+and multiplying by one moves only the central component.
 """
 from __future__ import annotations
 
 from .ainfty import op_tables, operation_violations
 from .ring import Frozen, Monomial
-from .staralg import AWord, BWord, Word, coeff_var
+from .staralg import AWord, BWord, Word, coeff_var, higher_arity, var_grading
 
 
 def free_reduce(runs) -> tuple:
@@ -105,20 +106,11 @@ def assign_grading(w: Word) -> GroupElem:
     return GroupElem(-w.length, free_reduce((i, 1) for t, i in reversed(w.letters()) if t == "r"))
 
 
-def var_group_grading(var: int, n: int) -> GroupElem:
-    """Grading of a coefficient variable, central in the free-group factor."""
-    if var == 0:
-        return GroupElem(2 * n - 2, ())
-    if var == n + 1:
-        return GroupElem(-2, ())
-    raise ValueError(f"variable V{var} carries no grading")
-
-
 def mono_group_grading(exp: Monomial, algebra: str, n: int) -> GroupElem:
     """Grading of the coefficient monomial V^exp in the algebra's own variable:
-    the variable's grading is central, so its power is exp times its central
-    degree, with the empty free word."""
-    return GroupElem(exp * var_group_grading(coeff_var(algebra, n), n).z, ())
+    the variable's grading is central, its Maslov degree m(V) with the empty
+    free word, so its power is exp * m(V)."""
+    return GroupElem(exp * var_grading(coeff_var(algebra, n), n).m, ())
 
 
 def _group_sides(algebra: str, n: int, inputs: tuple, exp: Monomial, word: Word, grade) -> tuple[GroupElem, GroupElem]:
@@ -195,8 +187,8 @@ def check_multiplicativity(algebra: str, max_arity: int, max_total_len: int, n: 
 
 def admissible_arities(side: str, big_n: int, n_lo: int, n_hi: int) -> set[int]:
     """Arities in [n_lo, n_hi] at which a nonzero higher operation is not
-    obstructed by the grading: n = k(2N-2)+2 on side A, n = j(N-2)+2 on side B
-    (k, j >= 1).
+    obstructed by the grading: n = k(h-2)+2 for k >= 1, h the side's
+    `higher_arity` (2N-2 steps on side A, N-2 on side B).  N must be > 2.
 
     >>> sorted(admissible_arities("A", 3, 6, 6))
     [6]
@@ -205,18 +197,13 @@ def admissible_arities(side: str, big_n: int, n_lo: int, n_hi: int) -> set[int]:
     """
     if side not in ("A", "B"):
         raise ValueError(f"unknown side {side!r}")
+    if big_n <= 2:
+        raise ValueError(f"the construction needs N > 2, got N={big_n}")
     if n_lo <= 2:
         raise ValueError("need n_lo > 2 (binary products are always admissible)")
-    if n_lo > n_hi:
-        return set()
-    step = 2 * big_n - 2 if side == "A" else big_n - 2
-    out = set()
-    k = 1
-    while step * k + 2 <= n_hi:
-        if step * k + 2 >= n_lo:
-            out.add(step * k + 2)
-        k += 1
-    return out
+    step = higher_arity(side, big_n) - 2
+    # the least k >= 1 with k*step + 2 >= n_lo is ceil((n_lo - 2) / step)
+    return set(range(-(-(n_lo - 2) // step) * step + 2, n_hi + 1, step))
 
 
 __all__ = [
@@ -227,7 +214,6 @@ __all__ = [
     "render_word",
     "gp_mul",
     "assign_grading",
-    "var_group_grading",
     "mono_group_grading",
     "check_multiplicativity",
     "admissible_arities",

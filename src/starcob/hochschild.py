@@ -72,13 +72,13 @@ from .staralg import (
     Word,
     coeff_var,
     dual_algebra,
-    full_cycle_chain,
     grading,
+    higher_arity,
     idempotent,
-    loop_word,
     mono_grading,
     mul_word,
     slot_letters,
+    special_element,
     word_sort_key,
     words_of_length,
 )
@@ -236,16 +236,18 @@ def twisted_diff(x: Union[TwistedElem, TwistedMono]) -> TwistedElem:
 def slice_params(model: str, n_deg: int, j: int, big_n: int) -> Optional[tuple[int, int]]:
     """(p, left length) of the bidegree-(n, j) slice, or None if empty.
 
-    The coefficient power is p = (n+j)/(2N-2) for model A and (n+j)/(N-2) for
-    model B, and the left length is n - 2Np resp. n - Np.
+    With h = `higher_arity` (2N for model A, N for B), the coefficient
+    power is p = (n+j)/(h-2) and the left length is n - h*p.  N must be > 2.
     """
-    den = 2 * big_n - 2 if model == "A" else big_n - 2
-    if (n_deg + j) % den:
+    if big_n <= 2:
+        raise ValueError(f"the construction needs N > 2, got N={big_n}")
+    h = higher_arity(model, big_n)
+    if (n_deg + j) % (h - 2):
         return None
-    p = (n_deg + j) // den
+    p = (n_deg + j) // (h - 2)
     if p < 0:
         return None
-    ell_left = n_deg - (2 * big_n if model == "A" else big_n) * p
+    ell_left = n_deg - h * p
     if ell_left < 0:
         return None
     return (p, ell_left)
@@ -371,22 +373,15 @@ def is_coboundary(
 
 
 def witness_cocycle(model: str, big_n: int) -> TwistedElem:
-    """The distinguished degree-(2N, -2) resp. (N, -2) cocycle.
-
-    For model A it is V0 tensor the sum of all 2N alternating loops; for model
-    B it is V_{N+1} tensor the sum of the N full edge cycles.
+    """The distinguished cocycle of bidegree (h, -2), h = `higher_arity`:
+    V tensor the dual algebra's central element (`special_element`), each
+    word w paired with V * I_{w.init}.
 
     >>> witness_cocycle("B", 3).render()
     'V4*I1 (x) s[1,4] + V4*I2 (x) s[2,5] + V4*I3 (x) s[3,6]'
     """
-    out: set = set()
-    for i in range(1, big_n + 1):
-        if model == "A":
-            for first in ("r", "s"):
-                out ^= {_admissible(1, idempotent("A", i, big_n), loop_word(i, first, 2 * big_n, big_n))}
-        else:
-            out ^= {_admissible(1, idempotent("B", i, big_n), full_cycle_chain(i, big_n))}
-    return TwistedElem(model, big_n, out)
+    central = special_element(dual_algebra(model), big_n)
+    return TwistedElem(model, big_n, {_admissible(1, idempotent(model, w.init, big_n), w) for w in central.terms})
 
 
 def cohomology_table(

@@ -29,7 +29,8 @@ Gradings: an integer Maslov degree m (0 on A-words, minus the length on
 B-words), a weight vector of length 2N counting each loop/edge letter (loop
 letters at even slots 2i-2, edge letters at odd slots 2i-1), and the total
 length.  The coefficient variables are graded too: V0 has m = 2N-2 and full
-weight vector, V_{N+1} has m = -2 and the edge half of the weight vector.
+weight vector, V_{N+1} has m = -2 and the edge half; their lengths are
+`higher_arity`.
 
 Renderings are printable ASCII with no '"' and no '\\': a word renders from
 letters, digits and `[,]^.` (I1, U2^3, s[1,4], r1.s1), a coefficient from
@@ -331,6 +332,13 @@ class Grading(Frozen):
 def coeff_var(algebra: str, n: int) -> int:
     """The coefficient variable index carried by each algebra (V0 or V_{N+1})."""
     return 0 if algebra == "A" else n + 1
+
+
+def higher_arity(algebra: str, n: int) -> int:
+    """The length h of the algebra's coefficient variable V: 2N for A, N for
+    B.  The algebra's one higher operation is mu_h, and the grading admits
+    the arities k(h-2)+2."""
+    return 2 * n if algebra == "A" else n
 
 
 def var_grading(var: int, n: int) -> Grading:
@@ -662,35 +670,21 @@ class WordTable:
                     yield (a,) + rest
 
 
-def full_cycle_chain(start: int, n: int) -> AWord:
-    """The s-chain of length N from a node back to itself."""
-    return AWord("s", start, n, n)
+def special_element(algebra: str, n: int) -> AlgElem:
+    """The algebra's central element: U{N+1}, the sum of A's N full s-cycles,
+    or U0, the sum of B's 2N alternating length-2N loops (r- and s-first at
+    each node).
 
-
-def loop_word(start: int, first: str, length: int, n: int) -> BWord:
-    return BWord("c", start, first, length, n)
-
-
-def special_element(algebra: str, name: str, n: int) -> AlgElem:
-    """Named distinguished elements.
-
-    For algebra A the name "U{N+1}" (alias "U_top") is the sum of the N full
-    s-cycles; for algebra B the name "U0" is the sum of the 2N alternating
-    length-2N loops (one r-first and one s-first loop at each node).
-
-    >>> special_element("A", "U4", 3).render()
+    >>> special_element("A", 3).render()
     's[1,4] + s[2,5] + s[3,6]'
     """
     if algebra == "A":
-        if name not in (f"U{n + 1}", "U_top"):
-            raise ValueError(f"unknown special element {name!r} for algebra A")
-        return AlgElem("A", n, {full_cycle_chain(i, n): POLY_ONE for i in range(1, n + 1)})
-    if algebra == "B":
-        if name != "U0":
-            raise ValueError(f"unknown special element {name!r} for algebra B")
-        loops = (loop_word(i, first, 2 * n, n) for i in range(1, n + 1) for first in ("r", "s"))
-        return AlgElem("B", n, {w: POLY_ONE for w in loops})
-    raise ValueError(f"unknown algebra {algebra!r}")
+        words = [AWord("s", i, n, n) for i in range(1, n + 1)]
+    elif algebra == "B":
+        words = [BWord("c", i, first, 2 * n, n) for i in range(1, n + 1) for first in ("r", "s")]
+    else:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    return AlgElem(algebra, n, dict.fromkeys(words, POLY_ONE))
 
 
 __all__ = [
@@ -713,6 +707,7 @@ __all__ = [
     "mul_b",
     "grading",
     "coeff_var",
+    "higher_arity",
     "var_grading",
     "mono_grading",
     "word_sort_key",
@@ -720,7 +715,5 @@ __all__ = [
     "enumerate_basis",
     "chain_ok",
     "WordTable",
-    "full_cycle_chain",
-    "loop_word",
     "special_element",
 ]

@@ -26,7 +26,6 @@ from starcob.ainfty import (
     nonzero_operations,
     op_grading_check,
     passing_windows,
-    higher_arity,
     relation_sum,
     relation_value,
 )
@@ -38,6 +37,7 @@ from starcob.staralg import (
     BWord,
     Grading,
     advance,
+    higher_arity,
     chain_ok,
     coeff_var,
     grading,
@@ -244,6 +244,29 @@ def test_fault_changes_single_operation():
     assert dropped.value.is_zero()
     kept = mu_a([_u(1), _s(1), _u(2), _s(2), _u(3), _s(3)], fault=("drop-a-centered", 1))
     assert kept.value == clean.value
+
+
+def test_drop_component_out_of_range_is_refused():
+    # k is a component 0 <= k < 2N, not read mod 2N, by every caller.
+    centered = [_u(1), _s(1), _u(2), _s(2), _u(3), _s(3)]
+    with pytest.raises(ValueError, match="cannot be injected"):
+        check_ainfty("A", 8, 12, 3, ("drop-a-centered", 6))
+    with pytest.raises(ValueError, match="cannot be injected"):
+        relation_value("A", [_u(1)] + centered, 3, ("drop-a-centered", 6))
+    with pytest.raises(ValueError, match="cannot be injected"):
+        mu_a(centered, fault=("drop-a-centered", 6))
+    with pytest.raises(ValueError, match="cannot be injected"):
+        mu_a(centered, fault=("drop-a-centered", -1))
+
+
+def test_fault_of_the_wrong_kind_is_refused():
+    # break-h zeroes the homotopy, and B has no centered component to drop.
+    with pytest.raises(ValueError, match="cannot be injected"):
+        check_ainfty("A", 8, 12, 3, ("break-h",))
+    with pytest.raises(ValueError, match="cannot be injected"):
+        check_ainfty("B", 5, 9, 3, ("drop-a-centered", 0))
+    with pytest.raises(ValueError, match="cannot be injected"):
+        relation_value("B", [_rho(1), _sig(3), _sig(2), _sig(1)], 3, ("drop-a-centered", 0))
 
 
 # Object-level reference classifier: the operations as they were written on
@@ -668,7 +691,7 @@ def _all_relation_tuples(ops, max_arity):
 
 def _full_check_ainfty(algebra, max_arity, max_len, n, fault=None):
     ops = op_tables(algebra, n, max_len)
-    drop = ainfty._dropped(fault)
+    drop = ainfty._dropped(fault, algebra, n)
     violations = []
     for ids in _all_relation_tuples(ops, max_arity):
         total = relation_sum(ops, ids, drop)

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import pytest
 
-from starcob.ainfty import higher_arity, op_tables
+from starcob.ainfty import op_tables
+from starcob.staralg import higher_arity
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402

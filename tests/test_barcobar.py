@@ -195,6 +195,14 @@ def test_homotopy_certificate_fault():
     assert not verify_homotopy(4, 3, "B", fault=("break-h",))
 
 
+def test_homotopy_refuses_a_fault_of_another_kind():
+    # drop-mu2N is a fault of the A relations, not of the homotopy.
+    with pytest.raises(ValueError, match="cannot be injected"):
+        homotopy_failure(4, 3, "A", ("drop-a-centered", 0))
+    with pytest.raises(ValueError, match="cannot be injected"):
+        verify_homotopy(4, 3, "B", ("drop-a-centered", 0))
+
+
 def test_homotopy_side_conditions():
     for algebra in ("A", "B"):
         for ts in enumerate_strings(algebra, 5, 3):

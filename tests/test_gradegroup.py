@@ -16,9 +16,9 @@ from starcob.gradegroup import (
     gp_mul,
     mono_group_grading,
     render_word,
-    var_group_grading,
 )
-from starcob.staralg import BWord, letter, mul_b, AlgElem
+from starcob.hochschild import slice_params
+from starcob.staralg import BWord, letter, mul_b, AlgElem, coeff_var, higher_arity, var_grading
 
 
 def test_free_reduction():
@@ -81,7 +81,7 @@ def test_coefficient_gradings_are_powers_of_the_variable():
     # The closed form equals the repeated product of the variable's grading.
     for algebra in ("A", "B"):
         for n in (3, 4, 7):
-            var = var_group_grading(0 if algebra == "A" else n + 1, n)
+            var = mono_group_grading(1, algebra, n)
             power = GP_E
             for e in range(6):
                 assert mono_group_grading(e, algebra, n) == power
@@ -126,12 +126,13 @@ def test_word_grading_is_homomorphism():
 
 
 def test_variable_gradings():
-    assert var_group_grading(0, 3) == GroupElem(4, ())
-    assert var_group_grading(4, 3) == GroupElem(-2, ())
-    assert var_group_grading(0, 5) == GroupElem(8, ())
-    assert var_group_grading(6, 5) == GroupElem(-2, ())
+    # The central part of V's grading is its Maslov degree m(V).
+    assert mono_group_grading(1, "A", 3) == GroupElem(4, ())
+    assert mono_group_grading(1, "B", 3) == GroupElem(-2, ())
+    assert mono_group_grading(1, "A", 5) == GroupElem(8, ())
+    assert mono_group_grading(1, "B", 5) == GroupElem(-2, ())
     with pytest.raises(ValueError):
-        var_group_grading(2, 3)
+        var_grading(2, 3)
     assert mono_group_grading(2, "A", 3) == GroupElem(8, ())
     assert GP_LAMBDA == GroupElem(1, ())
 
@@ -164,3 +165,26 @@ def test_admissible_arities_guards():
         admissible_arities("A", 3, 2, 6)
     # An empty window is legal and empty (the N=3 dual case bottoms out at 2).
     assert admissible_arities("B", 3, 3, 2) == set()
+
+
+@pytest.mark.parametrize("side, big_n", [("B", 2), ("A", 1), ("B", 1)])
+def test_admissible_arities_refuse_n_at_most_2(side, big_n):
+    # With h - 2 <= 0 there is no step between admissible arities.
+    with pytest.raises(ValueError, match=f"the construction needs N > 2, got N={big_n}"):
+        admissible_arities(side, big_n, 3, 6)
+
+
+def test_higher_arity_is_the_length_of_v_and_fixes_both_steps():
+    # h is V's length; the arity step and the slice denominator are h - 2.
+    for algebra in ("A", "B"):
+        for n in range(3, 41):
+            h = higher_arity(algebra, n)
+            assert h == var_grading(coeff_var(algebra, n), n).ell
+            assert sorted(admissible_arities(algebra, n, 3, 3 * (h - 2) + 2)) == [h, 2 * h - 2, 3 * h - 4]
+            for p in range(3):
+                for ell_left in range(3):
+                    n_deg = h * p + ell_left
+                    j = (h - 2) * p - n_deg
+                    assert slice_params(algebra, n_deg, j, n) == (p, ell_left)
+                    if h > 3:
+                        assert slice_params(algebra, n_deg, j + 1, n) is None

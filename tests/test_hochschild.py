@@ -34,7 +34,6 @@ from starcob.staralg import (
     grading,
     idempotent,
     letter,
-    loop_word,
     mono_grading,
     mul_word,
     var_grading,
@@ -52,18 +51,18 @@ def _i_b(i, n=3):
 
 def test_admissibility_enforced():
     # A loop-algebra left leg with a dual-algebra right leg is model A.
-    tm = TwistedMono(1, _i_a(1), loop_word(1, "r", 6, 3))
+    tm = TwistedMono(1, _i_a(1), BWord("c", 1, "r", 6, 3))
     assert tm.algebra == "A"
     assert tm.n == 3
     # Endpoint mismatch.
     with pytest.raises(ValueError):
-        TwistedMono(1, _i_a(2), loop_word(1, "r", 6, 3))
+        TwistedMono(1, _i_a(2), BWord("c", 1, "r", 6, 3))
     # Weight balance: no power of the dual variable turns nothing into U1^3.
     with pytest.raises(ValueError):
         TwistedMono(1, _i_b(1), AWord("u", 1, 3, 3))
     # Same legs cannot pair without the twist power matching the weights.
     with pytest.raises(ValueError):
-        TwistedMono(2, _i_a(1), loop_word(1, "r", 6, 3))
+        TwistedMono(2, _i_a(1), BWord("c", 1, "r", 6, 3))
     # p = 0 demands equal weight vectors.
     zero_ok = TwistedMono(0, _i_a(1), _i_b(1))
     assert zero_ok.bidegree() == (0, 0)
@@ -71,7 +70,7 @@ def test_admissibility_enforced():
 
 def test_bidegree_formulas():
     n = 3
-    tm = TwistedMono(1, _i_a(1), loop_word(1, "r", 6, n))
+    tm = TwistedMono(1, _i_a(1), BWord("c", 1, "r", 6, n))
     # Row degree counts right-leg letters; column degree mixes the twist.
     assert tm.bidegree() == (6, (2 * n - 2) - 6)
     bm = TwistedMono(1, _i_b(1), AWord("s", 1, n, n))
@@ -82,7 +81,7 @@ def test_bidegree_formulas():
 
 
 def test_render():
-    tm = TwistedMono(1, _i_a(1), loop_word(1, "r", 6, 3))
+    tm = TwistedMono(1, _i_a(1), BWord("c", 1, "r", 6, 3))
     assert tm.render() == "V0*I1 (x) r1.s1.r2.s2.r3.s3"
     assert TwistedMono(0, _i_a(1), _i_b(1)).render() == "I1 (x) I1"
 
@@ -151,6 +150,14 @@ def test_slice_params():
     # Negative twist powers or left lengths are rejected.
     assert slice_params("A", 2, -6, 3) is None
     assert slice_params("B", 1, -4, 3) is None
+
+
+def test_slices_refuse_n_at_most_2():
+    # At N = 2 model B's coefficient variable has Maslov degree h - 2 = 0.
+    with pytest.raises(ValueError, match="the construction needs N > 2, got N=2"):
+        slice_params("B", 3, -1, 2)
+    with pytest.raises(ValueError, match="the construction needs N > 2, got N=2"):
+        cohomology_dim("B", 4, -2, 2)
 
 
 def test_cohomology_dims_model_a():

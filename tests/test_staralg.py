@@ -16,11 +16,9 @@ from starcob.staralg import (
     WordTable,
     chain_ok,
     enumerate_basis,
-    full_cycle_chain,
     grading,
     idempotent,
     letter,
-    loop_word,
     mono_grading,
     mul_a,
     mul_b,
@@ -432,25 +430,15 @@ def test_word_table_chains_against_brute_force():
                         assert set(got) == {t for t in tuples if sum(w.ell for w in t) <= budget and starts(t)}
 
 
-def test_full_cycle_and_loop_words():
-    cyc = full_cycle_chain(2, 3)
-    assert cyc == AWord("s", 2, 3, 3)
-    assert (cyc.init, cyc.fin) == (2, 2)
-    lw = loop_word(1, "r", 6, 3)
-    assert lw.render() == "r1.s1.r2.s2.r3.s3"
-    assert (lw.init, lw.fin) == (1, 1)
-    lw2 = loop_word(1, "s", 6, 3)
-    assert lw2.render() == "s1.r2.s2.r3.s3.r1"
-    assert (lw2.init, lw2.fin) == (1, 1)
-
-
 def test_special_element_u_top():
     # The central element of the loop algebra: sum of full edge cycles.
-    top = special_element("A", "U4", 3)
-    assert top == special_element("A", "U_top", 3)
+    top = special_element("A", 3)
     assert len(top.terms) == 3
     for w in top.terms:
         assert w.kind == "s" and w.ell == 3
+        assert w.init == w.fin
+    assert AWord("s", 2, 3, 3) in top.terms
+    assert top.render() == "s[1,4] + s[2,5] + s[3,6]"
     # Centrality against every generator.
     for w in enumerate_basis("A", 1, 3):
         e = _a(w)
@@ -459,12 +447,14 @@ def test_special_element_u_top():
 
 def test_special_element_u0():
     # The central element of the dual algebra: all full loops of length 2N.
-    u0 = special_element("B", "U0", 3)
+    u0 = special_element("B", 3)
     assert len(u0.terms) == 6
     inits = sorted((w.init, w.first) for w in u0.terms)
     assert inits == [(1, "r"), (1, "s"), (2, "r"), (2, "s"), (3, "r"), (3, "s")]
     for w in u0.terms:
         assert w.ell == 6 and w.init == w.fin
+    renders = {w.render() for w in u0.terms if w.init == 1}
+    assert renders == {"r1.s1.r2.s2.r3.s3", "s1.r2.s2.r3.s3.r1"}
     for w in enumerate_basis("B", 1, 3):
         e = _a(w)
         assert u0.mul(e) == e.mul(u0)
