@@ -23,9 +23,11 @@ and zero solves them.
 The operations run on interned word ids.  `_OpTables` extends the
 `staralg.WordTable` of one algebra, N and length bound with the columns only
 the classifier reads (packed weights, the coefficient's weight, the drop-mu2N
-component), built lazily; `op_tables` keeps only the last (algebra, N,
-bound) asked for.  `_classify` is the one operation classifier, on (exponent, id)
-entries: mu_a and mu_b intern their inputs and call it.  The table's
+component), built lazily.  `op_tables` holds only the last (algebra, N,
+bound) asked for, and lets it go before it builds another; mu_a, mu_b and
+relation_value read the held table when it covers their inputs.  `_classify`
+is the one operation classifier, on (exponent, id) entries: mu_a and mu_b
+intern their inputs and call it.  The table's
 `higher` column is its value on each passing window, classified once.
 `passing_windows` builds, on the table it is given, every tuple within the
 bound on which the higher operation is nonzero, so `higher` is the whole
@@ -36,7 +38,10 @@ coefficient carried into an outer higher operation goes back to
 
 check_ainfty evaluates the A-infinity relation on every tuple within bounds
 that has a nonzero term, read off the nonzero operations themselves; the
-sweep runs on id tuples and renders words only for violations.
+sweep runs on id tuples and renders words only for violations.  The tuples
+are built one first word at a time (`_relation_groups`), and each group is
+evaluated under every drop the sweep needs and then let go, so no set of
+the whole sweep is held.
 
 The Z/N rotation rho of the cyclic quiver, node i to node i+1, commutes with
 every column the classifier reads: the product, the splits, the entry and
@@ -53,9 +58,9 @@ drop-mu2N:k is: the centered component of a first word u_i or s_i is
 2(i-1) or 2(i-1)+1, so rho takes component k to k+2 mod 2N, and t violates
 under drop k exactly when rho t violates under drop k+2.  So the violations
 V(k) under drop k are the union over j of rho^j V1(k-2j), V1 being the
-node-1 sweep: one node-1 pass per rotation of the fault, N passes in all,
-which is what a sweep over every node costs.  Unfaulted, the N rotations
-share one pass.
+node-1 sweep: the node-1 tuples are built once and each is evaluated once
+per rotation of the fault, N times in all, which is what a sweep over every
+node costs.  Unfaulted, the N rotations share one evaluation.
 
 The grading laws are equivariant too: rho shifts the weight slots of every
 input and output by 2 and relabels the free generators g_i -> g_{i+1},
@@ -71,7 +76,7 @@ rendered only for a failing operation.
 from __future__ import annotations
 
 import functools
-from itertools import product as iter_product
+from itertools import chain, product as iter_product
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .ring import Frozen, Monomial
@@ -183,12 +188,32 @@ class _OpTables(WordTable):
         return out
 
 
-@functools.lru_cache(maxsize=1)
+_held: Optional[_OpTables] = None  # the last table op_tables built
+
+
 def op_tables(algebra: str, n: int, max_len: int) -> _OpTables:
     """The tables of one (algebra, N, max_len), built on first use.  Only
-    the last one is kept: a sweep reads one table, and `verify grading`
-    frees A's before it builds B's."""
-    return _OpTables(algebra, n, max_len)
+    the last one is held, and it is let go before a different one is built,
+    so the cache never keeps two alive at once: `verify grading` frees A's
+    before it builds B's."""
+    global _held
+    if _held is None or (_held.algebra, _held.n, _held.max_len) != (algebra, n, max_len):
+        _held = None
+        _held = _OpTables(algebra, n, max_len)
+    return _held
+
+
+def _covering_tables(algebra: str, n: int, bound: int) -> _OpTables:
+    """A table of the algebra and N whose bound is at least `bound`: the
+    held one if it covers it, else the one of that exact bound.  On inputs
+    of total length within the bound a larger table gives the same ids,
+    products and windows, and packs weights wider, with no carry either, so
+    calls on words and elements need not rebuild it; sweeps keep their
+    exact bound."""
+    held = _held
+    if held is not None and held.algebra == algebra and held.n == n and held.max_len >= bound:
+        return held
+    return op_tables(algebra, n, bound)
 
 
 def _dropped(fault: Optional[tuple], algebra: str, n: int) -> Optional[int]:
@@ -278,7 +303,7 @@ def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple
     drop = _dropped(fault, algebra, n)
     pair_lists = [_as_pairs(x) for x in seq]
     bound = sum(max((w.ell for _, w in pairs), default=0) for pairs in pair_lists)
-    ops = op_tables(algebra, n, bound)
+    ops = _covering_tables(algebra, n, bound)
     terms: list[tuple[Monomial, Word]] = []
     tags: set[str] = set()
     for combo in iter_product(*([(e, ops.ids[w]) for e, w in pairs] for pairs in pair_lists)):
@@ -379,7 +404,7 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
     """
     _check_algebra(algebra, n, words)
     drop = _dropped(fault, algebra, n)
-    ops = op_tables(algebra, n, sum(w.ell for w in words))
+    ops = _covering_tables(algebra, n, sum(w.ell for w in words))
     total = relation_sum(ops, tuple(ops.ids[w] for w in words), drop)
     return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
 
@@ -438,61 +463,88 @@ def _nonzero(ops: _OpTables, max_arity: int, entry: Optional[int] = None) -> Ite
             yield t, e, p
 
 
-def _relation_tuples(ops: _OpTables, max_arity: int, entry: int) -> set[tuple[int, ...]]:
-    """Every id tuple within bounds whose first word is entered at node
-    `entry` and that can have a nonzero relation term.
+def _relation_groups(ops: _OpTables, max_arity: int, entry: int) -> Iterator[tuple[int, set[tuple[int, ...]]]]:
+    """For each word a entered at node `entry`, the id tuples within bounds
+    that start with a and can have a nonzero relation term, as (a, tuples);
+    a word with no such tuple is skipped.  The groups are disjoint, and
+    their union is every such tuple entered at `entry`.
 
-    A term mu_s(.., mu_r(W), ..) needs a nonzero operation W -> V^e*p, so the
-    tuples are read off the nonzero operations: W with a word c on either side
-    whose product with p is nonzero (outer mu_2), and W put in place of an
-    entry p of a passing window (outer higher operation).  The window lookup
-    drops the coefficient V^e; that is complete because an operation that is
-    nonzero on V^e*p is nonzero on p: for B it multiplies V^e into its value,
-    and for A it vanishes on every entry with a coefficient (see _classify).
+    A term mu_s(.., mu_r(t), ..) needs a nonzero operation t -> V^e*p, so
+    the tuples are read off the nonzero operations: t with a word c on
+    either side whose product with p is nonzero (outer mu_2), and t put in
+    place of an entry p of a passing window (outer higher operation).  The
+    window lookup drops the coefficient V^e; that is complete because an
+    operation that is nonzero on V^e*p is nonzero on p: for B it multiplies
+    V^e into its value, and for A it vanishes on every entry with a
+    coefficient (see _classify).
 
-    The node restriction is applied as each tuple is built: c on the left
-    must be entered at `entry`, and W with c on its right, or put into a
-    window, must start there.  An operation keeps the endpoints of its
-    inputs' path, so p is entered where W is, and a window with W in place
-    of its first entry starts where the window does.
-
-    The operations are streamed from `_nonzero`, and the windows read off
-    the `higher` column.  A composed term has arity 3 or more.
+    Each such tuple is keyed by its first word a, entered at `entry`:
+    - (a,) + t, for p a word a multiplies (`mul[a]`) and t an operation
+      with output p: the pairs whose product is p, which are p's unit pairs
+      and its splits (`mul` is filled from both), and the passing windows
+      with output p;
+    - t + (c,) and t + window[1:], for t an operation that starts with a:
+      a pair (a, b) with b in `mul[a]`, or a window that starts with a.  An
+      operation keeps the endpoints of its inputs' path, so p is entered
+      where a is, and so is a window that starts with p;
+    - window[:k] + t + window[k+1:], for k > 0, a window that starts with a
+      and t an operation with output window[k].
+    A pair in place of a window's entry, or beside a word, keeps the total
+    length within the bound and the arity at most h + 1 <= max_arity, so
+    only a higher inner operation needs the length and arity tests.  A
+    composed term has arity 3 or more, and a higher inner operation needs
+    h < max_arity.
     """
     if max_arity < 3:
-        return set()
-    ell, mul, max_len, node = ops.ell, ops.mul, ops.max_len, ops.entry
-    # the words entered at `entry`, by the node where a chain leaves them,
-    # each list ascending in length
-    lefts: dict[int, list[int]] = {i: [] for i in range(1, ops.n + 1)}
-    for c in ops.by_entry[entry]:
-        lefts[ops.exit[c]].append(c)
-    windows_at: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
-    if ops.higher_arity < max_arity:
-        for window in ops.higher:
-            if node[window[0]] == entry:
-                length = sum(ell[a] for a in window)
-                for k, a in enumerate(window):
-                    windows_at.setdefault(a, []).append((window, length, k))
-    out: set[tuple[int, ...]] = set()
-    for t, _, p in _nonzero(ops, max_arity - 1):
-        length = sum(ell[a] for a in t)
-        budget = max_len - length
-        for c in lefts[node[p]]:
-            if ell[c] > budget:
-                break
-            if p in mul[c]:
-                out.add((c,) + t)
-        for window, window_len, k in windows_at.get(p, ()):
-            if len(window) + len(t) - 1 <= max_arity and window_len - ell[p] + length <= max_len:
-                out.add(window[:k] + t + window[k + 1 :])
-        if node[t[0]] == entry:
-            for c in ops.by_entry[ops.exit[p]]:
-                if ell[c] > budget:
-                    break
-                if c in mul[p]:
-                    out.add(t + (c,))
-    return out
+        return
+    ell, mul, max_len, h, n = ops.ell, ops.mul, ops.max_len, ops.higher_arity, ops.n
+    # the windows that can be inner operations, with their total length: by
+    # output, and, those entered at `entry`, by first word
+    making: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    starting: dict[int, list[tuple[tuple[int, ...], int, int]]] = {}
+    if h < max_arity:
+        for w, (_, p, _) in ops.higher.items():
+            length = sum(ell[a] for a in w)
+            making.setdefault(p, []).append((w, length))
+            if ops.entry[w[0]] == entry:
+                starting.setdefault(w[0], []).append((w, length, p))
+    nested = 2 * h - 1 <= max_arity  # a window in place of a window's entry
+
+    def pairs(p: int) -> Iterator[tuple[int, int]]:
+        """The pairs whose product is p: its unit pairs, then its splits."""
+        yield ops.entry[p] - 1, p
+        if p >= n:
+            yield p, ops.exit[p] - 1
+        for k in range(1, ell[p]):
+            yield ops.split(p, k)
+
+    for a in ops.by_entry[entry]:
+        group: set[tuple[int, ...]] = set()
+        room = max_len - ell[a]
+        for p in mul[a]:
+            group.update((a,) + t for t in pairs(p))
+            for t, length in making.get(p, ()):
+                if length <= room:
+                    group.add((a,) + t)
+        for t, length, p in chain((((a, b), ell[p], p) for b, p in mul[a].items()), starting.get(a, ())):
+            rest = max_len - length
+            for c in mul[p]:
+                if ell[c] <= rest:
+                    group.add(t + (c,))
+            if len(t) + h - 1 <= max_arity:
+                for w, w_len, _ in starting.get(p, ()):
+                    if w_len - ell[p] <= rest:
+                        group.add(t + w[1:])
+        for w, w_len, _ in starting.get(a, ()):
+            for k in range(1, h):
+                p, head, tail = w[k], w[:k], w[k + 1 :]
+                group.update(head + t + tail for t in pairs(p))
+                if nested:
+                    for t, length in making.get(p, ()):
+                        if w_len - ell[p] + length <= max_len:
+                            group.add(head + t + tail)
+        if group:
+            yield a, group
 
 
 def _violation(ops: _OpTables, ids: tuple, total: dict[int, int]) -> dict:
@@ -515,10 +567,11 @@ def check_ainfty(
     """Violations of the A-infinity relations within the given bounds.
 
     The relation is evaluated on every tuple entered at node 1 that has a
-    nonzero term (see _relation_tuples), and each violation is reported with
-    its rotated copies (see the module docstring); under drop-mu2N:k the
-    node-1 tuples are swept once per rotation of the fault.  The tuples are
-    read off the unfaulted operations and a fault only deletes values, so
+    nonzero term, one first word's tuples at a time (see _relation_groups),
+    and each violation is reported with its rotated copies (see the module
+    docstring).  Under drop-mu2N:k each group is evaluated once per rotation
+    of the fault, so the node-1 tuples are built once.  The tuples are read
+    off the unfaulted operations and a fault only deletes values, so
     injected faults cannot hide violations.  The sweep is serial; violations
     are sorted by arity, then inputs.
     """
@@ -526,18 +579,18 @@ def check_ainfty(
         raise ValueError(f"the construction needs N > 2, got N={n}")
     drop = _dropped(fault, algebra, n)
     ops = op_tables(algebra, n, max_total_len)
-    tuples = _relation_tuples(ops, max_arity, 1)
-    passes: dict[Optional[int], list[tuple[tuple, dict[int, int]]]] = {}
+    # rho^j maps the violations of the node-1 sweep under drop k - 2j to
+    # those entered at node 1 + j under drop k
+    drops = [None if drop is None else (drop - 2 * j) % (2 * n) for j in range(n)]
+    found: dict[Optional[int], list[tuple[tuple, dict[int, int]]]] = {d: [] for d in drops}
+    for _, group in _relation_groups(ops, max_arity, 1):
+        for d, hits in found.items():
+            hits += ((ids, total) for ids in group if (total := relation_sum(ops, ids, d)))
     violations: list[dict] = []
-    for j in range(n):
-        # rho^j maps the violations of the node-1 sweep under drop k - 2j to
-        # those entered at node 1 + j under drop k
-        d = None if drop is None else (drop - 2 * j) % (2 * n)
-        if d not in passes:
-            passes[d] = [(ids, total) for ids in tuples if (total := relation_sum(ops, ids, d))]
-        if passes[d]:
+    for j, d in enumerate(drops):
+        if found[d]:
             turn = ops.rotations[j]
-            for ids, total in passes[d]:
+            for ids, total in found[d]:
                 violations.append(_violation(ops, tuple(turn[a] for a in ids), {turn[q]: c for q, c in total.items()}))
     violations.sort(key=lambda v: (v["arity"], v["inputs"]))
     return violations

@@ -331,14 +331,22 @@ class Grading(Frozen):
 
 def coeff_var(algebra: str, n: int) -> int:
     """The coefficient variable index carried by each algebra (V0 or V_{N+1})."""
-    return 0 if algebra == "A" else n + 1
+    if algebra == "A":
+        return 0
+    if algebra == "B":
+        return n + 1
+    raise ValueError(f"unknown algebra {algebra!r}")
 
 
 def higher_arity(algebra: str, n: int) -> int:
     """The length h of the algebra's coefficient variable V: 2N for A, N for
     B.  The algebra's one higher operation is mu_h, and the grading admits
     the arities k(h-2)+2."""
-    return 2 * n if algebra == "A" else n
+    if algebra == "A":
+        return 2 * n
+    if algebra == "B":
+        return n
+    raise ValueError(f"unknown algebra {algebra!r}")
 
 
 def var_grading(var: int, n: int) -> Grading:

@@ -19,7 +19,7 @@ from starcob.ainfty import (
     _nonzero,
     op_tables,
     _OpTables,
-    _relation_tuples,
+    _relation_groups,
     check_ainfty,
     mu_a,
     mu_b,
@@ -504,6 +504,18 @@ def _chained_words(algebra, arity, max_len, n=3):
     return [tuple(ops.words[a] for a in t) for t in chained_tuples(ops, arity, max_len)]
 
 
+def _relation_tuples(ops, max_arity, entry):
+    """The tuples entered at `entry` that the sweep evaluates: the union of
+    its groups, each of which holds only tuples that start with its key,
+    disjoint from the others."""
+    out = set()
+    for a, group in _relation_groups(ops, max_arity, entry):
+        assert group and {t[0] for t in group} == {a} and ops.entry[a] == entry
+        assert out.isdisjoint(group)
+        out |= group
+    return out
+
+
 def _swept(algebra, arity, max_len, n=3, entry=1):
     """The tuples of one arity entered at one node that check_ainfty
     evaluates, as words."""
@@ -576,10 +588,10 @@ def _without_centered_at_node_1(classify):
 def fresh_op_tables():
     """Op tables built afresh for the test and dropped after it, pass or
     fail: a column built lazily under a patched classifier (`higher`) must
-    not outlive the patch in the cached tables."""
-    op_tables.cache_clear()
+    not outlive the patch in the held table."""
+    ainfty._held = None
     yield
-    op_tables.cache_clear()
+    ainfty._held = None
 
 
 def test_windows_of_a_fresh_table_read_that_table(fresh_op_tables):
@@ -588,7 +600,7 @@ def test_windows_of_a_fresh_table_read_that_table(fresh_op_tables):
     # cached table.
     tables = _OpTables("A", 3, 13)
     assert passing_windows(tables) and tables.higher
-    assert op_tables.cache_info().currsize == 0
+    assert ainfty._held is None
 
 
 def test_a_corrupted_fresh_table_is_swept_on_its_own_windows():
@@ -1281,6 +1293,103 @@ def test_streamed_relation_tuples_match_the_materialized_build(algebra, n):
             got = _relation_tuples(ops, max_arity, entry)
             assert got == _materialized_relation_tuples(ops, max_arity, entry)
             assert got or max_arity < 3
+
+
+@pytest.mark.parametrize(
+    "algebra, n, max_arity, max_len",
+    [("A", 3, 8, 12), ("A", 3, 11, 13), ("A", 4, 15, 16), ("B", 3, 5, 9), ("B", 4, 7, 12), ("B", 6, 8, 18)],
+)
+def test_relation_groups_partition_the_swept_tuples(algebra, n, max_arity, max_len):
+    # At every entry node, and at arity bounds up to ones that put a window
+    # in place of a window's entry (2h - 1), each group holds the tuples
+    # that start with its key, the groups are disjoint (`_relation_tuples`
+    # checks both), and their union is what the materialized build and the
+    # sweep over every node list there.
+    ops = op_tables(algebra, n, max_len)
+    h = ops.higher_arity
+    full = _all_relation_tuples(ops, max_arity)
+    for bound in sorted({3, h, h + 1, max_arity}):
+        sub = full if bound == max_arity else _all_relation_tuples(ops, bound)
+        for entry in range(1, n + 1):
+            got = _relation_tuples(ops, bound, entry)
+            assert got == _materialized_relation_tuples(ops, bound, entry)
+            assert got == {t for t in sub if ops.entry[t[0]] == entry}
+    assert any(len(t) == 2 * h - 1 for t in full) == (max_arity >= 2 * h - 1)
+
+
+def test_a_faulted_sweep_builds_its_tuples_once(monkeypatch):
+    # The node-1 groups are built once per sweep.  Under drop-mu2N:k each
+    # tuple is evaluated once per rotation k - 2j of the fault, N times in
+    # all, and unfaulted once.
+    n, max_arity, max_len = 3, 8, 12
+    count = len(_relation_tuples(op_tables("A", n, max_len), max_arity, 1))
+    builds, sums = [], collections.Counter()
+    build, relation = ainfty._relation_groups, ainfty.relation_sum
+    monkeypatch.setattr(ainfty, "_relation_groups", lambda *args: builds.append(args) or build(*args))
+    monkeypatch.setattr(ainfty, "relation_sum", lambda ops, ids, d=None: sums.update([d]) or relation(ops, ids, d))
+    assert check_ainfty("A", max_arity, max_len, n, ("drop-a-centered", 1))
+    assert len(builds) == 1 and sums == {1: count, 5: count, 3: count}
+    builds.clear()
+    sums.clear()
+    assert check_ainfty("A", max_arity, max_len, n) == []
+    assert len(builds) == 1 and sums == {None: count}
+
+
+def test_word_calls_reuse_a_covering_table(fresh_op_tables, monkeypatch):
+    # mu_a and relation_value read the held table when it is of the same
+    # algebra and N and covers their inputs' total length, so calls whose
+    # lengths go up and down build one table per new maximum, and each value
+    # is the one a table of the exact bound gives.
+    n, fault = 3, ("drop-a-centered", 0)
+    clean = _OpTables("A", n, 12)
+    windows, tuples = {}, {}
+    for t in passing_windows(clean):
+        windows.setdefault(sum(clean.ell[a] for a in t), []).append([clean.words[a] for a in t])
+    for t in sorted(_relation_tuples(clean, 8, 1)):
+        if relation_sum(clean, t, 0):
+            tuples.setdefault(sum(clean.ell[a] for a in t), []).append([clean.words[a] for a in t])
+    calls = [(mu_a, windows[7][0]), (mu_a, windows[6][0]), (relation_value, tuples[9][0]), (mu_a, windows[8][0])]
+    calls += [(relation_value, tuples[7][0]), (mu_a, windows[12][0]), (relation_value, tuples[11][0])]
+    built = []
+    init = _OpTables.__init__
+    monkeypatch.setattr(_OpTables, "__init__", lambda ops, *args: built.append(args) or init(ops, *args))
+
+    def value(f, words):
+        return f(words).value if f is mu_a else f("A", words, n, fault)
+
+    got = [value(f, words) for f, words in calls]
+    assert built == [("A", n, 7), ("A", n, 9), ("A", n, 12)]
+    exact = []
+    for f, words in calls:
+        ainfty._held = None
+        exact.append(value(f, words))
+    assert [bound for _, _, bound in built[3:]] == [sum(w.ell for w in words) for _, words in calls]
+    assert got == exact and not any(v.is_zero() for v in got)
+
+
+def test_the_sweep_holds_one_first_word_s_tuples_at_a_time():
+    # With the table built (as in `verify ainfty-a --n 5`), the sweep's
+    # traced peak stays below the size of the whole node-1 tuple set, so it
+    # never holds that set.  A full collection first empties the free lists,
+    # so every block the sweep takes is a traced allocation.
+    import gc
+    import sys
+    import tracemalloc
+
+    n, max_arity, max_len = 5, 12, 20
+    ops = op_tables("A", n, max_len)
+    assert ops.higher
+    tuples = _materialized_relation_tuples(ops, max_arity, 1)
+    size = sys.getsizeof(tuples) + sum(map(sys.getsizeof, tuples))
+    del tuples
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert check_ainfty("A", max_arity, max_len, n) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < size, (peak, size)
 
 
 def test_tags_are_exclusive_across_windows():

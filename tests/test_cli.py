@@ -414,12 +414,13 @@ def test_homotopy_builds_one_table_per_algebra(capsys):
 
 
 def test_grading_frees_the_a_table_before_the_b_laws_run(capsys, monkeypatch):
-    # The op table cache keeps one table, so the sweep of B's grading laws
-    # runs after A's table is gone: no reference to it is left anywhere.
+    # The op tables hold one table and let it go before they build another,
+    # so A's table is gone while B's is built, and while B's grading laws
+    # run: no reference to it is left anywhere.
     from starcob import ainfty, gradegroup
 
-    laws = ainfty.operation_violations
-    a_tables, a_alive_at_b = [], []
+    laws, build = ainfty.operation_violations, ainfty._OpTables.__init__
+    a_tables, a_alive_at_b, a_alive_at_b_build = [], [], []
 
     def watched(ops, *args):
         if ops.algebra == "A":
@@ -428,13 +429,19 @@ def test_grading_frees_the_a_table_before_the_b_laws_run(capsys, monkeypatch):
             a_alive_at_b.extend(ref() is not None for ref in a_tables)
         return laws(ops, *args)
 
+    def watched_build(ops, algebra, *args):
+        if algebra == "B":
+            a_alive_at_b_build.extend(ref() is not None for ref in a_tables)
+        build(ops, algebra, *args)
+
     monkeypatch.setattr(ainfty, "operation_violations", watched)
     monkeypatch.setattr(gradegroup, "operation_violations", watched)
-    ainfty.op_tables.cache_clear()
+    monkeypatch.setattr(ainfty._OpTables, "__init__", watched_build)
+    ainfty._held = None
     code, _, _ = _run(["verify", "grading", "--n", "3"], capsys)
     assert code == 0
-    assert len(a_tables) == 2 and len(a_alive_at_b) == 4
-    assert not any(a_alive_at_b)
+    assert len(a_tables) == 2 and len(a_alive_at_b) == 4 and len(a_alive_at_b_build) == 2
+    assert not any(a_alive_at_b) and not any(a_alive_at_b_build)
 
 
 def test_homotopy_failure_names_the_string_and_both_sides(capsys):

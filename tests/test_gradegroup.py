@@ -174,6 +174,20 @@ def test_admissible_arities_refuse_n_at_most_2(side, big_n):
         admissible_arities(side, big_n, 3, 6)
 
 
+@pytest.mark.parametrize("name", ["C", "a", "b", ""])
+def test_unknown_algebra_names_are_refused(name):
+    # A misspelt algebra is refused where V is read, not taken for B: each
+    # of these returned B's value for every name but "A".
+    for call in (
+        lambda: higher_arity(name, 3),
+        lambda: coeff_var(name, 3),
+        lambda: slice_params(name, 3, -2, 3),
+        lambda: mono_group_grading(1, name, 3),
+    ):
+        with pytest.raises(ValueError, match=f"unknown algebra {name!r}"):
+            call()
+
+
 def test_higher_arity_is_the_length_of_v_and_fixes_both_steps():
     # h is V's length; the arity step and the slice denominator are h - 2.
     for algebra in ("A", "B"):
