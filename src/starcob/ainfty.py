@@ -23,9 +23,10 @@ and zero solves them.
 The operations run on interned word ids.  `_OpTables` extends the
 `staralg.WordTable` of one algebra, N and length bound with the columns only
 the classifier reads (packed weights, the coefficient's weight, the drop-mu2N
-component), built lazily.  `op_tables` holds only the last (algebra, N,
-bound) asked for, and lets it go before it builds another; mu_a, mu_b and
-relation_value read the held table when it covers their inputs.  `_classify`
+component), built lazily.  `op_tables` is `staralg.WordTable.held` on
+`_OpTables`: the sweeps take the table of their exact bound, held until
+another is asked for, and mu_a, mu_b and relation_value take the held
+table when it covers their inputs.  `_classify`
 is the one operation classifier, on (exponent, id) entries: mu_a and mu_b
 intern their inputs and call it.  The table's
 `higher` column is its value on each passing window, classified once.
@@ -188,32 +189,7 @@ class _OpTables(WordTable):
         return out
 
 
-_held: Optional[_OpTables] = None  # the last table op_tables built
-
-
-def op_tables(algebra: str, n: int, max_len: int) -> _OpTables:
-    """The tables of one (algebra, N, max_len), built on first use.  Only
-    the last one is held, and it is let go before a different one is built,
-    so the cache never keeps two alive at once: `verify grading` frees A's
-    before it builds B's."""
-    global _held
-    if _held is None or (_held.algebra, _held.n, _held.max_len) != (algebra, n, max_len):
-        _held = None
-        _held = _OpTables(algebra, n, max_len)
-    return _held
-
-
-def _covering_tables(algebra: str, n: int, bound: int) -> _OpTables:
-    """A table of the algebra and N whose bound is at least `bound`: the
-    held one if it covers it, else the one of that exact bound.  On inputs
-    of total length within the bound a larger table gives the same ids,
-    products and windows, and packs weights wider, with no carry either, so
-    calls on words and elements need not rebuild it; sweeps keep their
-    exact bound."""
-    held = _held
-    if held is not None and held.algebra == algebra and held.n == n and held.max_len >= bound:
-        return held
-    return op_tables(algebra, n, bound)
+op_tables = _OpTables.held
 
 
 def _dropped(fault: Optional[tuple], algebra: str, n: int) -> Optional[int]:
@@ -282,12 +258,6 @@ def _classify(ops: _OpTables, entries: Sequence[_Entry], drop: Optional[int] = N
     return None
 
 
-def _as_pairs(x: Union[AlgElem, Word]) -> list[_Entry]:
-    if isinstance(x, AlgElem):
-        return x.monomial_pairs()
-    return [(0, x)]
-
-
 def _check_algebra(algebra: str, n: int, xs: Iterable[Union[AlgElem, Word]]) -> None:
     """Raise ValueError unless each word or element is of this algebra and N."""
     for x in xs:
@@ -301,9 +271,9 @@ def _mu(algebra: str, seq: Sequence[Union[AlgElem, Word]], fault: Optional[tuple
     n = seq[0].n
     _check_algebra(algebra, n, seq)
     drop = _dropped(fault, algebra, n)
-    pair_lists = [_as_pairs(x) for x in seq]
+    pair_lists = [x.monomial_pairs() if isinstance(x, AlgElem) else [(0, x)] for x in seq]
     bound = sum(max((w.ell for _, w in pairs), default=0) for pairs in pair_lists)
-    ops = _covering_tables(algebra, n, bound)
+    ops = op_tables(algebra, n, bound, covering=True)
     terms: list[tuple[Monomial, Word]] = []
     tags: set[str] = set()
     for combo in iter_product(*([(e, ops.ids[w]) for e, w in pairs] for pairs in pair_lists)):
@@ -404,7 +374,7 @@ def relation_value(algebra: str, words: Sequence[Word], n: int, fault: Optional[
     """
     _check_algebra(algebra, n, words)
     drop = _dropped(fault, algebra, n)
-    ops = _covering_tables(algebra, n, sum(w.ell for w in words))
+    ops = op_tables(algebra, n, sum(w.ell for w in words), covering=True)
     total = relation_sum(ops, tuple(ops.ids[w] for w in words), drop)
     return AlgElem(algebra, n, {ops.words[q]: c for q, c in total.items()})
 

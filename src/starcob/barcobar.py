@@ -16,8 +16,10 @@ delta H + H delta = id + psi phi on every chained string.
 
 The maps run on interned ids.  `_WordTables` extends the `staralg.WordTable`
 of one algebra, N and max_len with the dictionary, psi and the leading-block
-rule as tables, built lazily, once per (algebra, N, max_len); a string is a
-tuple of non-idempotent ids.  `TString` and `CobElem` are the validated
+rule as tables; a string is a tuple of non-idempotent ids.  The sweeps take
+the table of their bound from `WordTable.held`, and the public maps any held
+one that covers their input, so no map builds a table per string length.
+phi lands in the table's `other`.  `TString` and `CobElem` are the validated
 boundary of the string maps: each public map converts its input to ids,
 runs the one table-driven implementation and builds its result through
 them.  `homotopy_failure` (with `verify_homotopy`, its verdict) and
@@ -63,7 +65,6 @@ lemma as well, as `break-h` does, or the reduced sweep can miss it.
 """
 from __future__ import annotations
 
-import functools
 from itertools import accumulate
 from typing import Iterator, Optional, Union
 
@@ -75,6 +76,7 @@ from .staralg import (
     BWord,
     Word,
     WordTable,
+    _check_node,
     dual_algebra,
     letter_slots,
     slot_letters,
@@ -211,11 +213,6 @@ class _WordTables(WordTable):
                 if d == block_next[c - n]:
                     raise RuntimeError(f"{self.words[a].render()} splits into a letter and its follower")
 
-    @functools.cached_property
-    def other(self) -> "_WordTables":
-        """The dual algebra's tables at the same N and bound, where phi lands."""
-        return _tables(dual_algebra(self.algebra), self.n, self.max_len)
-
     def intern(self, ts: TString) -> tuple:
         return tuple(map(self.ids.__getitem__, ts.factors))
 
@@ -333,16 +330,10 @@ class _WordTables(WordTable):
         return [other.words[o] for o in range(self.n, len(other.words)) if self.phi_word(self.psi[o]) != o]
 
 
-@functools.lru_cache(maxsize=64)
-def _tables(algebra: str, n: int, max_len: int) -> _WordTables:
-    """The tables of one (algebra, N, max_len), built on first use."""
-    return _WordTables(algebra, n, max_len)
-
-
 def _tables_for(x: Union[CobElem, TString]) -> tuple[_WordTables, list[tuple]]:
     """Tables that cover every term of x, and the terms as id strings."""
     terms = list(terms_of(x))
-    tables = _tables(x.algebra, x.n, max((ts.total_ell for ts in terms), default=0))
+    tables = _WordTables.held(x.algebra, x.n, max((ts.total_ell for ts in terms), default=0), covering=True)
     return tables, [tables.intern(ts) for ts in terms]
 
 
@@ -403,12 +394,10 @@ def psi(b: Union[AlgElem, Word]) -> CobElem:
             raise ValueError("psi is undefined on idempotents")
         if coeff != POLY_ONE:
             raise ValueError("psi acts on GF(2) combinations of words")
-    tables = _tables(dual_algebra(b.algebra), b.n, max((w.ell for w in b.terms), default=0))
+    tables = _WordTables.held(dual_algebra(b.algebra), b.n, max((w.ell for w in b.terms), default=0), covering=True)
     ids = tables.other.ids
-    out: set = set()
-    for word in b.terms:
-        out ^= {tables.psi[ids[word]]}
-    return tables.cob(out)
+    # distinct words have distinct letters, so their psi strings do not cancel
+    return tables.cob({tables.psi[ids[word]] for word in b.terms})
 
 
 def homotopy_h(x: Union[CobElem, TString]) -> CobElem:
@@ -432,8 +421,11 @@ def enumerate_strings(
     """All chained tensor strings with total length <= max_total_len, or only
     those whose first factor is entered at node `entry`.  The strings entered
     at node 1 come first, then node 2, and so on.  With `reduced`, only the
-    reduced strings (see the module docstring), in the same order."""
-    tables = _tables(algebra, n, max_total_len)
+    reduced strings (see the module docstring), in the same order.  An
+    entry outside 1..N raises ValueError."""
+    if entry is not None:
+        _check_node(entry, n)
+    tables = _WordTables.held(algebra, n, max_total_len, covering=True)
     strings = tables.reduced_chains if reduced else tables.chains
     for s in strings(max_total_len, entry):
         yield TString(tuple(map(tables.words.__getitem__, s)))
@@ -447,7 +439,7 @@ def block_renderings(algebra: str, max_total_len: int, n: int) -> list[str]:
     >>> block_renderings("A", 2, 3)[:4]
     ['U1*|', 'U2*|', 'U3*|', 's1*|']
     """
-    tables = _tables(algebra, n, max_total_len)
+    tables = _WordTables.held(algebra, n, max_total_len, covering=True)
     ell, words = tables.ell, tables.words
     dual = [""] * n + [_dual_factor_str(words[a]) for a in range(n, len(words))]
     keyed = []
@@ -459,6 +451,15 @@ def block_renderings(algebra: str, max_total_len: int, n: int) -> list[str]:
         keyed.append((sum(map(ell.__getitem__, s)), len(s), ".".join(parts), block))
     keyed.sort()
     return [key[-1] for key in keyed]
+
+
+def _sweep_tables(base: str, n: int, max_total_len: int) -> _WordTables:
+    """The tables of a sweep's window, which must hold a string."""
+    if n <= 2:
+        raise ValueError(f"the construction needs N > 2, got N={n}")
+    if max_total_len < 1:
+        raise ValueError(f"a bound of {max_total_len} holds no string: the sweep needs a bound >= 1")
+    return _WordTables.held(base, n, max_total_len)
 
 
 def homotopy_failure(
@@ -485,7 +486,7 @@ def homotopy_failure(
     """
     if fault not in (None, ("break-h",)):
         raise ValueError(f"fault {fault!r} cannot be injected into the homotopy")
-    tables = _tables(base, n, max(max_total_len, 0))
+    tables = _sweep_tables(base, n, max_total_len)
     for ts in enumerate_strings(base, max_total_len, n, 1, reduced=True):
         lhs, rhs = tables.homotopy_sides(tables.intern(ts), fault)
         if lhs != rhs:
@@ -500,19 +501,15 @@ def verify_homotopy(
     fault: Optional[tuple] = None,
 ) -> bool:
     """Whether delta H + H delta = id + psi phi on every chained string over
-    `base` with total length within the bound.
-
-    Only the reduced strings entered at node 1 are checked (see
-    `homotopy_failure`): rotation equivariance covers the other entry nodes,
-    and the prefix lemma of the module docstring the longer strings.
-    """
+    `base` with total length within the bound: `homotopy_failure` finds none
+    that fails."""
     return homotopy_failure(max_total_len, n, base, fault) is None
 
 
 def phi_psi_failures(max_total_len: int, n: int, base: str = "A") -> list[Word]:
     """The non-idempotent words w of the algebra dual to `base`, with length
     within the bound, on which phi(psi(w)) != w, in basis order."""
-    return _tables(base, n, max(max_total_len, 0)).phi_psi_failures()
+    return _sweep_tables(base, n, max_total_len).phi_psi_failures()
 
 
 __all__ = [

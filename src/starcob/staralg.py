@@ -23,7 +23,7 @@ Each word stores the node where a chain enters it (`entry`) and leaves it
 next.entry, decides chaining in both algebras (`chain_ok`).  `WordTable`
 interns the words up to a length bound as ids, with their product table, the
 arithmetic of their splits and the chained id tuples; the ainfty and barcobar
-kernels extend it.
+kernels extend it, and `WordTable.held` is the one cache of their tables.
 
 Gradings: an integer Maslov degree m (0 on A-words, minus the length on
 B-words), a weight vector of length 2N counting each loop/edge letter (loop
@@ -610,6 +610,38 @@ class WordTable:
     >>> [[table.words[a].render() for a in t] for t in table.chains(2, entry=2)]
     [['s1'], ['s1', 'r1'], ['s1', 's3'], ['r2'], ['r2', 's1'], ['r2', 'r2']]
     """
+
+    _held: Optional["WordTable"] = None  # per class, the last table `held` built
+
+    @classmethod
+    def held(cls, algebra: str, n: int, max_len: int, covering: bool = False) -> "WordTable":
+        """The table of this class for one (algebra, N, max_len), built on
+        first use.  Each class holds the last table built here, handing out
+        its `other` too, and lets both go before it builds another (`verify
+        grading` frees A's op table before it builds B's).  A sweep asks for
+        its exact bound, its window; with `covering`, a call on words or
+        strings of total length within max_len takes a held table of a larger
+        bound, which gives the same ids, products, splits and windows.
+        """
+        last = cls.__dict__.get("_held")
+        pair = last and vars(last).get("other")
+        for table in (last, pair):
+            if table is not None and (table.algebra, table.n) == (algebra, n):
+                if table.max_len >= max_len if covering else table.max_len == max_len:
+                    return table
+        if pair is not None:  # unlink the pair, so that refcounting frees it now
+            del vars(last)["other"], vars(pair)["other"]
+        last = table = pair = cls._held = None  # no reference left while the new one is built
+        cls._held = cls(algebra, n, max_len)
+        return cls._held
+
+    @functools.cached_property
+    def other(self) -> "WordTable":
+        """The dual algebra's table of this class at the same N and bound,
+        linked back to this one."""
+        other = type(self)(dual_algebra(self.algebra), self.n, self.max_len)
+        other.other = self
+        return other
 
     def __init__(self, algebra: str, n: int, max_len: int):
         self.algebra = algebra

@@ -589,18 +589,20 @@ def fresh_op_tables():
     """Op tables built afresh for the test and dropped after it, pass or
     fail: a column built lazily under a patched classifier (`higher`) must
     not outlive the patch in the held table."""
-    ainfty._held = None
+    _OpTables._held = None
     yield
-    ainfty._held = None
+    _OpTables._held = None
 
 
-def test_windows_of_a_fresh_table_read_that_table(fresh_op_tables):
+def test_windows_of_a_fresh_table_read_that_table(fresh_op_tables, monkeypatch):
     # A fresh table's windows must come from its own columns, so that a
     # corrupted fresh table is what the sweep reads: reading them builds no
-    # cached table.
+    # other table.
     tables = _OpTables("A", 3, 13)
+    built, init = [], _OpTables.__init__
+    monkeypatch.setattr(_OpTables, "__init__", lambda ops, *args: built.append(args) or init(ops, *args))
     assert passing_windows(tables) and tables.higher
-    assert ainfty._held is None
+    assert built == []
 
 
 def test_a_corrupted_fresh_table_is_swept_on_its_own_windows():
@@ -1361,7 +1363,7 @@ def test_word_calls_reuse_a_covering_table(fresh_op_tables, monkeypatch):
     assert built == [("A", n, 7), ("A", n, 9), ("A", n, 12)]
     exact = []
     for f, words in calls:
-        ainfty._held = None
+        _OpTables._held = None
         exact.append(value(f, words))
     assert [bound for _, _, bound in built[3:]] == [sum(w.ell for w in words) for _, words in calls]
     assert got == exact and not any(v.is_zero() for v in got)

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import re
+import weakref
 
 import pytest
 from reference import cobar_mul, dict_image, started_at, word_splits
@@ -12,7 +13,6 @@ from reference import cobar_mul, dict_image, started_at, word_splits
 from starcob.barcobar import (
     CobElem,
     TString,
-    _tables,
     _WordTables,
     bar_diff,
     block_renderings,
@@ -203,6 +203,50 @@ def test_homotopy_refuses_a_fault_of_another_kind():
         verify_homotopy(4, 3, "B", ("drop-a-centered", 0))
 
 
+def _counted_builds(monkeypatch) -> tuple[list[tuple], list[weakref.ref]]:
+    """The (algebra, N, bound) of each string table built from here on, and
+    a weak reference to each, with no table held to start from."""
+    built, refs, init = [], [], _WordTables.__init__
+
+    def counted(tables, *args):
+        built.append(args)
+        refs.append(weakref.ref(tables))
+        init(tables, *args)
+
+    monkeypatch.setattr(_WordTables, "__init__", counted)
+    monkeypatch.setattr(_WordTables, "_held", None)
+    return built, refs
+
+
+@pytest.mark.parametrize("sweep", [homotopy_failure, verify_homotopy, phi_psi_failures])
+def test_sweeps_refuse_a_window_that_holds_no_string(sweep, monkeypatch):
+    # N <= 2 is no construction, and a bound below 1 holds no string, so a
+    # pass over that window would check nothing: each raises, building no table.
+    built, _ = _counted_builds(monkeypatch)
+    for n in (2, 1):
+        with pytest.raises(ValueError, match=f"the construction needs N > 2, got N={n}"):
+            sweep(4, n, "A")
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match=f"a bound of {bound} holds no string"):
+            sweep(bound, 3, "B")
+    assert built == []
+
+
+def test_string_maps_over_many_lengths_share_one_table(monkeypatch):
+    # The loop of acceptance criterion 10: each map takes the held table
+    # that covers its string, so the loop builds one table per algebra, not
+    # one per string length, and never keeps more than two alive.
+    built, refs = _counted_builds(monkeypatch)
+    alive = []
+    for algebra in ("A", "B"):
+        for ts in enumerate_strings(algebra, 8, 3):
+            assert cobar_diff(cobar_diff(ts)).is_zero()
+            assert bar_diff(bar_diff(ts)).is_zero()
+            alive.append(sum(ref() is not None for ref in refs))
+    assert built == [("A", 3, 8), ("B", 3, 8)]
+    assert max(alive) <= 2
+
+
 def test_homotopy_side_conditions():
     for algebra in ("A", "B"):
         for ts in enumerate_strings(algebra, 5, 3):
@@ -282,6 +326,13 @@ def test_enumerate_strings_order():
             for ts in enumerate_strings(algebra, 7, n):
                 digest.update((ts.render() + "\n").encode())
     assert digest.hexdigest() == "ee16fc7868d268b7be993ba272444c1b6de06062806dc4c1feb66325cded182e"
+
+
+def test_enumerate_strings_refuses_an_entry_off_the_cycle():
+    for entry in (0, 4, 5):
+        for reduced in (False, True):
+            with pytest.raises(ValueError, match=f"node index {entry} out of range 1..3"):
+                list(enumerate_strings("A", 4, 3, entry, reduced))
 
 
 def test_enumerate_strings_counts():
@@ -394,7 +445,7 @@ def test_string_table_columns_against_word_oracle(algebra):
 def test_kernel_matches_object_oracle(algebra, n):
     # Every string of total length <= 6: the kernel's two sides of the
     # certificate, and each public map built on it, equal the reference.
-    tables = _tables(algebra, n, 6)
+    tables = _WordTables.held(algebra, n, 6)
     swept = 0
     for ts in enumerate_strings(algebra, 6, n):
         swept += 1
@@ -441,14 +492,14 @@ def test_phi_psi_identity_matches_object_oracle(base, n):
 
 @pytest.mark.parametrize("base", ["A", "B"])
 def test_phi_psi_check_names_a_corrupted_psi_entry(base):
-    # A fresh table, not the cached one, with the psi entry of its last word
+    # A fresh table, not the held one, with the psi entry of its last word
     # replaced by that of the word before: the check names that word only.
     tables = _WordTables(base, 3, 4)
     other = tables.other
     last = len(other.words) - 1
     tables.psi[last] = tables.psi[last - 1]
     assert tables.phi_psi_failures() == [other.words[last]]
-    assert _tables(base, 3, 4).phi_psi_failures() == []
+    assert _WordTables.held(base, 3, 4).phi_psi_failures() == []
 
 
 # Rotation equivariance: the Z/N rotation i -> i+1 of the cyclic quiver
@@ -501,14 +552,14 @@ def _equivariance_mismatches(tables):
 def test_rotation_commutes_with_the_certificate(algebra, n):
     # Every column, and phi and both sides of the certificate (with and
     # without break-h) on every string of total length <= 6.
-    tables = _tables(algebra, n, 6)
+    tables = _WordTables.held(algebra, n, 6)
     assert sum(1 for _ in tables.chains(6)) == 728 * n
     assert _equivariance_mismatches(tables) == []
 
 
 @pytest.mark.parametrize("algebra", ["A", "B"])
 def test_equivariance_check_names_a_column_corrupted_at_one_node(algebra):
-    # A fresh table, not the cached one, whose leading-block rule points the
+    # A fresh table, not the held one, whose leading-block rule points the
     # follower of a letter at node 2 only at the other letter entered where
     # the follower is: the check above must see it.
     n = 3
@@ -518,7 +569,7 @@ def test_equivariance_check_names_a_column_corrupted_at_one_node(algebra):
     entered = tables.by_entry[tables.exit[a]]
     tables.block_next[a - n] = next(b for b in entered if tables.ell[b] == 1 and b != follow)
     assert ("block_next", a) in _equivariance_mismatches(tables)
-    assert _equivariance_mismatches(_tables(algebra, n, 4)) == []
+    assert _equivariance_mismatches(_WordTables.held(algebra, n, 4)) == []
 
 
 @pytest.mark.parametrize("algebra", ["A", "B"])
@@ -527,7 +578,7 @@ def test_entry_nodes_partition_the_strings_into_rotated_copies(algebra, n):
     # The strings entered at nodes 1..N, in that order, are the full
     # enumeration, and rotation maps the node-1 strings one-to-one onto the
     # strings entered at each later node.
-    tables = _tables(algebra, n, 6)
+    tables = _WordTables.held(algebra, n, 6)
     rot = _rotation(tables)
     full = [tables.intern(ts) for ts in enumerate_strings(algebra, 6, n)]
     by_entry = [[tables.intern(ts) for ts in enumerate_strings(algebra, 6, n, i)] for i in range(1, n + 1)]
@@ -548,7 +599,7 @@ def test_orbit_sweep_agrees_with_the_full_sweep(algebra, n):
     # sides as the full sweep finds them.  The node-1 strings of a bound are
     # those of max_bound's table in the same order, filtered by total length.
     max_bound = {3: 10, 4: 8}[n]
-    tables = _tables(algebra, n, max_bound)
+    tables = _WordTables.held(algebra, n, max_bound)
     failed_somewhere = False
     for fault in (None, ("break-h",)):
         first = {}  # bound -> the first failing string and its two sides
@@ -573,7 +624,7 @@ def test_orbit_sweep_agrees_with_the_full_sweep(algebra, n):
     # Over every entry node, up to bound 6: the failing strings are a union
     # of whole rotation orbits, so the node-1 strings, which come first,
     # hold the first failure of a sweep over every string.
-    small = _tables(algebra, n, 6)
+    small = _WordTables.held(algebra, n, 6)
     rot = _rotation(small)
     failing = set()
     for s in small.chains(6):
@@ -590,7 +641,7 @@ def test_orbit_sweep_agrees_with_the_full_sweep(algebra, n):
 
 
 def _corrupted(base, n, max_len, seed):
-    """A fresh table, not the cached one, with one to three `mul` entries
+    """A fresh table, not the held one, with one to three `mul` entries
     changed to another word or dropped, and at about a third of the seeds
     one `psi` entry reversed.  The entries are taken from the rows of the
     letters, the only rows H reads: it merges a block letter into t."""
@@ -618,7 +669,7 @@ def test_certificate_factors_through_the_reduced_prefix(base, n):
     max_len = 8
     broken = 0
     for seed in (None, *range(12)):
-        tables = _tables(base, n, max_len) if seed is None else _corrupted(base, n, max_len, seed)
+        tables = _WordTables.held(base, n, max_len) if seed is None else _corrupted(base, n, max_len, seed)
         reduced = list(tables.reduced_chains(max_len, 1))
         is_reduced = set(reduced)
         defect, prefix = {}, {}
@@ -650,7 +701,7 @@ def test_splits_column_lists_every_split(algebra, n):
 
 @pytest.mark.parametrize("base", ["A", "B"])
 def test_block_premise_check_names_a_split_into_a_letter_and_its_follower(base, monkeypatch):
-    # A fresh table, not the cached one, where the first letter of a
+    # A fresh table, not the held one, where the first letter of a
     # two-letter word's split is followed by the second: the lemma's premise
     # fails, and the check names that word.  Building a table runs the check.
     n = 3
@@ -662,7 +713,7 @@ def test_block_premise_check_names_a_split_into_a_letter_and_its_follower(base, 
     tables.block_next[c - n] = d
     with pytest.raises(RuntimeError, match=re.escape(tables.words[a].render())):
         tables.check_block_premise()
-    _tables(base, n, 4).check_block_premise()
+    _WordTables.held(base, n, 4).check_block_premise()
 
     def fail(self):
         raise RuntimeError("checked")

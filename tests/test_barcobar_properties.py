@@ -15,7 +15,7 @@ from __future__ import annotations
 import pytest
 from test_barcobar import _equivariance_mismatches
 
-from starcob.barcobar import CobElem, TString, _tables, cobar_diff, homotopy_h, phi, psi
+from starcob.barcobar import CobElem, TString, _WordTables, cobar_diff, homotopy_h, phi, psi
 from starcob.staralg import AlgElem
 
 pytest.importorskip("hypothesis")
@@ -28,7 +28,7 @@ DRAWS = settings(derandomize=True, database=None, deadline=None, max_examples=50
 @st.composite
 def tables(draw):
     """The string tables of a drawn algebra, N in 5..32 and bound L in 1..6."""
-    return _tables(draw(st.sampled_from("AB")), draw(st.integers(5, 32)), draw(st.integers(1, 6)))
+    return _WordTables.held(draw(st.sampled_from("AB")), draw(st.integers(5, 32)), draw(st.integers(1, 6)))
 
 
 def _chain(draw, t, node: int) -> tuple:

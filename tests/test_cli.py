@@ -8,9 +8,9 @@ import sys
 import weakref
 
 import pytest
+from test_barcobar import _counted_builds
 
 from starcob import cli
-from starcob.barcobar import _tables
 from starcob.cli import main, parse_fault
 
 
@@ -404,13 +404,13 @@ def test_grading_report_records_its_window(capsys):
     }
 
 
-def test_homotopy_builds_one_table_per_algebra(capsys):
+def test_homotopy_builds_one_table_per_algebra(capsys, monkeypatch):
     # The phi-psi identity and the certificate share the tables of
     # (algebra, N, --max-len), so the sweep builds exactly two.
-    _tables.cache_clear()
+    built, _ = _counted_builds(monkeypatch)
     code, _, _ = _run(["verify", "homotopy", "--n", "3", "--max-len", "5"], capsys)
     assert code == 0
-    assert _tables.cache_info().misses == 2
+    assert built == [("A", 3, 5), ("B", 3, 5)]
 
 
 def test_grading_frees_the_a_table_before_the_b_laws_run(capsys, monkeypatch):
@@ -437,7 +437,7 @@ def test_grading_frees_the_a_table_before_the_b_laws_run(capsys, monkeypatch):
     monkeypatch.setattr(ainfty, "operation_violations", watched)
     monkeypatch.setattr(gradegroup, "operation_violations", watched)
     monkeypatch.setattr(ainfty._OpTables, "__init__", watched_build)
-    ainfty._held = None
+    ainfty._OpTables._held = None
     code, _, _ = _run(["verify", "grading", "--n", "3"], capsys)
     assert code == 0
     assert len(a_tables) == 2 and len(a_alive_at_b) == 4 and len(a_alive_at_b_build) == 2
@@ -512,13 +512,13 @@ def test_failing_homotopy_sweep_runs_once_per_base(capsys, monkeypatch):
     assert bases == ["A", "B"]
 
 
-def test_dump_strings_builds_one_table(capsys):
+def test_dump_strings_builds_one_table(capsys, monkeypatch):
     # One table at the bound holds every string: no table per string length.
-    _tables.cache_clear()
+    built, _ = _counted_builds(monkeypatch)
     code, out, _ = _run(["dump", "strings", "--algebra", "A", "--n", "3", "--max-len", "9"], capsys)
     assert code == 0
     assert len(json.loads(out)["items"]) == 3 * (3**9 - 1)
-    assert _tables.cache_info().misses == 1
+    assert built == [("A", 3, 9)]
 
 
 # The sha256 of stdout, a NUL and stderr, and the exit code, with 80 columns:
